@@ -103,12 +103,16 @@ class RunConfig:
         return self.lam * self.dt
 
     def scheme_params(self) -> SchemeParams:
+        """Scheme parameters of the run.
+
+        correction_rtol reaches no solver: the correction is solved exactly
+        (linalg.solve_correction). It is still accepted, validated and
+        echoed, so existing configuration files keep loading.
+        """
         return SchemeParams(
             dt=self.dt, t_final=self.t_final, lam=self.lam, eta=self.eta,
             mu=self.mu,
             prediction_solver=SolverConfig("bicgstab", rtol=self.prediction_rtol,
-                                           max_iter=self.max_iter),
-            correction_solver=SolverConfig("cg", rtol=self.correction_rtol,
                                            max_iter=self.max_iter),
         )
 
@@ -142,6 +146,8 @@ class RunConfig:
                      f"{self.grid.lx}x{self.grid.ly}")
         lines.append(f"  scheme: dt={self.dt} T={self.t_final} lambda={self.lam} "
                      f"eps={self.epsilon} eta={self.eta} mu={self.mu}")
+        lines.append(f"  solver: prediction_rtol={self.prediction_rtol} max_iter={self.max_iter} "
+                     f"correction_rtol={self.correction_rtol} (no effect: exact correction)")
         lines.append(f"  initial: {self.initial.kind}  forcing: {self.forcing.kind}")
         lines.append(f"  obstacle: {self.obstacle.shape}")
         if self.sweep:
@@ -223,6 +229,8 @@ def load_config(text: str) -> RunConfig:
                    _get(parser, "solver", "prediction_rtol", defaulted)[0])
     cr = _as_float("solver", "correction_rtol",
                    _get(parser, "solver", "correction_rtol", defaulted)[0])
+    if not 0.0 < cr < 1.0:
+        raise ConfigError(f"field [solver] correction_rtol must be in (0, 1), got {cr}")
     mi = _as_int("solver", "max_iter", _get(parser, "solver", "max_iter", defaulted)[0])
 
     init_kind, _ = _get(parser, "initial", "type", defaulted)

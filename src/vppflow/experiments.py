@@ -29,9 +29,13 @@ class OutputError(OSError):
 def fit_exponent(xs, ys):
     """Least-squares slope of log(y) vs log(x); returns (slope, residual).
 
-    The residual is the RMS misfit of the fitted line in log space.
+    The residual is the RMS misfit of the fitted line in log space. Raises
+    ValueError unless the xs are positive with at least two distinct values.
     """
-    lx = np.log(np.asarray(xs, dtype=float))
+    x = np.asarray(xs, dtype=float)
+    if np.any(x <= 0) or np.unique(x).size < 2:
+        raise ValueError(f"need at least two distinct positive abscissae, got {list(xs)}")
+    lx = np.log(x)
     ly = np.log(np.asarray(ys, dtype=float))
     coeffs = np.polyfit(lx, ly, 1)
     fit = np.polyval(coeffs, lx)
@@ -237,9 +241,11 @@ _SUMMARY_COLUMNS = [
 def run_sweep(cfg: RunConfig, out_dir: str, quiet: bool = True):
     """Run every sweep member and write a per-run plus a summary CSV.
 
-    The summary carries one row per run and, in the trailing comment
-    lines, the fitted log-log exponent of the time-integrated divergence
-    (dt/lambda sweeps) or of the accumulated slip error (eta sweeps).
+    The summary carries one row per run and, in extra columns, the fitted
+    log-log exponents of the time-integrated divergence and of the
+    accumulated slip error against eps (dt/lambda sweeps) or eta (eta
+    sweeps). A sweep whose eps or eta take fewer than two distinct values
+    has no exponents.
     """
     if cfg.sweep is None:
         raise ValueError("configuration has no [sweep] section")
@@ -277,7 +283,7 @@ def run_sweep(cfg: RunConfig, out_dir: str, quiet: bool = True):
     xs = [row["eps" if cfg.sweep.parameter in ("dt", "lambda") else "eta"]
           for row in rows]
     exponents = {}
-    if len(rows) >= 2:
+    if len(set(xs)) >= 2:
         ys = [row["time_integrated_div"] for row in rows]
         if all(y > 0 for y in ys):
             exponents["div_exponent"], exponents["div_fit_residual"] = fit_exponent(xs, ys)

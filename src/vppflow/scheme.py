@@ -6,7 +6,8 @@ Each step advances (v^n, p^n) to (v^{n+1}, p^{n+1}):
    the old pressure gradient on the right-hand side and homogeneous
    Dirichlet walls,
 2. correction: SPD grad-div solve for the incremental velocity with
-   zero normal boundary values; v^{n+1} is the sum of the two,
+   zero normal boundary values, exact by a DCT-II (linalg.solve_correction);
+   v^{n+1} is the sum of the two,
 3. pressure update: p^{n+1} = p^n - div(v^{n+1}) / eps, projected back
    to zero mean.
 
@@ -22,12 +23,12 @@ import numpy as np
 
 from . import linalg, operators
 from .grid import PressureField, VelocityField
-from .linalg import NonConvergence, SolverConfig, SparseOperator
+from .linalg import NonConvergence, SolverConfig
 
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Time step, penalty ratios and solver settings for one run."""
+    """Time step, penalty ratios and prediction solver settings for one run."""
 
     dt: float
     t_final: float
@@ -36,8 +37,6 @@ class SchemeParams:
     mu: float = 1e-2
     prediction_solver: SolverConfig = field(
         default_factory=lambda: SolverConfig("bicgstab", rtol=1e-8, max_iter=20000))
-    correction_solver: SolverConfig = field(
-        default_factory=lambda: SolverConfig("cg", rtol=1e-10, max_iter=20000))
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -79,7 +78,7 @@ class FlowState:
 
 
 class SolverFailure(RuntimeError):
-    """A step's linear solve failed; carries the step index."""
+    """A step's prediction solve failed; carries the step index."""
 
     def __init__(self, stage, step_index, cause: NonConvergence):
         super().__init__(f"{stage} solve failed at step {step_index}: {cause}")
@@ -91,7 +90,7 @@ class SolverFailure(RuntimeError):
 @dataclass
 class StepInfo:
     prediction_iterations: int = 0
-    correction_iterations: int = 0
+    correction_iterations: int = 0   # the exact correction solve reports 0
 
 
 def predict(state: FlowState, forcing: VelocityField, obstacle, params: SchemeParams,
@@ -118,17 +117,12 @@ def predict(state: FlowState, forcing: VelocityField, obstacle, params: SchemePa
     return layout.unpack(x), iters
 
 
-def correct(v_tilde: VelocityField, params: SchemeParams,
-            correction_op: SparseOperator | None = None):
-    """Solve the grad-div correction; returns (v_hat, iterations)."""
+def correct(v_tilde: VelocityField, params: SchemeParams):
+    """Solve the grad-div correction exactly; returns (v_hat, 0 iterations)."""
     grid = v_tilde.grid
-    if correction_op is None:
-        correction_op = linalg.assemble_correction(grid, params)
-    layout = correction_op.layout
-    d = linalg.divergence_matrix(grid)
-    rhs = linalg.gradient_matrix(grid) @ (d @ layout.pack(v_tilde))
-    x, iters = linalg.solve(correction_op, rhs, params.correction_solver)
-    return layout.unpack(x), iters
+    layout = linalg.face_layout(grid)
+    x = linalg.solve_correction(grid, params.epsilon / params.dt, layout.pack(v_tilde))
+    return layout.unpack(x), 0
 
 
 def update_pressure(p_old: PressureField, v_new: VelocityField,
@@ -140,7 +134,7 @@ def update_pressure(p_old: PressureField, v_new: VelocityField,
 
 
 def step(state: FlowState, forcing_fn, obstacle, params: SchemeParams,
-         correction_op: SparseOperator | None = None, wall_slip_fn=None):
+         wall_slip_fn=None):
     """Advance one time step; returns (new_state, StepInfo).
 
     forcing_fn(t, grid) -> VelocityField, sampled at t^{n+1}; likewise
@@ -157,10 +151,7 @@ def step(state: FlowState, forcing_fn, obstacle, params: SchemeParams,
         v_tilde, pred_iters = predict(state, f_next, obstacle, params, wall_slip=slip)
     except NonConvergence as exc:
         raise SolverFailure("prediction", state.n + 1, exc) from exc
-    try:
-        v_hat, corr_iters = correct(v_tilde, params, correction_op)
-    except NonConvergence as exc:
-        raise SolverFailure("correction", state.n + 1, exc) from exc
+    v_hat, corr_iters = correct(v_tilde, params)
 
     v_new = v_tilde + v_hat
     p_new = update_pressure(state.p, v_new, params)
@@ -197,14 +188,13 @@ def run(v0: VelocityField, p0: PressureField, forcing_fn, obstacle,
     state = FlowState.initial(v0, p0)
     initial_div = float(np.sqrt(operators.cell_inner(
         operators.divergence(state.v), operators.divergence(state.v))))
-    correction_op = linalg.assemble_correction(grid, params)
 
     records = []
     if snapshot_sink is not None:
         snapshot_sink(state)
     for _ in range(params.n_steps):
         prev = state
-        state, info = step(state, forcing_fn, obstacle, params, correction_op,
+        state, info = step(state, forcing_fn, obstacle, params,
                            wall_slip_fn=wall_slip_fn)
         rec = make_record(prev, state, info, obstacle, params)
         records.append(rec)

@@ -10,6 +10,8 @@ the gates must reject.
 
 import math
 
+import pytest
+
 from vppflow.acceptance import a1_passes, a5_passes, run_criterion
 from vppflow.experiments import fit_exponent, observed_order
 
@@ -101,3 +103,10 @@ def test_a5_gate_accepts_measured_series_and_rejects_flat_ones():
     assert not a5_passes(observed_order(ETAS, flat_slip),
                          fit_exponent(ETAS, pens)[0])
     assert not a5_passes(0.2, 1.811)         # slip order below the bound
+
+
+def test_fit_exponent_rejects_degenerate_abscissae():
+    with pytest.raises(ValueError, match="two distinct positive"):
+        fit_exponent([0.02, 0.02, 0.02], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="two distinct positive"):
+        fit_exponent([0.0, 0.01], [1.0, 2.0])

@@ -86,6 +86,22 @@ def test_dt_sweep_writes_summary_with_exponent(tmp_path):
     assert os.path.exists(os.path.join(out, "dt3_diagnostics.csv"))
 
 
+def test_sweep_with_repeated_values_omits_exponents(tmp_path):
+    cfg = write(tmp_path, "repeat.ini", ZERO_RUN.replace("T = 0.1", "T = 0.04") + """
+[initial]
+type = taylor-green
+[sweep]
+parameter = dt
+values = 0.02 0.02
+""")
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", cfg, "--out", out, "--quiet"]) == 0
+    lines = open(os.path.join(out, "sweep_summary.csv")).read().strip().splitlines()
+    assert len(lines) == 1 + 2
+    assert not any(col.endswith(("_exponent", "_fit_residual"))
+                   for col in lines[0].split(","))
+
+
 def test_manufactured_study_sweep_emits_error_table(tmp_path):
     # selecting the manufactured initial data and forcing turns a dt sweep
     # into a convergence study: the summary carries the space-time error

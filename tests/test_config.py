@@ -28,6 +28,15 @@ def test_minimal_config_gets_documented_defaults():
     assert "lambda=1.0" in cfg.echo()
 
 
+def test_correction_rtol_is_still_accepted_validated_and_echoed():
+    # the correction is solved exactly, but existing files keep loading
+    cfg = load_config(MINIMAL + "\n[solver]\ncorrection_rtol = 1e-9\n")
+    assert cfg.correction_rtol == 1e-9
+    assert "correction_rtol=1e-09" in cfg.echo()
+    with pytest.raises(ConfigError, match="correction_rtol"):
+        load_config(MINIMAL + "\n[solver]\ncorrection_rtol = 2\n")
+
+
 def test_explicit_epsilon_is_rejected():
     text = MINIMAL + "\n[solver]\n"
     bad = text.replace("dt = 0.01", "dt = 0.01\nepsilon = 1e-4")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 from vppflow import linalg, operators
 from vppflow.grid import Grid, PressureField, VelocityField
@@ -203,6 +204,43 @@ def test_correction_iterations_stable_under_dt_halving(rng):
         _, iters = linalg.solve(op, rhs, cfg)
         counts.append(iters)
     assert max(counts) - min(counts) <= 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(2, 40), ny=st.integers(2, 40),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0),
+       log10_lam=st.floats(-8.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(nx=2, ny=2, lx=1.0, ly=1.0, log10_lam=-8.0, seed=0)
+def test_solve_correction_is_exact_on_every_grid(nx, ny, lx, ly, log10_lam, seed):
+    g = Grid(nx, ny, lx, ly)
+    layout = face_layout(g)
+    params = params_for(dt=1.0, lam=10.0 ** log10_lam)
+    lam = params.epsilon / params.dt
+    v_tilde = np.random.default_rng(seed).standard_normal(layout.n)
+    v_hat = linalg.solve_correction(g, lam, v_tilde)
+
+    a = linalg.assemble_correction(g, params).matrix
+    d = linalg.divergence_matrix(g)
+    dtd = d.T @ (d @ v_tilde)
+    assert np.linalg.norm(a @ v_hat + dtd) <= 1e-12 * np.linalg.norm(dtd)
+
+    # v_hat is a discrete gradient, so its curl vanishes to roundoff
+    scale = np.abs(v_hat).max() / min(g.hx, g.hy)
+    assert np.abs(operators.curl(layout.unpack(v_hat))).max() <= 1e-12 * scale
+
+    # a dense LU is a trustworthy second oracle only while lam keeps the
+    # operator well conditioned; its forward error grows like cond * eps
+    if lam >= 1e-2 and layout.n <= 400:
+        ref = np.linalg.solve(a.toarray(), -dtd)
+        cond = 1.0 + linalg.neumann_eigenvalues(g).max() / lam
+        tol = 10.0 * cond * np.finfo(float).eps
+        assert np.linalg.norm(v_hat - ref) <= tol * np.linalg.norm(ref)
+
+
+def test_solve_correction_rejects_nonpositive_lambda():
+    g = Grid(4, 4)
+    with pytest.raises(ValueError):
+        linalg.solve_correction(g, 0.0, random_packed(g, np.random.default_rng(0)))
 
 
 # ------------------------------------------------------------------- solver

@@ -22,7 +22,6 @@ def tight_params(**kw):
     defaults.update(kw)
     return SchemeParams(
         prediction_solver=SolverConfig("bicgstab", rtol=1e-12, max_iter=50000),
-        correction_solver=SolverConfig("cg", rtol=1e-12, max_iter=50000),
         **defaults)
 
 
@@ -240,8 +239,7 @@ def test_step_against_coupled_oracle_in_small_eps_limit(rng):
     dt = 0.01
     params = SchemeParams(
         dt=dt, t_final=2 * dt, lam=1e-10 / dt, mu=1e-3,
-        prediction_solver=SolverConfig("bicgstab", rtol=1e-13, max_iter=50000),
-        correction_solver=SolverConfig("cg", rtol=1e-13, max_iter=50000))
+        prediction_solver=SolverConfig("bicgstab", rtol=1e-13, max_iter=50000))
     state = FlowState.initial(v0, p0)
     new, _ = scheme.step(state, zero_forcing, None, params)
     v_ref, _ = reference.coupled_step(v0, p0, VelocityField.zeros(g), None, params)
@@ -298,8 +296,7 @@ def test_solver_failure_carries_step_index(rng):
     g = Grid(16, 16)
     params = SchemeParams(
         dt=0.01, t_final=0.1, mu=1.0,
-        prediction_solver=SolverConfig("bicgstab", rtol=1e-12, max_iter=1),
-        correction_solver=SolverConfig("cg", rtol=1e-12, max_iter=1))
+        prediction_solver=SolverConfig("bicgstab", rtol=1e-12, max_iter=1))
     v0 = random_solenoidal(g, rng)
     with pytest.raises(SolverFailure) as excinfo:
         scheme.run(v0, PressureField.zeros(g), zero_forcing, None, params)
