@@ -19,6 +19,10 @@ Operator structure:
   matrix, C = (K - K^T)/2. This is a second-order discretization of the
   advective form plus half the advecting field's divergence, and it makes
   the convective quadratic form vanish exactly, not just to O(h^2).
+* the prediction operator has a pattern fixed by the grid: every
+  convective coupling and the diagonal lie in the pattern of S, so
+  convection_matrix and assemble_prediction write one data array per step
+  on S's read-only index arrays, through slots cached per grid.
 * solve_correction solves the constant-coefficient correction exactly by
   a DCT-II; assemble_correction keeps its matrix as the reference operator.
 """
@@ -243,7 +247,37 @@ def strain_energy_matrix(grid: Grid) -> sp.csr_matrix:
     wdiag = sp.diags(wnode.ravel())
 
     s = 2.0 * (bxx.T @ bxx) + 2.0 * (byy.T @ byy) + bgam.T @ wdiag @ bgam
-    return s.tocsr()
+    s = s.tocsr()
+    # the prediction operators share these index arrays (assemble_prediction)
+    s.indices.setflags(write=False)
+    s.indptr.setflags(write=False)
+    return s
+
+
+@lru_cache(maxsize=32)
+def _prediction_slots(grid: Grid):
+    """Slots in strain_energy_matrix(grid).data of the convective couplings.
+
+    Returns (fwd, bwd, diag): the slot of each off-diagonal flux entry
+    (r, c) in the order convection_matrix lists its values, the slot of
+    its transpose (c, r), and the slots of the diagonal. Every coupling
+    of the prediction operator already lies in the pattern of S.
+    """
+    s = strain_energy_matrix(grid)
+    lookup = sp.csr_matrix((np.arange(s.nnz), s.indices, s.indptr), shape=s.shape)
+    uidx = _u_index_grid(face_layout(grid))
+    vidx = _v_index_grid(face_layout(grid))
+    # (row, col) of the u east, u north, v north and v east neighbours
+    rows = np.concatenate([uidx[1:-2, :].ravel(), uidx[1:-1, :-1].ravel(),
+                           vidx[:, 1:-2].ravel(), vidx[:-1, 1:-1].ravel()])
+    cols = np.concatenate([uidx[2:-1, :].ravel(), uidx[1:-1, 1:].ravel(),
+                           vidx[:, 2:-1].ravel(), vidx[1:, 1:-1].ravel()])
+    diag = np.arange(s.shape[0])
+    slots = [np.asarray(lookup[r, c]).ravel().astype(s.indices.dtype)
+             for r, c in ((rows, cols), (cols, rows), (diag, diag))]
+    for a in slots:
+        a.setflags(write=False)
+    return tuple(slots)
 
 
 def convection_matrix(grid: Grid, vel_prev: VelocityField) -> sp.csr_matrix:
@@ -252,74 +286,33 @@ def convection_matrix(grid: Grid, vel_prev: VelocityField) -> sp.csr_matrix:
     K is the staggered divergence-form flux matrix with centered
     interpolation; its antisymmetrization (K - K^T)/2 equals the advective
     form plus half the advecting divergence to second order and gives
-    x^T C x = 0 in exact arithmetic.
+    x^T C x = 0 in exact arithmetic. The centered fluxes make the
+    off-diagonal part of K skew already (the flux through a shared cell or
+    node enters its two faces with opposite signs) and the diagonal cancels,
+    so C is that off-diagonal part, written on the pattern of
+    strain_energy_matrix(grid) with explicit zeros elsewhere.
     """
     if not (np.all(np.isfinite(vel_prev.u)) and np.all(np.isfinite(vel_prev.v))):
         raise ValueError("advecting velocity contains non-finite entries")
-    layout = face_layout(grid)
-    nx, ny = grid.nx, grid.ny
     hx, hy = grid.hx, grid.hy
     up, vp = vel_prev.u, vel_prev.v
-    uidx = _u_index_grid(layout)
-    vidx = _v_index_grid(layout)
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        keep = c.ravel() >= 0
-        rows.append(r.ravel()[keep])
-        cols.append(c.ravel()[keep])
-        vals.append(v.ravel()[keep])
-
-    # --- u momentum rows (interior faces i = 1..nx-1, all j) ---
-    ii, jj = np.meshgrid(np.arange(1, nx), np.arange(ny), indexing="ij")
-    row = uidx[ii, jj]
-    uc_e = 0.5 * (up[ii, jj] + up[ii + 1, jj])      # advecting u at east cell
-    uc_w = 0.5 * (up[ii - 1, jj] + up[ii, jj])      # west cell
-    vn_n = 0.5 * (vp[ii - 1, jj + 1] + vp[ii, jj + 1])  # advecting v at north node
-    vn_s = 0.5 * (vp[ii - 1, jj] + vp[ii, jj])          # south node
-
-    add(row, uidx[ii, jj], (uc_e - uc_w) / (2 * hx))
-    add(row, uidx[ii + 1, jj], uc_e / (2 * hx))
-    add(row, uidx[ii - 1, jj], -uc_w / (2 * hx))
+    uc = 0.5 * (up[:-1, :] + up[1:, :])     # advecting u at cells
+    vc = 0.5 * (vp[:, :-1] + vp[:, 1:])     # advecting v at cells
+    vn = 0.5 * (vp[:-1, :] + vp[1:, :])     # advecting v at nodes, i = 1..nx-1
+    un = 0.5 * (up[:, :-1] + up[:, 1:])     # advecting u at nodes, j = 1..ny-1
     # wall nodes contribute no flux: the centered average of w vanishes there
-    north = jj + 1 < ny
-    add(row[north], uidx[ii, jj][north], (vn_n / (2 * hy))[north])
-    add(row[north], uidx[ii, np.minimum(jj + 1, ny - 1)][north], (vn_n / (2 * hy))[north])
-    south = jj > 0
-    add(row[south], uidx[ii, jj][south], (-vn_s / (2 * hy))[south])
-    add(row[south], uidx[ii, np.maximum(jj - 1, 0)][south], (-vn_s / (2 * hy))[south])
-
-    # --- v momentum rows (interior faces j = 1..ny-1, all i) ---
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(1, ny), indexing="ij")
-    row = vidx[ii, jj]
-    vc_n = 0.5 * (vp[ii, jj] + vp[ii, jj + 1])
-    vc_s = 0.5 * (vp[ii, jj - 1] + vp[ii, jj])
-    ue_e = 0.5 * (up[ii + 1, jj - 1] + up[ii + 1, jj])
-    ue_w = 0.5 * (up[ii, jj - 1] + up[ii, jj])
-
-    add(row, vidx[ii, jj], (vc_n - vc_s) / (2 * hy))
-    add(row, vidx[ii, jj + 1], vc_n / (2 * hy))
-    add(row, vidx[ii, jj - 1], -vc_s / (2 * hy))
-    east = ii + 1 < nx
-    add(row[east], vidx[ii, jj][east], (ue_e / (2 * hx))[east])
-    add(row[east], vidx[np.minimum(ii + 1, nx - 1), jj][east], (ue_e / (2 * hx))[east])
-    west = ii > 0
-    add(row[west], vidx[ii, jj][west], (-ue_w / (2 * hx))[west])
-    add(row[west], vidx[np.maximum(ii - 1, 0), jj][west], (-ue_w / (2 * hx))[west])
-
-    k = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(layout.n, layout.n),
-    ).tocsr()
-    c = (0.5 * (k - k.T)).tocsr()
-    c.eliminate_zeros()
-    return c
+    k = np.concatenate([(uc[1:-1, :] / (2 * hx)).ravel(), (vn[:, 1:-1] / (2 * hy)).ravel(),
+                        (vc[:, 1:-1] / (2 * hy)).ravel(), (un[1:-1, :] / (2 * hx)).ravel()])
+    fwd, bwd, _ = _prediction_slots(grid)
+    s = strain_energy_matrix(grid)
+    c = np.zeros(s.nnz)
+    c[fwd] = k
+    c[bwd] = -k
+    return sp.csr_matrix((c, s.indices, s.indptr), shape=s.shape)
 
 
 def penalization_diagonal(grid: Grid, chi_u: np.ndarray, chi_v: np.ndarray) -> np.ndarray:
     """Pack face-sampled obstacle masks into a diagonal over the unknowns."""
-    layout = face_layout(grid)
     return np.concatenate([chi_u[1:-1, :].ravel(), chi_v[:, 1:-1].ravel()])
 
 
@@ -386,21 +379,21 @@ def boundary_rhs(grid: Grid, v_prev: VelocityField, mu: float,
     return rhs
 
 
-def assemble_prediction(grid, obstacle, params, v_prev: VelocityField, t_next: float) -> SparseOperator:
+def assemble_prediction(grid, params, v_prev: VelocityField, chi=None) -> SparseOperator:
     """Momentum operator for the implicit velocity prediction.
 
-    (1/dt) I + C(v_prev) - div(2 mu D(.)) + (1/eta) chi(t_next) I
-    on the interior faces, Dirichlet rows eliminated.
+    (1/dt) I + C(v_prev) - div(2 mu D(.)) + (1/eta) chi I on the interior
+    faces, Dirichlet rows eliminated; chi is the packed face mask of the
+    obstacle (penalization_diagonal), None without one. The operator
+    shares the index arrays of strain_energy_matrix(grid), which are
+    read-only: only its data array is new.
     """
-    layout = face_layout(grid)
-    a = convection_matrix(grid, v_prev) + params.mu * strain_energy_matrix(grid)
-    diag = np.full(layout.n, 1.0 / params.dt)
-    if obstacle is not None and obstacle.shape != "none":
-        chi_u, chi_v = obstacle.sample_chi_faces(t_next, grid)
-        diag = diag + penalization_diagonal(grid, chi_u, chi_v) / params.eta
-    a = (a + sp.diags(diag)).tocsr()
-    a.eliminate_zeros()
-    return SparseOperator(a, layout, name="prediction")
+    c = convection_matrix(grid, v_prev)
+    data = c.data + params.mu * strain_energy_matrix(grid).data
+    data[_prediction_slots(grid)[2]] += (
+        1.0 / params.dt if chi is None else 1.0 / params.dt + chi / params.eta)
+    a = sp.csr_matrix((data, c.indices, c.indptr), shape=c.shape)
+    return SparseOperator(a, face_layout(grid), name="prediction")
 
 
 def assemble_correction(grid, params) -> SparseOperator:

@@ -45,7 +45,10 @@ def coupled_step(v_prev: VelocityField, p_prev: PressureField, forcing: Velocity
     n = layout.n
     nc = grid.ncells
 
-    a = linalg.assemble_prediction(grid, obstacle, params, v_prev, t_next).matrix
+    chi = None
+    if obstacle is not None and obstacle.shape != "none":
+        chi = linalg.penalization_diagonal(grid, *obstacle.sample_chi_faces(t_next, grid))
+    a = linalg.assemble_prediction(grid, params, v_prev, chi).matrix
     g = linalg.gradient_matrix(grid)
     d = linalg.divergence_matrix(grid)
 
@@ -60,11 +63,9 @@ def coupled_step(v_prev: VelocityField, p_prev: PressureField, forcing: Velocity
     rhs_field = forcing + (1.0 / params.dt) * v_prev
     rhs = np.zeros(size)
     rhs[:n] = layout.pack(rhs_field)
-    if obstacle is not None and obstacle.shape != "none":
-        chi_u, chi_v = obstacle.sample_chi_faces(t_next, grid)
+    if chi is not None:
         vs = obstacle.sample_solid_velocity(t_next, grid)
-        rhs[:n] += linalg.penalization_diagonal(grid, chi_u, chi_v) \
-            * layout.pack(vs) / params.eta
+        rhs[:n] += chi * layout.pack(vs) / params.eta
 
     try:
         sol = np.linalg.solve(mat, rhs)

@@ -102,15 +102,17 @@ def predict(state: FlowState, forcing: VelocityField, obstacle, params: SchemePa
     """
     grid = state.v.grid
     t_next = state.t + params.dt
-    op = linalg.assemble_prediction(grid, obstacle, params, state.v, t_next)
+    chi = None
+    if obstacle is not None and obstacle.shape != "none":
+        chi = linalg.penalization_diagonal(grid, *obstacle.sample_chi_faces(t_next, grid))
+    op = linalg.assemble_prediction(grid, params, state.v, chi)
     layout = op.layout
 
     rhs_field = forcing + (1.0 / params.dt) * state.v
     rhs = layout.pack(rhs_field) - linalg.gradient_matrix(grid) @ state.p.p.ravel()
-    if obstacle is not None and obstacle.shape != "none":
-        chi_u, chi_v = obstacle.sample_chi_faces(t_next, grid)
+    if chi is not None:
         vs = obstacle.sample_solid_velocity(t_next, grid)
-        rhs += linalg.penalization_diagonal(grid, chi_u, chi_v) * layout.pack(vs) / params.eta
+        rhs += chi * layout.pack(vs) / params.eta
     if wall_slip is not None:
         rhs += linalg.boundary_rhs(grid, state.v, params.mu, wall_slip)
     x, iters = linalg.solve(op, rhs, params.prediction_solver)

@@ -36,7 +36,7 @@ def test_prediction_reduces_to_scaled_identity():
     # no advection, no obstacle, vanishing viscosity: operator = I/dt
     g = Grid(5, 5)
     params = params_for(dt=0.02, mu=1e-30)
-    op = linalg.assemble_prediction(g, None, params, VelocityField.zeros(g), 0.02)
+    op = linalg.assemble_prediction(g, params, VelocityField.zeros(g))
     eye = sp.identity(op.shape[0]) / params.dt
     assert abs(op.matrix - eye).max() <= 1e-12 / params.dt
 
@@ -108,6 +108,41 @@ def _slow_convection_dense(grid, vel_prev):
     return 0.5 * (k - k.T)
 
 
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(2, 12), ny=st.integers(2, 12),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0),
+       log10_mu=st.floats(-4.0, 0.0), log10_eta=st.floats(-8.0, 0.0),
+       log10_dt=st.floats(-4.0, -1.0), seed=st.integers(0, 2**32 - 1))
+@example(nx=2, ny=2, lx=1.0, ly=1.0, log10_mu=-2.0, log10_eta=-6.0, log10_dt=-2.0, seed=0)
+def test_prediction_assembly_on_the_strain_pattern(nx, ny, lx, ly, log10_mu, log10_eta,
+                                                   log10_dt, seed):
+    g = Grid(nx, ny, lx, ly)
+    layout = face_layout(g)
+    rng = np.random.default_rng(seed)
+    adv = layout.unpack(rng.standard_normal(layout.n))
+    params = SchemeParams(dt=10.0 ** log10_dt, t_final=1.0, eta=10.0 ** log10_eta,
+                          mu=10.0 ** log10_mu)
+    chi = rng.uniform(0.0, 1.0, layout.n)
+
+    c = linalg.convection_matrix(g, adv)
+    assert np.array_equal(c.toarray(), _slow_convection_dense(g, adv))
+
+    s = linalg.strain_energy_matrix(g)
+    a = linalg.assemble_prediction(g, params, adv, chi).matrix
+    assert np.array_equal(a.indptr, s.indptr)
+    assert np.array_equal(a.indices, s.indices)
+    summed = c + params.mu * s + sp.diags(1.0 / params.dt + chi / params.eta)
+    assert np.array_equal(a.toarray(), summed.toarray())
+
+    # the index arrays are shared with the cached S: in-place pattern edits
+    # must fail instead of corrupting every later assembly
+    with pytest.raises(ValueError):
+        a.eliminate_zeros()
+    again = linalg.assemble_prediction(g, params, adv, chi).matrix
+    assert np.array_equal(again.toarray(), a.toarray())
+    assert np.array_equal(again.indices, s.indices)
+
+
 def test_prediction_matches_matrix_free_residual_oracle(rng):
     # residual map evaluated through independent code paths:
     # loop-built convection, the strain_divergence stencil, explicit masks
@@ -116,10 +151,10 @@ def test_prediction_matches_matrix_free_residual_oracle(rng):
     params = params_for(dt=0.04, mu=0.3, eta=1e-3)
     adv = layout.unpack(rng.standard_normal(layout.n))
     obstacle = Obstacle(shape="disk", radius=0.25, center=(0.5, 0.5), t_max=1.0)
-    op = linalg.assemble_prediction(g, obstacle, params, adv, t_next=0.04)
+    chi_u, chi_v = obstacle.sample_chi_faces(0.04, g)
+    op = linalg.assemble_prediction(g, params, adv, linalg.penalization_diagonal(g, chi_u, chi_v))
 
     c_dense = _slow_convection_dense(g, adv)
-    chi_u, chi_v = obstacle.sample_chi_faces(0.04, g)
 
     for _ in range(5):
         x = rng.standard_normal(layout.n)
@@ -138,7 +173,7 @@ def test_prediction_coercivity(rng):
     layout = face_layout(g)
     params = params_for(dt=0.02, mu=0.05)
     adv = layout.unpack(rng.standard_normal(layout.n))
-    op = linalg.assemble_prediction(g, None, params, adv, t_next=params.dt)
+    op = linalg.assemble_prediction(g, params, adv)
     for _ in range(20):
         x = rng.standard_normal(layout.n)
         assert x @ (op.matrix @ x) >= (1.0 / params.dt) * (x @ x) * (1 - 1e-12)
@@ -149,7 +184,7 @@ def test_prediction_rejects_nonfinite_advecting_field():
     bad = VelocityField.zeros(g)
     bad.u[2, 2] = np.nan
     with pytest.raises(ValueError):
-        linalg.assemble_prediction(g, None, params_for(), bad, 0.05)
+        linalg.assemble_prediction(g, params_for(), bad)
 
 
 # --------------------------------------------------------------- correction

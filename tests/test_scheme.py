@@ -69,7 +69,7 @@ def test_predict_matches_dense_solve_for_stokes_forcing(rng):
     state = FlowState.initial(VelocityField.zeros(g), PressureField.zeros(g))
     v_tilde, _ = scheme.predict(state, forcing, None, params)
     layout = face_layout(g)
-    op = linalg.assemble_prediction(g, None, params, state.v, params.dt)
+    op = linalg.assemble_prediction(g, params, state.v)
     ref = np.linalg.solve(op.matrix.toarray(), layout.pack(forcing))
     assert np.abs(layout.pack(v_tilde) - ref).max() <= 1e-9 * np.abs(ref).max()
 
