@@ -29,6 +29,7 @@ Operator structure:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -512,93 +513,103 @@ def solve(op: SparseOperator, rhs: np.ndarray, cfg: SolverConfig, x0=None):
     return _bicgstab(a, rhs, cfg, x0)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product outside BLAS: its rounding does not depend on the BLAS
+    thread count, and a short vector is not split across threads."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
+
+
 def _cg(a, b, cfg, x0=None):
-    norm_b = np.linalg.norm(b)
+    norm_b = _norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b), 0
     tol = cfg.rtol * norm_b
     minv = _jacobi(a)
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b - a @ x if x0 is not None else b.copy()
-    if np.linalg.norm(r) <= tol:
+    if _norm(r) <= tol:
         return x, 0
     z = minv * r
     p = z.copy()
-    rz = r @ z
+    rz = _dot(r, z)
     for k in range(1, cfg.max_iter + 1):
         ap = a @ p
-        pap = p @ ap
+        pap = _dot(p, ap)
         if pap <= 0.0:
             raise NonConvergence("CG breakdown: operator not positive definite",
-                                 np.linalg.norm(r), k)
+                                 _norm(r), k)
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if np.linalg.norm(r) <= tol:
+        if _norm(r) <= tol:
             # guard against recurrence drift before accepting
             r_true = b - a @ x
-            if np.linalg.norm(r_true) <= tol:
+            if _norm(r_true) <= tol:
                 return x, k
             r = r_true
             z = minv * r
             p = z.copy()
-            rz = r @ z
+            rz = _dot(r, z)
             continue
         z = minv * r
-        rz_new = r @ z
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise NonConvergence("CG did not converge", float(np.linalg.norm(b - a @ x)), cfg.max_iter)
+    raise NonConvergence("CG did not converge", _norm(b - a @ x), cfg.max_iter)
 
 
 def _bicgstab(a, b, cfg, x0=None):
-    norm_b = np.linalg.norm(b)
+    norm_b = _norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b), 0
     tol = cfg.rtol * norm_b
     minv = _jacobi(a)
     x = np.zeros_like(b) if x0 is None else x0.copy()
     r = b - a @ x if x0 is not None else b.copy()
-    if np.linalg.norm(r) <= tol:
+    if _norm(r) <= tol:
         return x, 0
     r_hat = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
     for k in range(1, cfg.max_iter + 1):
-        rho_new = r_hat @ r
+        rho_new = _dot(r_hat, r)
         if abs(rho_new) < 1e-300:
-            raise NonConvergence("BiCGStab breakdown (rho ~ 0)", float(np.linalg.norm(r)), k)
+            raise NonConvergence("BiCGStab breakdown (rho ~ 0)", _norm(r), k)
         beta = (rho_new / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)
         p_hat = minv * p
         v = a @ p_hat
-        denom = r_hat @ v
+        denom = _dot(r_hat, v)
         if abs(denom) < 1e-300:
             raise NonConvergence("BiCGStab breakdown (r_hat . v ~ 0)",
-                                 float(np.linalg.norm(r)), k)
+                                 _norm(r), k)
         alpha = rho_new / denom
         s = r - alpha * v
-        if np.linalg.norm(s) <= tol:
+        if _norm(s) <= tol:
             x = x + alpha * p_hat
             r_true = b - a @ x
-            if np.linalg.norm(r_true) <= tol:
+            if _norm(r_true) <= tol:
                 return x, k
             r = r_true
         else:
             s_hat = minv * s
             t = a @ s_hat
-            tt = t @ t
+            tt = _dot(t, t)
             if tt == 0.0:
-                raise NonConvergence("BiCGStab breakdown (t = 0)", float(np.linalg.norm(s)), k)
-            omega = (t @ s) / tt
+                raise NonConvergence("BiCGStab breakdown (t = 0)", _norm(s), k)
+            omega = _dot(t, s) / tt
             x = x + alpha * p_hat + omega * s_hat
             r = s - omega * t
-            if np.linalg.norm(r) <= tol:
+            if _norm(r) <= tol:
                 r_true = b - a @ x
-                if np.linalg.norm(r_true) <= tol:
+                if _norm(r_true) <= tol:
                     return x, k
                 r = r_true
         rho = rho_new
     raise NonConvergence("BiCGStab did not converge",
-                         float(np.linalg.norm(b - a @ x)), cfg.max_iter)
+                         _norm(b - a @ x), cfg.max_iter)

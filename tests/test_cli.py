@@ -1,5 +1,8 @@
 import os
+import subprocess
+import sys
 
+import vppflow
 from vppflow.cli import main
 from vppflow.diagnostics import CSV_COLUMNS
 
@@ -71,6 +74,37 @@ type = taylor-green
     b1 = open(os.path.join(out1, "diagnostics.csv"), "rb").read()
     b2 = open(os.path.join(out2, "diagnostics.csv"), "rb").read()
     assert b1 == b2
+
+
+def test_csv_does_not_depend_on_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot product across its threads only above 10 000
+    # elements, so the grid must have more packed faces than that (80^2
+    # gives 12 640); each run is a fresh process because OpenBLAS reads
+    # the variable when it loads
+    cfg = write(tmp_path, "rotor.ini", """
+[grid]
+nx = 80
+ny = 80
+[scheme]
+dt = 0.0078125
+T = 0.0234375
+[obstacle]
+shape = disk
+radius = 0.15
+center_x = 0.5
+center_y = 0.5
+omega = 1.0
+""")
+    src = os.path.dirname(os.path.dirname(vppflow.__file__))
+    csvs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads{threads}")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "vppflow.cli", "run", "--config", cfg,
+                        "--out", out, "--quiet"], env=env, check=True, timeout=120)
+        csvs.append(open(os.path.join(out, "diagnostics.csv"), "rb").read())
+    assert csvs[0] == csvs[1]
 
 
 def test_dt_sweep_writes_summary_with_exponent(tmp_path):
