@@ -266,8 +266,9 @@ def _prediction_slots(grid: Grid):
     """
     s = strain_energy_matrix(grid)
     lookup = sp.csr_matrix((np.arange(s.nnz), s.indices, s.indptr), shape=s.shape)
-    uidx = _u_index_grid(face_layout(grid))
-    vidx = _v_index_grid(face_layout(grid))
+    layout = face_layout(grid)
+    uidx = _u_index_grid(layout)
+    vidx = _v_index_grid(layout)
     # (row, col) of the u east, u north, v north and v east neighbours
     rows = np.concatenate([uidx[1:-2, :].ravel(), uidx[1:-1, :-1].ravel(),
                            vidx[:, 1:-2].ravel(), vidx[:-1, 1:-1].ravel()])
