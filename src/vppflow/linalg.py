@@ -313,7 +313,7 @@ def convection_matrix(grid: Grid, vel_prev: VelocityField) -> sp.csr_matrix:
     return sp.csr_matrix((c, s.indices, s.indptr), shape=s.shape)
 
 
-def penalization_diagonal(grid: Grid, chi_u: np.ndarray, chi_v: np.ndarray) -> np.ndarray:
+def penalization_diagonal(chi_u: np.ndarray, chi_v: np.ndarray) -> np.ndarray:
     """Pack face-sampled obstacle masks into a diagonal over the unknowns."""
     return np.concatenate([chi_u[1:-1, :].ravel(), chi_v[:, 1:-1].ravel()])
 

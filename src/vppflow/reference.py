@@ -47,7 +47,7 @@ def coupled_step(v_prev: VelocityField, p_prev: PressureField, forcing: Velocity
 
     chi = None
     if obstacle is not None and obstacle.shape != "none":
-        chi = linalg.penalization_diagonal(grid, *obstacle.sample_chi_faces(t_next, grid))
+        chi = linalg.penalization_diagonal(*obstacle.sample_chi_faces(t_next, grid))
     a = linalg.assemble_prediction(grid, params, v_prev, chi).matrix
     g = linalg.gradient_matrix(grid)
     d = linalg.divergence_matrix(grid)

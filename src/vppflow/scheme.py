@@ -104,7 +104,7 @@ def predict(state: FlowState, forcing: VelocityField, obstacle, params: SchemePa
     t_next = state.t + params.dt
     chi = None
     if obstacle is not None and obstacle.shape != "none":
-        chi = linalg.penalization_diagonal(grid, *obstacle.sample_chi_faces(t_next, grid))
+        chi = linalg.penalization_diagonal(*obstacle.sample_chi_faces(t_next, grid))
     op = linalg.assemble_prediction(grid, params, state.v, chi)
     layout = op.layout
 

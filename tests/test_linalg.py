@@ -152,7 +152,7 @@ def test_prediction_matches_matrix_free_residual_oracle(rng):
     adv = layout.unpack(rng.standard_normal(layout.n))
     obstacle = Obstacle(shape="disk", radius=0.25, center=(0.5, 0.5), t_max=1.0)
     chi_u, chi_v = obstacle.sample_chi_faces(0.04, g)
-    op = linalg.assemble_prediction(g, params, adv, linalg.penalization_diagonal(g, chi_u, chi_v))
+    op = linalg.assemble_prediction(g, params, adv, linalg.penalization_diagonal(chi_u, chi_v))
 
     c_dense = _slow_convection_dense(g, adv)
 
@@ -163,7 +163,7 @@ def test_prediction_matches_matrix_free_residual_oracle(rng):
         residual = (x / params.dt
                     + c_dense @ x
                     - layout.pack(visc)
-                    + linalg.penalization_diagonal(g, chi_u, chi_v) * x / params.eta)
+                    + linalg.penalization_diagonal(chi_u, chi_v) * x / params.eta)
         applied = op.matrix @ x
         assert np.abs(applied - residual).max() <= 1e-10 * np.abs(residual).max()
 
