@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vppflow import linalg, operators
 from vppflow.grid import Grid, PressureField, VelocityField
@@ -353,3 +353,47 @@ def test_viscous_matrix_matches_stencil_and_is_symmetric(rng):
         applied = -(mu * s) @ layout.pack(vel)
         stencil = layout.pack(operators.strain_divergence(vel, mu))
         assert np.abs(applied - stencil).max() <= 1e-11 * np.abs(stencil).max()
+
+
+# ------------------------------------------------------ operator identities
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(2, 40), ny=st.integers(2, 40),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0))
+@example(nx=2, ny=2, lx=1.0, ly=0.7)
+def test_gradient_is_exactly_minus_divergence_transpose(nx, ny, lx, ly):
+    assume(lx != ly)
+    g = Grid(nx, ny, lx, ly)
+    grad = linalg.gradient_matrix(g)
+    d = linalg.divergence_matrix(g)
+    assert grad.shape == d.T.shape
+    assert (grad != -d.T).nnz == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(2, 40), ny=st.integers(2, 40),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0),
+       dyadic=st.booleans(), log2_hx=st.integers(-6, 1), log2_hy=st.integers(-6, 1))
+@example(nx=2, ny=2, lx=1.0, ly=0.7, dyadic=False, log2_hx=0, log2_hy=0)
+@example(nx=2, ny=2, lx=1.0, ly=0.7, dyadic=True, log2_hx=-1, log2_hy=-2)
+def test_strain_matrix_is_dirichlet_laplacian_plus_grad_div(nx, ny, lx, ly, dyadic,
+                                                            log2_hx, log2_hy):
+    # S = blockdiag(L_u, L_v) + D^T D: the strain energy splits into the
+    # componentwise Dirichlet Laplacians and the grad-div part. With
+    # power-of-two spacings every coefficient is exact and so is the
+    # identity; otherwise the two sides round 1/h and 1/h^2 differently
+    if dyadic:
+        lx, ly = nx * 2.0 ** log2_hx, ny * 2.0 ** log2_hy
+    assume(lx != ly)
+    g = Grid(nx, ny, lx, ly)
+    s = linalg.strain_energy_matrix(g)
+    d = linalg.divergence_matrix(g)
+    ref = (sp.block_diag([linalg.dirichlet_laplacian(g, "u"),
+                          linalg.dirichlet_laplacian(g, "v")]) + d.T @ d).tocsr()
+    ref.sort_indices()
+    assert np.array_equal(s.indptr, ref.indptr)
+    assert np.array_equal(s.indices, ref.indices)
+    if dyadic:
+        assert np.array_equal(s.data, ref.data)
+    else:
+        assert np.all(np.abs(s.data - ref.data) <= 4 * np.finfo(float).eps * np.abs(ref.data))
