@@ -25,6 +25,11 @@ Operator structure:
   on S's read-only index arrays, through slots cached per grid.
 * solve_correction solves the constant-coefficient correction exactly by
   a DCT-II; assemble_correction keeps its matrix as the reference operator.
+* solve runs Jacobi-preconditioned BiCGStab (or CG) from an optional
+  initial guess x0 and stops at ||b - A x|| <= rtol ||b||: the tolerance is
+  relative to the right-hand side, not to the initial residual, so a good
+  guess stops sooner at the same absolute tolerance. The prediction starts
+  from the previous step's tentative velocity.
 """
 
 from __future__ import annotations
@@ -501,10 +506,11 @@ def _jacobi(matrix: sp.csr_matrix) -> np.ndarray:
 
 
 def solve(op: SparseOperator, rhs: np.ndarray, cfg: SolverConfig, x0=None):
-    """Solve op x = rhs; returns (x, iterations).
+    """Solve op x = rhs from x0 (zero if None); returns (x, iterations).
 
-    Raises NonConvergence if the relative residual stays above cfg.rtol
-    after cfg.max_iter iterations.
+    Stops once ||rhs - op x|| <= cfg.rtol ||rhs||, whatever x0 is, and
+    raises NonConvergence if the residual stays above that after
+    cfg.max_iter iterations.
     """
     a = op.matrix
     if rhs.shape[0] != a.shape[0]:

@@ -4,7 +4,7 @@ Each step advances (v^n, p^n) to (v^{n+1}, p^{n+1}):
 
 1. prediction: implicit momentum solve for the tentative velocity with
    the old pressure gradient on the right-hand side and homogeneous
-   Dirichlet walls,
+   Dirichlet walls, started from the previous step's tentative velocity,
 2. correction: SPD grad-div solve for the incremental velocity with
    zero normal boundary values, exact by a DCT-II (linalg.solve_correction);
    v^{n+1} is the sum of the two,
@@ -97,8 +97,11 @@ def predict(state: FlowState, forcing: VelocityField, obstacle, params: SchemePa
             wall_slip=None):
     """Solve the implicit momentum prediction; returns (v_tilde, iterations).
 
-    wall_slip optionally prescribes tangential wall velocities (a
-    linalg.WallSlip); the default is the homogeneous no-slip wall.
+    The solve starts from the previous tentative velocity state.v_tilde,
+    which differs from the new one by O(dt); FlowState.initial sets it to
+    v0, so a run from rest starts from zero. wall_slip optionally
+    prescribes tangential wall velocities (a linalg.WallSlip); the default
+    is the homogeneous no-slip wall.
     """
     grid = state.v.grid
     t_next = state.t + params.dt
@@ -115,7 +118,8 @@ def predict(state: FlowState, forcing: VelocityField, obstacle, params: SchemePa
         rhs += chi * layout.pack(vs) / params.eta
     if wall_slip is not None:
         rhs += linalg.boundary_rhs(grid, state.v, params.mu, wall_slip)
-    x, iters = linalg.solve(op, rhs, params.prediction_solver)
+    x, iters = linalg.solve(op, rhs, params.prediction_solver,
+                            x0=layout.pack(state.v_tilde))
     return layout.unpack(x), iters
 
 

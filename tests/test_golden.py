@@ -81,23 +81,23 @@ GOLDEN = {
     },
     "taylor-green-dt-sweep": {
         "dt0_diagnostics.csv":
-            "5f97521feea1dd89cd7994ec0e8264f9161b9ee942fe213d7e126cf22689a169",
+            "7805b353364e1b186b3640fd3b339e6fc4b83e1e4636b1ec9f748630bc0b1b1c",
         "dt1_diagnostics.csv":
-            "fe07dd4e07996a9168fcb1d9b9d67f76fb624b94ddf7a85c2a88d88ea73121df",
+            "5d488369a7991c5e7103908874956c0566e71d7b1ac57d8060ded0c20ea57398",
         "dt2_diagnostics.csv":
-            "b63cf86a4351c14ef7727629631947553e351340a0ae88d94e8ef32b970d84e2",
+            "01f6e3b55e3e35d8e024c9738b444a69c4de47988980e60e1d20769b468a109b",
     },
     "rotor-binary": {
         "diagnostics.csv":
-            "58b6ad69bbd4077407e2143b86f322f5ee54dc8abd033911f81cd0fbb2babd38",
+            "0c7124b14559eac87fdf7f7816d91bcb484ed91afeea69e4f0aa63c3d8f59d1d",
     },
     "rotor-fraction": {
         "diagnostics.csv":
-            "5231883a1fc277dc2236d45c0c0f0dfd8067c57dd700c36047509f1c79e59f79",
+            "440eb88ad6dce9613ac184d079b5ea0f19d30d996f91e353faa6f984027a941e",
     },
     "constant-forcing": {
         "diagnostics.csv":
-            "1ca4cd8bbb843295606703dc18aba4965cf47f5ede47f8e4836a3bcb117857da",
+            "156e8d783416bcfe7ccf240c0a67e0147f79c8b27d31121a6a89ebc9831edcd3",
     },
 }
 

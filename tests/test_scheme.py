@@ -91,6 +91,60 @@ def test_predict_enforces_rigid_body_in_stiff_limit():
     assert inside <= 1e-6 * outside
 
 
+def rotor_case():
+    # viscous enough that the Jacobi-BiCGStab prediction takes ~20 iterations
+    g = Grid(32, 32)
+    obstacle = Obstacle(shape="disk", radius=0.15, center=(0.5, 0.5), omega=1.0,
+                        t_max=1.0)
+    params = SchemeParams(dt=1.0 / 64, t_final=1.0, mu=0.1)
+    state = FlowState.initial(VelocityField.zeros(g), PressureField.zeros(g))
+    return g, obstacle, params, state
+
+
+def prediction_system(state, obstacle, params):
+    """Prediction operator and right-hand side without forcing, assembled here."""
+    g = state.v.grid
+    layout = face_layout(g)
+    t_next = state.t + params.dt
+    chi = layout.pack(VelocityField(g, *obstacle.sample_chi_faces(t_next, g)))
+    op = linalg.assemble_prediction(g, params, state.v, chi)
+    vs = layout.pack(obstacle.sample_solid_velocity(t_next, g))
+    rhs = (layout.pack(state.v) / params.dt + chi * vs / params.eta
+           - layout.pack(operators.gradient(state.p)))
+    return op, rhs
+
+
+def test_first_prediction_from_rest_is_the_cold_solve():
+    g, obstacle, params, state = rotor_case()
+    v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), obstacle, params)
+    op, rhs = prediction_system(state, obstacle, params)
+    x_cold, iters_cold = linalg.solve(op, rhs, params.prediction_solver)
+    assert iters == iters_cold > 0
+    assert np.array_equal(face_layout(g).pack(v_tilde), x_cold)
+
+
+def test_warm_started_prediction_meets_the_rhs_relative_tolerance():
+    # the second step starts from the first step's v_tilde; it must stop at
+    # ||b - A x|| <= rtol ||b||, not at rtol times the smaller initial
+    # residual, and in fewer iterations than a solve started from zero
+    g, obstacle, params, state = rotor_case()
+    state, _ = scheme.step(state, zero_forcing, obstacle, params)
+    layout = face_layout(g)
+    v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), obstacle, params)
+
+    op, rhs = prediction_system(state, obstacle, params)
+    x0 = layout.pack(state.v_tilde)
+    r0 = np.linalg.norm(rhs - op.matrix @ x0)
+    r = np.linalg.norm(rhs - op.matrix @ layout.pack(v_tilde))
+    rtol = params.prediction_solver.rtol
+    assert r0 < 0.1 * np.linalg.norm(rhs)
+    assert r <= rtol * np.linalg.norm(rhs)
+    assert r > rtol * r0
+
+    _, iters_cold = linalg.solve(op, rhs, params.prediction_solver)
+    assert 0 < iters < iters_cold
+
+
 # ------------------------------------------------------------------ correct
 
 def test_correct_returns_zero_for_solenoidal_input(rng):
