@@ -42,8 +42,6 @@ T = 0.1
 [grid]
 nx = 16
 ny = 16
-lx = 1.0
-ly = 1.0
 [scheme]
 dt = 0.025
 T = 0.1
