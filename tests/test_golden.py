@@ -1,4 +1,5 @@
-"""Golden-bytes gate: SHA-256 hashes of the per-step CSVs of five small runs.
+"""Golden-bytes gate: SHA-256 hashes of the per-step CSVs of six small runs
+and of the VTK field dumps of one of them.
 
 A pure refactor keeps every hash. A change that moves the output on
 purpose replaces the hashes in the same commit and names, in CHANGES.md,
@@ -70,6 +71,28 @@ type = constant
 fx = 1.0
 fy = -0.5
 """),
+    # non-square, so an nx/ny swap in the dump's row loop changes the bytes
+    "vtk-mover": ("run", """
+[grid]
+nx = 16
+ny = 12
+lx = 1.0
+ly = 0.75
+[scheme]
+dt = 0.02
+T = 0.1
+[obstacle]
+shape = disk
+radius = 0.15
+center_x = 0.45
+center_y = 0.375
+vel_x = 0.5
+vel_y = 0.25
+omega = 2.0
+chi_mode = fraction
+[output]
+dump_every = 2
+"""),
 }
 
 GOLDEN = {
@@ -97,6 +120,16 @@ GOLDEN = {
         "diagnostics.csv":
             "156e8d783416bcfe7ccf240c0a67e0147f79c8b27d31121a6a89ebc9831edcd3",
     },
+    "vtk-mover": {
+        "diagnostics.csv":
+            "9853007c7cd47203b8262aee26528bd90da800cb96aa2e98c2c65bc1e3aecb9b",
+        "fields_000000.vtk":
+            "b679145e032c6e7a0b195d02821b7d04d26177bd3cc1fd60eda7fbdc0c563f16",
+        "fields_000002.vtk":
+            "e1fdd3ef40cecc0144867471bb690681010229cb29a898d3539c78f31206141e",
+        "fields_000004.vtk":
+            "b0ff01e3b5f3bc766dfd7eb9d6e7f636e50b0a6481e0afd2241a1c1b851083c7",
+    },
 }
 
 
@@ -108,5 +141,6 @@ def test_per_step_csv_bytes_match_golden_hashes(case, tmp_path):
     out = tmp_path / "out"
     assert main([verb, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-              for name in sorted(os.listdir(out)) if name.endswith("diagnostics.csv")}
+              for name in sorted(os.listdir(out))
+              if name.endswith(("diagnostics.csv", ".vtk"))}
     assert hashes == GOLDEN[case]
