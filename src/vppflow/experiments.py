@@ -128,9 +128,17 @@ def write_records_csv(path, records):
 
 
 def write_vtk(path, state):
-    """Legacy VTK STRUCTURED_POINTS ASCII dump of cell-centered fields."""
+    """Legacy VTK STRUCTURED_POINTS ASCII dump of cell-centered fields.
+
+    Each grid row j (x fastest) is formatted by one %-operation on its
+    values as Python floats, which prints them exactly as _FMT does one
+    by one; only a row at a time is converted, not the whole field.
+    """
     grid = state.v.grid
     uc, vc = operators.velocity_at_cell_centers(state.v)
+    uv = np.stack((uc, vc), axis=-1)
+    scalar_row = (_FMT + "\n") * grid.nx
+    vector_row = (_FMT + " " + _FMT + " 0\n") * grid.nx
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"vppflow step {state.n} t={_FMT % state.t}\n")
@@ -142,12 +150,10 @@ def write_vtk(path, state):
         fh.write(f"POINT_DATA {grid.ncells}\n")
         fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
         for j in range(grid.ny):
-            for i in range(grid.nx):
-                fh.write(_FMT % state.p.p[i, j] + "\n")
+            fh.write(scalar_row % tuple(state.p.p[:, j].tolist()))
         fh.write("VECTORS velocity double\n")
         for j in range(grid.ny):
-            for i in range(grid.nx):
-                fh.write(f"{_FMT % uc[i, j]} {_FMT % vc[i, j]} 0\n")
+            fh.write(vector_row % tuple(uv[:, j].ravel().tolist()))
 
 
 # ----------------------------------------------------------------------

@@ -256,6 +256,46 @@ dump_every = 1
     assert "VECTORS velocity double" in lines
 
 
+def test_vtk_rows_match_per_value_formatting(tmp_path):
+    # the row-at-a-time writer must print each value as %.17g of the
+    # float itself, in the documented order (j outer, x fastest)
+    import numpy as np
+    from vppflow import operators
+    from vppflow.experiments import _FMT, write_vtk
+    from vppflow.grid import Grid, PressureField, VelocityField
+    from vppflow.scheme import FlowState
+
+    g = Grid(5, 3, 1.0, 0.6)
+    special = [-0.0, 1e-300, 1e300, 1.0, 3.0, -7.0, 2.0**53, 0.1, -1e-300,
+               -2.5, 1 / 3, 12345678.0, -1e300, 5e-324, 0.0]
+    p = PressureField(g, np.array(special).reshape(g.shape_p))
+    # u constant along x and v constant along y: the cell averages keep
+    # the special values exactly
+    u = np.repeat(np.array([[-0.0, 1e300, 1e-300]]), g.nx + 1, axis=0)
+    v = np.repeat(np.array([[1.0, -0.0, 7.0, 1e-300, 2.0**52]]).T, g.ny + 1, axis=1)
+    vel = VelocityField(g, u, v)
+    state = FlowState(n=3, t=0.1, v=vel, v_tilde=vel, v_hat=vel, p=p)
+    path = tmp_path / "f.vtk"
+    write_vtk(str(path), state)
+
+    def f(x):
+        return _FMT % float(x)
+
+    uc, vc = operators.velocity_at_cell_centers(vel)
+    expected = ["# vtk DataFile Version 3.0", f"vppflow step 3 t={f(0.1)}", "ASCII",
+                "DATASET STRUCTURED_POINTS", "DIMENSIONS 5 3 1",
+                f"ORIGIN {f(g.hx / 2)} {f(g.hy / 2)} 0", f"SPACING {f(g.hx)} {f(g.hy)} 1",
+                "POINT_DATA 15", "SCALARS pressure double 1", "LOOKUP_TABLE default"]
+    expected += [f(p.p[i, j]) for j in range(g.ny) for i in range(g.nx)]
+    expected.append("VECTORS velocity double")
+    expected += [f"{f(uc[i, j])} {f(vc[i, j])} 0"
+                 for j in range(g.ny) for i in range(g.nx)]
+    text = path.read_text()
+    assert text.endswith("\n")
+    assert text.splitlines() == expected
+    assert {f(x) for x in (-0.0, 1e-300, 1e300, 1.0, 2.0**53)} <= set(text.split())
+
+
 def test_file_initial_condition_roundtrip(tmp_path):
     import numpy as np
     from vppflow.grid import Grid
