@@ -140,15 +140,6 @@ class VelocityField:
     def max_abs(self) -> float:
         return max(np.abs(self.u).max(), np.abs(self.v).max())
 
-    def normal_boundary_max(self) -> float:
-        """Largest normal velocity on the domain boundary."""
-        return max(
-            np.abs(self.u[0, :]).max(),
-            np.abs(self.u[-1, :]).max(),
-            np.abs(self.v[:, 0]).max(),
-            np.abs(self.v[:, -1]).max(),
-        )
-
 
 @dataclass
 class PressureField:

@@ -47,9 +47,6 @@ class Obstacle:
         return (self.center[0] + self.velocity[0] * t,
                 self.center[1] + self.velocity[1] * t)
 
-    def max_speed(self) -> float:
-        return math.hypot(*self.velocity)
-
     def clearance(self, grid: Grid, t_final: float) -> float:
         """Minimum distance of the disk closure from the walls over [0, t_final].
 

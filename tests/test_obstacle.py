@@ -98,7 +98,7 @@ def test_boundary_band_count_and_definition():
 def test_trajectory_continuity():
     obs = Obstacle(shape="disk", radius=0.05, center=(0.3, 0.4),
                    velocity=(0.6, -0.8), t_max=2.0)
-    speed = obs.max_speed()
+    speed = math.hypot(*obs.velocity)
     for t in np.linspace(0.0, 1.5, 7):
         for delta in (1e-3, 0.05, 0.3):
             c0 = np.array(obs.center_at(t))
