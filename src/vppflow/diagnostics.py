@@ -173,17 +173,19 @@ def nikolskii_translation(series: FieldSeries, h: float, norm=l2_norm,
 # Obstacle diagnostics
 # ----------------------------------------------------------------------
 
-def penalization_energy(vel: VelocityField, obstacle, t: float) -> float:
-    """int chi |v - v_s|^2 over the faces used by the penalization term."""
-    if obstacle is None or obstacle.shape == "none":
+def penalization_energy(vel: VelocityField, frame) -> float:
+    """int chi |v - v_s|^2 over the faces used by the penalization term.
+
+    frame is the ObstacleFrame the prediction was penalized with (the
+    obstacle at the step's new time), None without an obstacle.
+    """
+    if frame is None:
         return 0.0
     g = vel.grid
-    chi_u, chi_v = obstacle.sample_chi_faces(t, g)
-    vs = obstacle.sample_solid_velocity(t, g)
     wu = g.u_face_weights()
     wv = g.v_face_weights()
-    return float(np.sum(wu * chi_u * (vel.u - vs.u) ** 2)
-                 + np.sum(wv * chi_v * (vel.v - vs.v) ** 2))
+    return float(np.sum(wu * frame.chi_u * (vel.u - frame.vs.u) ** 2)
+                 + np.sum(wv * frame.chi_v * (vel.v - frame.vs.v) ** 2))
 
 
 def slip_error(vel: VelocityField, obstacle, t: float) -> float:
@@ -253,7 +255,7 @@ def make_record(prev, state, info, obstacle, params) -> DiagnosticsRecord:
         pressure_grad_norm=pressure_grad_norm(state.p),
         increment_norm=l2_norm(state.v_tilde - prev.v),
         pressure_increment_norm=l2_norm(state.p - prev.p),
-        penalization_energy=penalization_energy(state.v_tilde, obstacle, state.t),
+        penalization_energy=penalization_energy(state.v_tilde, info.frame),
         slip_error=slip_error(state.v, obstacle, state.t),
         prediction_iterations=info.prediction_iterations,
         correction_iterations=info.correction_iterations,

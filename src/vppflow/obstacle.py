@@ -5,7 +5,8 @@ plus rigid rotation about its own center). The indicator can be sampled
 binary (1 where the cell center is inside) or as the exact covered area
 fraction of each cell; both modes are also offered at velocity faces for
 the penalization term, where the fraction mode averages the two adjacent
-cell fractions.
+cell fractions. An ObstacleFrame holds the face indicator and the solid
+velocity sampled once at one time, for every consumer of that step.
 """
 
 from __future__ import annotations
@@ -153,3 +154,24 @@ class Obstacle:
         diag = math.hypot(grid.hx, grid.hy)
         band = np.abs(np.hypot(x - cx, y - cy) - self.radius) <= diag
         return np.argwhere(band)
+
+
+@dataclass(frozen=True)
+class ObstacleFrame:
+    """The obstacle sampled once at time t: face indicators and solid velocity.
+
+    One frame per step, at t^{n+1}, serves the prediction's penalization
+    and the penalization_energy diagnostic, so both see the same samples.
+    """
+
+    chi_u: np.ndarray
+    chi_v: np.ndarray
+    vs: VelocityField
+
+    @classmethod
+    def sample(cls, obstacle, t: float, grid: Grid) -> "ObstacleFrame | None":
+        """Sample obstacle at t on grid; None without an obstacle."""
+        if obstacle is None or obstacle.shape == "none":
+            return None
+        chi_u, chi_v = obstacle.sample_chi_faces(t, grid)
+        return cls(chi_u, chi_v, obstacle.sample_solid_velocity(t, grid))

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import linalg
 from .grid import PressureField, VelocityField
+from .obstacle import ObstacleFrame
 
 
 class SingularSystem(RuntimeError):
@@ -45,9 +46,10 @@ def coupled_step(v_prev: VelocityField, p_prev: PressureField, forcing: Velocity
     n = layout.n
     nc = grid.ncells
 
+    frame = ObstacleFrame.sample(obstacle, t_next, grid)
     chi = None
-    if obstacle is not None and obstacle.shape != "none":
-        chi = linalg.penalization_diagonal(*obstacle.sample_chi_faces(t_next, grid))
+    if frame is not None:
+        chi = linalg.penalization_diagonal(frame.chi_u, frame.chi_v)
     a = linalg.assemble_prediction(grid, params, v_prev, chi).matrix
     g = linalg.gradient_matrix(grid)
     d = linalg.divergence_matrix(grid)
@@ -64,8 +66,7 @@ def coupled_step(v_prev: VelocityField, p_prev: PressureField, forcing: Velocity
     rhs = np.zeros(size)
     rhs[:n] = layout.pack(rhs_field)
     if chi is not None:
-        vs = obstacle.sample_solid_velocity(t_next, grid)
-        rhs[:n] += chi * layout.pack(vs) / params.eta
+        rhs[:n] += chi * layout.pack(frame.vs) / params.eta
 
     try:
         sol = np.linalg.solve(mat, rhs)

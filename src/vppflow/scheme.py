@@ -24,6 +24,7 @@ import numpy as np
 from . import linalg, operators
 from .grid import PressureField, VelocityField
 from .linalg import NonConvergence, SolverConfig
+from .obstacle import ObstacleFrame
 
 
 @dataclass(frozen=True)
@@ -91,31 +92,33 @@ class SolverFailure(RuntimeError):
 class StepInfo:
     prediction_iterations: int = 0
     correction_iterations: int = 0   # the exact correction solve reports 0
+    frame: ObstacleFrame | None = None   # the obstacle at t^{n+1}, if any
 
 
-def predict(state: FlowState, forcing: VelocityField, obstacle, params: SchemeParams,
-            wall_slip=None):
+def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | None,
+            params: SchemeParams, wall_slip=None):
     """Solve the implicit momentum prediction; returns (v_tilde, iterations).
 
-    The solve starts from the previous tentative velocity state.v_tilde,
-    which differs from the new one by O(dt); FlowState.initial sets it to
-    v0, so a run from rest starts from zero. wall_slip optionally
-    prescribes tangential wall velocities (a linalg.WallSlip); the default
-    is the homogeneous no-slip wall.
+    frame is the obstacle sampled at t^{n+1} (ObstacleFrame.sample), None
+    without one; its face indicator and solid velocity are packed into the
+    penalization diagonal and right-hand side. The solve starts from the
+    previous tentative velocity state.v_tilde, which differs from the new
+    one by O(dt); FlowState.initial sets it to v0, so a run from rest
+    starts from zero. wall_slip optionally prescribes tangential wall
+    velocities (a linalg.WallSlip); the default is the homogeneous
+    no-slip wall.
     """
     grid = state.v.grid
-    t_next = state.t + params.dt
     chi = None
-    if obstacle is not None and obstacle.shape != "none":
-        chi = linalg.penalization_diagonal(*obstacle.sample_chi_faces(t_next, grid))
+    if frame is not None:
+        chi = linalg.penalization_diagonal(frame.chi_u, frame.chi_v)
     op = linalg.assemble_prediction(grid, params, state.v, chi)
     layout = op.layout
 
     rhs_field = forcing + (1.0 / params.dt) * state.v
     rhs = layout.pack(rhs_field) - linalg.gradient_matrix(grid) @ state.p.p.ravel()
     if chi is not None:
-        vs = obstacle.sample_solid_velocity(t_next, grid)
-        rhs += chi * layout.pack(vs) / params.eta
+        rhs += chi * layout.pack(frame.vs) / params.eta
     if wall_slip is not None:
         rhs += linalg.boundary_rhs(grid, state.v, params.mu, wall_slip)
     x, iters = linalg.solve(op, rhs, params.prediction_solver,
@@ -145,6 +148,8 @@ def step(state: FlowState, forcing_fn, obstacle, params: SchemeParams,
 
     forcing_fn(t, grid) -> VelocityField, sampled at t^{n+1}; likewise
     wall_slip_fn(t) -> linalg.WallSlip when tangential wall data moves.
+    The obstacle is sampled once, at t^{n+1}; the StepInfo carries that
+    frame on to the step's diagnostics.
     """
     grid = state.v.grid
     t_next = state.t + params.dt
@@ -152,9 +157,10 @@ def step(state: FlowState, forcing_fn, obstacle, params: SchemeParams,
         raise ValueError(f"step past final time: t={t_next} > T={params.t_final}")
     f_next = forcing_fn(t_next, grid)
     slip = wall_slip_fn(t_next) if wall_slip_fn is not None else None
+    frame = ObstacleFrame.sample(obstacle, t_next, grid)
 
     try:
-        v_tilde, pred_iters = predict(state, f_next, obstacle, params, wall_slip=slip)
+        v_tilde, pred_iters = predict(state, f_next, frame, params, wall_slip=slip)
     except NonConvergence as exc:
         raise SolverFailure("prediction", state.n + 1, exc) from exc
     v_hat, corr_iters = correct(v_tilde, params)
@@ -163,7 +169,7 @@ def step(state: FlowState, forcing_fn, obstacle, params: SchemeParams,
     p_new = update_pressure(state.p, v_new, params)
     new_state = FlowState(n=state.n + 1, t=t_next, v=v_new,
                           v_tilde=v_tilde, v_hat=v_hat, p=p_new)
-    return new_state, StepInfo(pred_iters, corr_iters)
+    return new_state, StepInfo(pred_iters, corr_iters, frame)
 
 
 @dataclass

@@ -9,7 +9,7 @@ from vppflow.grid import Grid, PressureField, VelocityField
 from vppflow.linalg import SolverConfig, face_layout
 from vppflow.manufactured import (random_solenoidal, taylor_green_pressure,
                                   taylor_green_velocity)
-from vppflow.obstacle import Obstacle
+from vppflow.obstacle import Obstacle, ObstacleFrame
 from vppflow.scheme import FlowState, SchemeParams, SolverFailure
 
 
@@ -82,7 +82,8 @@ def test_predict_enforces_rigid_body_in_stiff_limit():
     obstacle = Obstacle(shape="disk", radius=0.3, center=(0.5, 0.5), t_max=1.0)
     forcing = VelocityField(g, np.ones(g.shape_u), np.zeros(g.shape_v))
     state = FlowState.initial(VelocityField.zeros(g), PressureField.zeros(g))
-    v_tilde, _ = scheme.predict(state, forcing, obstacle, params)
+    frame = ObstacleFrame.sample(obstacle, params.dt, g)
+    v_tilde, _ = scheme.predict(state, forcing, frame, params)
     chi_u, chi_v = obstacle.sample_chi_faces(params.dt, g)
     inside = math.sqrt(np.sum((chi_u * v_tilde.u) ** 2)
                        + np.sum((chi_v * v_tilde.v) ** 2))
@@ -116,7 +117,8 @@ def prediction_system(state, obstacle, params):
 
 def test_first_prediction_from_rest_is_the_cold_solve():
     g, obstacle, params, state = rotor_case()
-    v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), obstacle, params)
+    frame = ObstacleFrame.sample(obstacle, params.dt, g)
+    v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), frame, params)
     op, rhs = prediction_system(state, obstacle, params)
     x_cold, iters_cold = linalg.solve(op, rhs, params.prediction_solver)
     assert iters == iters_cold > 0
@@ -130,7 +132,8 @@ def test_warm_started_prediction_meets_the_rhs_relative_tolerance():
     g, obstacle, params, state = rotor_case()
     state, _ = scheme.step(state, zero_forcing, obstacle, params)
     layout = face_layout(g)
-    v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), obstacle, params)
+    frame = ObstacleFrame.sample(obstacle, state.t + params.dt, g)
+    v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), frame, params)
 
     op, rhs = prediction_system(state, obstacle, params)
     x0 = layout.pack(state.v_tilde)
@@ -143,6 +146,25 @@ def test_warm_started_prediction_meets_the_rhs_relative_tolerance():
 
     _, iters_cold = linalg.solve(op, rhs, params.prediction_solver)
     assert 0 < iters < iters_cold
+
+
+def test_obstacle_is_sampled_once_per_step(monkeypatch):
+    # the prediction and the penalization_energy column share one frame
+    calls = {"sample_chi_faces": 0, "sample_solid_velocity": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _original=getattr(Obstacle, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(Obstacle, name, counted)
+    g = Grid(16, 16)
+    obstacle = Obstacle(shape="disk", radius=0.15, center=(0.5, 0.5), omega=1.0,
+                        t_max=0.125, chi_mode="fraction")
+    params = SchemeParams(dt=1.0 / 32, t_final=0.125)
+    result = scheme.run(VelocityField.zeros(g), PressureField.zeros(g), zero_forcing,
+                        obstacle, params)
+    assert len(result.records) == 4
+    assert all(rec.penalization_energy > 0 for rec in result.records)
+    assert calls == {"sample_chi_faces": 4, "sample_solid_velocity": 4}
 
 
 # ------------------------------------------------------------------ correct
