@@ -112,7 +112,7 @@ class RunConfig:
         return SchemeParams(
             dt=self.dt, t_final=self.t_final, lam=self.lam, eta=self.eta,
             mu=self.mu,
-            prediction_solver=SolverConfig("bicgstab", rtol=self.prediction_rtol,
+            prediction_solver=SolverConfig(rtol=self.prediction_rtol,
                                            max_iter=self.max_iter),
         )
 

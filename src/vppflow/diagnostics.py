@@ -1,8 +1,9 @@
 """Measured quantities: norms, energy ledger, translation estimator, slip error.
 
 The discrete H^-1 norm is realized through the homogeneous-Dirichlet
-Poisson inverse: ||f||_{H^-1}^2 = (f, phi) with -Lap(phi) = f, solved per
-component on the lattice carrying f. Boundary integrals over the immersed
+Poisson inverse: ||f||_{H^-1}^2 = (f, phi) with -Lap(phi) = f, per
+component on the lattice carrying f, in closed form in the lattice's sine
+eigenbasis (linalg.dirichlet_bases). Boundary integrals over the immersed
 circle are approximated by a one-cell-diagonal band of cells, each
 weighted by cell area over band width.
 """
@@ -17,9 +18,6 @@ import numpy as np
 
 from . import linalg, operators
 from .grid import Grid, PressureField, ScalarCellField, VelocityField
-from .linalg import SolverConfig
-
-DIAGNOSTIC_SOLVER = SolverConfig("cg", rtol=1e-10, max_iter=50000)
 
 
 def l2_norm(f) -> float:
@@ -56,47 +54,31 @@ def pressure_grad_norm(p: PressureField) -> float:
     return l2_norm(operators.gradient(p))
 
 
-def h_minus1_norm(f, rtol: float = 1e-10) -> float:
-    """Dual norm via the Dirichlet Poisson inverse, componentwise for vectors."""
-    cfg = SolverConfig("cg", rtol=rtol, max_iter=50000)
-    if isinstance(f, (ScalarCellField, PressureField)):
-        arr = f.data if isinstance(f, ScalarCellField) else f.p
-        lap = linalg.dirichlet_laplacian(f.grid, "cell")
-        op = linalg.SparseOperator(lap, linalg.face_layout(f.grid), "poisson-cell")
-        phi, _ = linalg.solve(op, arr.ravel(), cfg)
-        val = f.grid.cell_area * float(arr.ravel() @ phi)
-        return math.sqrt(max(val, 0.0))
-    if isinstance(f, VelocityField):
-        g = f.grid
-        total = 0.0
-        for which, arr in (("u", f.u[1:-1, :]), ("v", f.v[:, 1:-1])):
-            lap = linalg.dirichlet_laplacian(g, which)
-            op = linalg.SparseOperator(lap, linalg.face_layout(g), f"poisson-{which}")
-            rhs = arr.ravel()
-            phi, _ = linalg.solve(op, rhs, cfg)
-            total += g.cell_area * float(rhs @ phi)
-        return math.sqrt(max(total, 0.0))
-    raise TypeError(f"cannot take the H^-1 norm of {type(f).__name__}")
+def h_minus1_norm(f) -> float:
+    """Dual norm via the Dirichlet Poisson inverse, componentwise for vectors.
 
-
-def poincare_constant(grid: Grid, which: str = "cell", iterations: int = 60) -> float:
-    """Measured constant C with ||f||_{H^-1} <= C ||f||_{L2} on this lattice.
-
-    Inverse power iteration on the Dirichlet Laplacian gives its smallest
-    eigenvalue lam_min; the constant is 1/sqrt(lam_min).
+    In the sine basis of each lattice the Laplacian L is diagonal, so
+    f^T L^{-1} f is a transform, a divide and a sum (Schumann & Sweet, 1976).
     """
-    lap = linalg.dirichlet_laplacian(grid, which)
-    op = linalg.SparseOperator(lap, linalg.face_layout(grid), "poisson")
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(lap.shape[0])
-    x /= np.linalg.norm(x)
-    lam = 1.0
-    for _ in range(iterations):
-        y, _ = linalg.solve(op, x, DIAGNOSTIC_SOLVER)
-        lam = float(x @ y)  # Rayleigh quotient of the inverse
-        x = y / np.linalg.norm(y)
-    lam_min = 1.0 / lam
-    return 1.0 / math.sqrt(lam_min)
+    if isinstance(f, (ScalarCellField, PressureField)):
+        parts = [("cell", f.data if isinstance(f, ScalarCellField) else f.p)]
+    elif isinstance(f, VelocityField):
+        parts = [("u", f.u[1:-1, :]), ("v", f.v[:, 1:-1])]
+    else:
+        raise TypeError(f"cannot take the H^-1 norm of {type(f).__name__}")
+    total = 0.0
+    for which, arr in parts:
+        (qx, lam_x), (qy, lam_y) = linalg.dirichlet_bases(f.grid, which)
+        c = qx.T @ arr @ qy
+        total += np.sum(c * c / (lam_x[:, None] + lam_y[None, :]))
+    return math.sqrt(f.grid.cell_area * total)
+
+
+def poincare_constant(grid: Grid, which: str = "cell") -> float:
+    """Constant C = 1/sqrt(lam_min) with ||f||_{H^-1} <= C ||f||_{L2} on
+    this lattice; lam_min is the sum of the two axes' lowest modes."""
+    (_, lam_x), (_, lam_y) = linalg.dirichlet_bases(grid, which)
+    return 1.0 / math.sqrt(lam_x[0] + lam_y[0])
 
 
 # ----------------------------------------------------------------------

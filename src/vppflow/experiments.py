@@ -16,7 +16,7 @@ import numpy as np
 from . import diagnostics, operators
 from .config import RunConfig
 from .grid import Grid, PressureField, VelocityField
-from .manufactured import taylor_green_pressure, taylor_green_velocity
+from .manufactured import SpaceTimeError, taylor_green_pressure, taylor_green_velocity
 from .scheme import RunResult, run
 
 _FMT = "%.17g"
@@ -202,15 +202,10 @@ def run_single(cfg: RunConfig, out_dir: str, tag: str = "",
         sinks.append(snapshot_sink)
 
     # manufactured studies accumulate the space-time velocity error
-    err_acc = [0.0]
+    error = None
     if cfg.initial.kind == "taylor-green":
-        def error_sink(state):
-            if state.n == 0:
-                return
-            exact = taylor_green_velocity(state.t, grid, cfg.mu)
-            diff = state.v - exact
-            err_acc[0] += params.dt * operators.inner(diff, diff)
-        sinks.append(error_sink)
+        error = SpaceTimeError(grid, cfg.mu, params.dt)
+        sinks.append(error)
 
     def snapshot_fanout(state):
         for s in sinks:
@@ -232,8 +227,7 @@ def run_single(cfg: RunConfig, out_dir: str, tag: str = "",
     if not quiet:
         print(f"wrote {csv_path} ({len(result.records)} steps, "
               f"initial divergence {result.initial_divergence:.3e})")
-    manufactured_error = (math.sqrt(err_acc[0])
-                          if cfg.initial.kind == "taylor-green" else None)
+    manufactured_error = error.value() if error is not None else None
     return ExperimentResult(cfg, result, csv_path, snapshots, manufactured_error)
 
 

@@ -1,4 +1,4 @@
-"""Sparse operator assembly, iterative solvers and the exact correction solve.
+"""Sparse operator assembly, the Krylov solver and the exact transform solves.
 
 Unknown ordering packs interior u faces first (i = 1..nx-1, all j, row
 major) and interior v faces after (all i, j = 1..ny-1). Boundary faces
@@ -25,7 +25,9 @@ Operator structure:
   on S's read-only index arrays, through slots cached per grid.
 * solve_correction solves the constant-coefficient correction exactly by
   a DCT-II; assemble_correction keeps its matrix as the reference operator.
-* solve runs Jacobi-preconditioned BiCGStab (or CG) from an optional
+* dirichlet_bases diagonalizes the Dirichlet -Laplace on the cell and face
+  lattices by sine transforms, for the closed-form H^-1 diagnostics.
+* solve runs Jacobi-preconditioned BiCGStab from an optional
   initial guess x0 and stops at ||b - A x|| <= rtol ||b||: the tolerance is
   relative to the right-hand side, not to the initial residual, so a good
   guess stops sooner at the same absolute tolerance. The prediction starts
@@ -55,7 +57,6 @@ class NonConvergence(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "cg"          # "cg" or "bicgstab"
     rtol: float = 1e-10
     max_iter: int = 10000
 
@@ -64,8 +65,6 @@ class SolverConfig:
             raise ValueError(f"rtol must be in (0, 1), got {self.rtol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.method not in ("cg", "bicgstab"):
-            raise ValueError(f"unknown solver method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -104,22 +103,6 @@ class FaceLayout:
     def v_index(self, i, j):
         """Packed index of interior v face (j = 1..ny-1)."""
         return self.nu + i * (self.grid.ny - 1) + (j - 1)
-
-
-@dataclass(frozen=True)
-class SparseOperator:
-    """CSR matrix over the packed face (or cell) ordering."""
-
-    matrix: sp.csr_matrix
-    layout: FaceLayout
-    name: str = ""
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
 
 
 @lru_cache(maxsize=32)
@@ -386,7 +369,7 @@ def boundary_rhs(grid: Grid, v_prev: VelocityField, mu: float,
     return rhs
 
 
-def assemble_prediction(grid, params, v_prev: VelocityField, chi=None) -> SparseOperator:
+def assemble_prediction(grid, params, v_prev: VelocityField, chi=None) -> sp.csr_matrix:
     """Momentum operator for the implicit velocity prediction.
 
     (1/dt) I + C(v_prev) - div(2 mu D(.)) + (1/eta) chi I on the interior
@@ -399,19 +382,17 @@ def assemble_prediction(grid, params, v_prev: VelocityField, chi=None) -> Sparse
     data = c.data + params.mu * strain_energy_matrix(grid).data
     data[_prediction_slots(grid)[2]] += (
         1.0 / params.dt if chi is None else 1.0 / params.dt + chi / params.eta)
-    a = sp.csr_matrix((data, c.indices, c.indptr), shape=c.shape)
-    return SparseOperator(a, face_layout(grid), name="prediction")
+    return sp.csr_matrix((data, c.indices, c.indptr), shape=c.shape)
 
 
-def assemble_correction(grid, params) -> SparseOperator:
+def assemble_correction(grid, params) -> sp.csr_matrix:
     """SPD operator (eps/dt) I - grad(div(.)) of the velocity correction."""
     if params.epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {params.epsilon}")
-    layout = face_layout(grid)
     d = divergence_matrix(grid)
-    a = (sp.diags(np.full(layout.n, params.epsilon / params.dt)) + d.T @ d).tocsr()
+    a = (sp.diags(np.full(d.shape[1], params.epsilon / params.dt)) + d.T @ d).tocsr()
     a.eliminate_zeros()
-    return SparseOperator(a, layout, name="correction")
+    return a
 
 
 # ----------------------------------------------------------------------
@@ -458,45 +439,37 @@ def solve_correction(grid: Grid, lam: float, v_tilde: np.ndarray) -> np.ndarray:
     return gradient_matrix(grid) @ phi.ravel()
 
 
-def _dirichlet_lap_1d(m: int, h: float, offset: bool) -> sp.csr_matrix:
-    """1D -d2/dx2 with homogeneous Dirichlet ends.
+# ----------------------------------------------------------------------
+# Dirichlet -Laplace on the cell and face lattices (sine transforms)
+# ----------------------------------------------------------------------
 
-    offset=True: samples sit h/2 inside the wall (ghost reflection, end
-    diagonal 3/h^2). offset=False: samples are interior lattice points with
-    the wall value one spacing away (standard 2/h^2 diagonal).
+@lru_cache(maxsize=64)
+def dirichlet_basis(m: int, h: float, offset: bool):
+    """Orthonormal eigenvectors (columns) and eigenvalues of the 1D Dirichlet
+    -d2/dx2 on m samples of spacing h: at (j + 1/2) h if offset (cell
+    centres; DST-II, n = m), else at (j + 1) h (faces; DST-I, n = m + 1).
+    Mode k = 1..m has eigenvalue (2/h sin(pi k / 2n))^2, increasing in k.
     """
-    main = np.full(m, 2.0 / h**2)
-    if offset:
-        main[0] = main[-1] = 3.0 / h**2
-    off = np.full(m - 1, -1.0 / h**2)
-    return sp.diags([off, main, off], [-1, 0, 1]).tocsr()
+    n = m if offset else m + 1
+    k = np.arange(1, m + 1)
+    q = np.sin(np.pi / n * np.outer(np.arange(m) + (0.5 if offset else 1.0), k))
+    q /= np.linalg.norm(q, axis=0)
+    lam = (2.0 / h * np.sin(np.pi * k / (2 * n))) ** 2
+    q.setflags(write=False)
+    lam.setflags(write=False)
+    return q, lam
 
 
-@lru_cache(maxsize=32)
-def dirichlet_laplacian(grid: Grid, which: str) -> sp.csr_matrix:
-    """-Laplace with homogeneous Dirichlet walls on a sample lattice.
-
-    which = "cell" (nx x ny), "u" (interior u faces (nx-1) x ny) or
-    "v" (nx x (ny-1)).
-    """
-    if which == "cell":
-        lx = _dirichlet_lap_1d(grid.nx, grid.hx, offset=True)
-        ly = _dirichlet_lap_1d(grid.ny, grid.hy, offset=True)
-    elif which == "u":
-        lx = _dirichlet_lap_1d(grid.nx - 1, grid.hx, offset=False)
-        ly = _dirichlet_lap_1d(grid.ny, grid.hy, offset=True)
-    elif which == "v":
-        lx = _dirichlet_lap_1d(grid.nx, grid.hx, offset=True)
-        ly = _dirichlet_lap_1d(grid.ny - 1, grid.hy, offset=False)
-    else:
-        raise ValueError(f"unknown lattice {which!r}")
-    ix = sp.identity(lx.shape[0], format="csr")
-    iy = sp.identity(ly.shape[0], format="csr")
-    return (sp.kron(lx, iy) + sp.kron(ix, ly)).tocsr()
+def dirichlet_bases(grid: Grid, which: str):
+    """((qx, lam_x), (qy, lam_y)), the per-axis dirichlet_basis of the "cell"
+    (nx x ny), "u" (interior u faces, (nx-1) x ny) or "v" (nx x (ny-1)) lattice."""
+    x_off, y_off = {"cell": (True, True), "u": (False, True), "v": (True, False)}[which]
+    return (dirichlet_basis(grid.nx if x_off else grid.nx - 1, grid.hx, x_off),
+            dirichlet_basis(grid.ny if y_off else grid.ny - 1, grid.hy, y_off))
 
 
 # ----------------------------------------------------------------------
-# Krylov solvers (Jacobi preconditioned)
+# Krylov solver (Jacobi-preconditioned BiCGStab)
 # ----------------------------------------------------------------------
 
 def _jacobi(matrix: sp.csr_matrix) -> np.ndarray:
@@ -505,18 +478,15 @@ def _jacobi(matrix: sp.csr_matrix) -> np.ndarray:
     return 1.0 / d
 
 
-def solve(op: SparseOperator, rhs: np.ndarray, cfg: SolverConfig, x0=None):
-    """Solve op x = rhs from x0 (zero if None); returns (x, iterations).
+def solve(a: sp.csr_matrix, rhs: np.ndarray, cfg: SolverConfig, x0=None):
+    """Solve a x = rhs by BiCGStab from x0 (zero if None); returns (x, iterations).
 
-    Stops once ||rhs - op x|| <= cfg.rtol ||rhs||, whatever x0 is, and
+    Stops once ||rhs - a x|| <= cfg.rtol ||rhs||, whatever x0 is, and
     raises NonConvergence if the residual stays above that after
     cfg.max_iter iterations.
     """
-    a = op.matrix
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match operator {a.shape}")
-    if cfg.method == "cg":
-        return _cg(a, rhs, cfg, x0)
     return _bicgstab(a, rhs, cfg, x0)
 
 
@@ -528,45 +498,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
-
-
-def _cg(a, b, cfg, x0=None):
-    norm_b = _norm(b)
-    if norm_b == 0.0:
-        return np.zeros_like(b), 0
-    tol = cfg.rtol * norm_b
-    minv = _jacobi(a)
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - a @ x if x0 is not None else b.copy()
-    if _norm(r) <= tol:
-        return x, 0
-    z = minv * r
-    p = z.copy()
-    rz = _dot(r, z)
-    for k in range(1, cfg.max_iter + 1):
-        ap = a @ p
-        pap = _dot(p, ap)
-        if pap <= 0.0:
-            raise NonConvergence("CG breakdown: operator not positive definite",
-                                 _norm(r), k)
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        if _norm(r) <= tol:
-            # guard against recurrence drift before accepting
-            r_true = b - a @ x
-            if _norm(r_true) <= tol:
-                return x, k
-            r = r_true
-            z = minv * r
-            p = z.copy()
-            rz = _dot(r, z)
-            continue
-        z = minv * r
-        rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise NonConvergence("CG did not converge", _norm(b - a @ x), cfg.max_iter)
 
 
 def _bicgstab(a, b, cfg, x0=None):

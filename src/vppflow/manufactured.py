@@ -14,8 +14,11 @@ the analytic expressions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from . import operators
 from .grid import Grid, PressureField, VelocityField
 
 
@@ -65,6 +68,23 @@ def taylor_green_wall_slip(t: float, grid: Grid, mu: float):
         lambda x, y: np.sin(np.pi * x) * np.cos(np.pi * y) * decay,
         lambda x, y: -np.cos(np.pi * x) * np.sin(np.pi * y) * decay,
     )
+
+
+class SpaceTimeError:
+    """Snapshot sink summing dt ||v^n - v(t^n)||^2 against the vortex over
+    the steps n >= 1; value() is the square root of the sum."""
+
+    def __init__(self, grid: Grid, mu: float, dt: float):
+        self.grid, self.mu, self.dt = grid, mu, dt
+        self.err2 = 0.0
+
+    def __call__(self, state):
+        if state.n > 0:
+            diff = state.v - taylor_green_velocity(state.t, self.grid, self.mu)
+            self.err2 += self.dt * operators.inner(diff, diff)
+
+    def value(self) -> float:
+        return math.sqrt(self.err2)
 
 
 def random_solenoidal(grid: Grid, rng: np.random.Generator,

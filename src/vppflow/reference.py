@@ -50,7 +50,7 @@ def coupled_step(v_prev: VelocityField, p_prev: PressureField, forcing: Velocity
     chi = None
     if frame is not None:
         chi = linalg.penalization_diagonal(frame.chi_u, frame.chi_v)
-    a = linalg.assemble_prediction(grid, params, v_prev, chi).matrix
+    a = linalg.assemble_prediction(grid, params, v_prev, chi)
     g = linalg.gradient_matrix(grid)
     d = linalg.divergence_matrix(grid)
 

@@ -37,7 +37,7 @@ class SchemeParams:
     eta: float = 1e-6
     mu: float = 1e-2
     prediction_solver: SolverConfig = field(
-        default_factory=lambda: SolverConfig("bicgstab", rtol=1e-8, max_iter=20000))
+        default_factory=lambda: SolverConfig(rtol=1e-8, max_iter=20000))
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -113,7 +113,7 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     if frame is not None:
         chi = linalg.penalization_diagonal(frame.chi_u, frame.chi_v)
     op = linalg.assemble_prediction(grid, params, state.v, chi)
-    layout = op.layout
+    layout = linalg.face_layout(grid)
 
     rhs_field = forcing + (1.0 / params.dt) * state.v
     rhs = layout.pack(rhs_field) - linalg.gradient_matrix(grid) @ state.p.p.ravel()

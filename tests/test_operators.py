@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from vppflow import operators
+from vppflow import operators, scheme
 from vppflow.grid import Grid, PressureField, VelocityField
+from vppflow.scheme import SchemeParams
 
 
 def random_velocity(grid, rng, interior_only=False):
@@ -108,12 +110,24 @@ def test_strain_divergence_is_dissipative(rng):
 
 # ---------------------------------------------------------------------- curl
 
-def test_curl_of_gradient_vanishes(rng):
-    g = Grid(7, 5)
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(2, 40), ny=st.integers(2, 40),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0), seed=st.integers(0, 2**32 - 1))
+@example(nx=2, ny=2, lx=1.0, ly=0.7, seed=0)
+def test_curl_of_gradient_vanishes(nx, ny, lx, ly, seed):
+    assume(lx != ly)
+    g = Grid(nx, ny, lx, ly)
+    rng = np.random.default_rng(seed)
     p = PressureField(g, rng.standard_normal(g.shape_p)).project_mean_zero()
     c = operators.curl(operators.gradient(p))
     scale = max(np.abs(p.p).max() / (g.hx * g.hy), 1e-30)
     assert np.abs(c).max() / scale <= 1e-12
+
+    # the pressure update leaves a zero-mean field on the same draws
+    vel = random_velocity(g, rng)
+    params = SchemeParams(dt=0.01, t_final=0.01)
+    p_new = scheme.update_pressure(p, vel, params)
+    assert abs(p_new.p.mean()) <= 1e-14 * np.abs(p_new.p).max()
 
 
 def test_curl_of_rigid_rotation():
