@@ -11,18 +11,26 @@ Operator structure:
 
 * divergence_matrix D maps packed faces to cells; the discrete gradient
   satisfies G = -D^T exactly, which makes grad and div adjoint.
-* the viscous block is mu times strain_energy_matrix, built variationally
-  from the discrete strain energy 2(exx^2 + eyy^2) + gamma^2, so
+* the viscous block is mu times strain_energy_matrix S, the Hessian of
+  the discrete strain energy 2(exx^2 + eyy^2) + gamma^2, so
   -div(2 mu D(.)) is symmetric positive semi-definite by construction and
   reproduces the operators.strain_divergence stencil row by row.
 * convection_matrix antisymmetrizes the staggered divergence-form flux
   matrix, C = (K - K^T)/2. This is a second-order discretization of the
   advective form plus half the advecting field's divergence, and it makes
   the convective quadratic form vanish exactly, not just to O(h^2).
-* the prediction operator has a pattern fixed by the grid: every
-  convective coupling and the diagonal lie in the pattern of S, so
-  convection_matrix and assemble_prediction write one data array per step
-  on S's read-only index arrays, through slots cached per grid.
+* S, C and the prediction operator are CSR matrices on one 9-slot layout
+  per grid, with indptr = 9 * arange(n + 1) and read-only index arrays
+  shared by all three. A u row (i, j) holds its W, S, self, N, E u
+  neighbours, then v(i-1, j), v(i-1, j+1), v(i, j), v(i, j+1); a v row
+  (i, j) holds u(i, j-1), u(i, j), u(i+1, j-1), u(i+1, j), then its W, S,
+  self, N, E v neighbours. A neighbour missing at a wall is an explicit
+  zero at the row's own column. The real entries stay in increasing column
+  order, so a matrix-vector product sums them in the order the canonical
+  matrix would, and the padding adds only exact zeros: the products, the
+  diagonal and the solver iterates are bitwise those of the canonical
+  matrix. Each step writes the convection into strided slot views of a
+  fresh data array and adds mu S and the diagonal in place.
 * solve_correction solves the constant-coefficient correction exactly by
   a DCT-II; assemble_correction keeps its matrix as the reference operator.
 * dirichlet_bases diagonalizes the Dirichlet -Laplace on the cell and face
@@ -110,20 +118,18 @@ def face_layout(grid: Grid) -> FaceLayout:
     return FaceLayout(grid)
 
 
-def _u_index_grid(layout: FaceLayout):
+def _index_grids(layout: FaceLayout):
+    """Packed indices of the u faces on an (nx+1, ny+2) array and of the v
+    faces on an (nx+2, ny+1) array: u(i, j) sits at [i, j+1] and v(i, j) at
+    [i+1, j]. Boundary faces and the ring outside the walls hold -1."""
     g = layout.grid
-    idx = -np.ones((g.nx + 1, g.ny), dtype=np.int64)
+    uidx = np.full((g.nx + 1, g.ny + 2), -1, dtype=np.int64)
     ii, jj = np.meshgrid(np.arange(1, g.nx), np.arange(g.ny), indexing="ij")
-    idx[1:-1, :] = layout.u_index(ii, jj)
-    return idx
-
-
-def _v_index_grid(layout: FaceLayout):
-    g = layout.grid
-    idx = -np.ones((g.nx, g.ny + 1), dtype=np.int64)
+    uidx[1:-1, 1:-1] = layout.u_index(ii, jj)
+    vidx = np.full((g.nx + 2, g.ny + 1), -1, dtype=np.int64)
     ii, jj = np.meshgrid(np.arange(g.nx), np.arange(1, g.ny), indexing="ij")
-    idx[:, 1:-1] = layout.v_index(ii, jj)
-    return idx
+    vidx[1:-1, 1:-1] = layout.v_index(ii, jj)
+    return uidx, vidx
 
 
 @lru_cache(maxsize=32)
@@ -131,8 +137,8 @@ def divergence_matrix(grid: Grid) -> sp.csr_matrix:
     """Cells x faces divergence over the packed interior unknowns."""
     layout = face_layout(grid)
     nx, ny = grid.nx, grid.ny
-    uidx = _u_index_grid(layout)
-    vidx = _v_index_grid(layout)
+    uidx, vidx = _index_grids(layout)
+    uidx, vidx = uidx[:, 1:-1], vidx[1:-1, :]
     cell = np.arange(grid.ncells).reshape(nx, ny)
 
     rows, cols, vals = [], [], []
@@ -161,113 +167,67 @@ def gradient_matrix(grid: Grid) -> sp.csr_matrix:
     return (-divergence_matrix(grid).T).tocsr()
 
 
+def _slots(grid: Grid, data: np.ndarray):
+    """Views of a 9-slot data array as (nx-1, ny, 9) u rows and (nx, ny-1, 9) v rows."""
+    nu = (grid.nx - 1) * grid.ny
+    return (data[:9 * nu].reshape(grid.nx - 1, grid.ny, 9),
+            data[9 * nu:].reshape(grid.nx, grid.ny - 1, 9))
+
+
 @lru_cache(maxsize=32)
 def strain_energy_matrix(grid: Grid) -> sp.csr_matrix:
     """Positive semi-definite matrix S with x^T S x = 2|exx|^2 + 2|eyy|^2 + |gamma|^2.
 
     The viscous operator -div(2 mu D(.)) on the packed unknowns is mu * S.
+    exx = du/dx and eyy = dv/dy live on cells, gamma = du/dy + dv/dx on
+    nodes; wall nodes reflect a ghost value (doubling the wall coefficient)
+    and count half in the trapezoidal node quadrature, corners a quarter,
+    which reproduces the stencil of operators.strain_divergence. Every row
+    is written out in closed form on the 9-slot layout of the module
+    docstring; its index arrays are read-only because the prediction
+    operators share them.
     """
     layout = face_layout(grid)
     nx, ny = grid.nx, grid.ny
-    hx, hy = grid.hx, grid.hy
-    uidx = _u_index_grid(layout)
-    vidx = _v_index_grid(layout)
+    uidx, vidx = _index_grids(layout)
+    # the nine columns of each row in the order of the module docstring;
+    # -1 marks a neighbour beyond a wall
+    cols_u = np.stack([uidx[:-2, 1:-1], uidx[1:-1, :-2], uidx[1:-1, 1:-1],
+                       uidx[1:-1, 2:], uidx[2:, 1:-1],
+                       vidx[1:-2, :-1], vidx[1:-2, 1:], vidx[2:-1, :-1], vidx[2:-1, 1:]], axis=-1)
+    cols_v = np.stack([uidx[:-1, 1:-2], uidx[:-1, 2:-1], uidx[1:, 1:-2], uidx[1:, 2:-1],
+                       vidx[:-2, 1:-1], vidx[1:-1, :-2], vidx[1:-1, 1:-1],
+                       vidx[1:-1, 2:], vidx[2:, 1:-1]], axis=-1)
+    cols = np.concatenate([cols_u.reshape(-1, 9), cols_v.reshape(-1, 9)])
+    present = cols >= 0
+    cols = np.where(present, cols, np.arange(layout.n)[:, None])
 
-    def build(rows, cols, vals, shape):
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        v = np.concatenate(vals)
-        keep = c >= 0
-        return sp.coo_matrix((v[keep], (r[keep], c[keep])), shape=shape).tocsr()
+    # with a = (1/hx)^2, b = (1/hy)^2 and c = (1/hy)(1/hx): 2 exx^2 gives a u
+    # row 4a on the diagonal and -2a to W and E, 2 eyy^2 a v row 4b and -2b
+    # to S and N; gamma^2 gives a u row 2b on the diagonal (3b next to a
+    # wall), -b to S and N and +-c to the v's, and a v row the same with a.
+    # Each entry rounds as in the product 2 Bxx^T Bxx + 2 Byy^T Byy +
+    # Bgamma^T W Bgamma of the difference matrices with entries +-1/h
+    ax, ay = 1.0 / grid.hx, 1.0 / grid.hy
+    a, b, c = ax * ax, ay * ay, ay * ax
+    data = np.empty((layout.n, 9))
+    su, sv = _slots(grid, data.reshape(-1))
+    su[...] = [-2.0 * a, -b, 0.0, -b, -2.0 * a, -c, c, c, -c]
+    sv[...] = [-c, c, c, -c, -a, -2.0 * b, 0.0, -2.0 * b, -a]
+    gu = np.full(ny, 2.0 * b)
+    gu[[0, -1]] = 3.0 * b
+    gv = np.full((nx, 1), 2.0 * a)
+    gv[[0, -1]] = 3.0 * a
+    su[..., 2] = 4.0 * a + gu
+    sv[..., 6] = 4.0 * b + gv
+    data[~present] = 0.0
 
-    ncell = grid.ncells
-    cell = np.arange(ncell)
-
-    # exx = du/dx at cells
-    bxx = build(
-        [cell, cell],
-        [uidx[1:, :].ravel(), uidx[:-1, :].ravel()],
-        [np.full(ncell, 1.0 / hx), np.full(ncell, -1.0 / hx)],
-        (ncell, layout.n),
-    )
-    # eyy = dv/dy at cells
-    byy = build(
-        [cell, cell],
-        [vidx[:, 1:].ravel(), vidx[:, :-1].ravel()],
-        [np.full(ncell, 1.0 / hy), np.full(ncell, -1.0 / hy)],
-        (ncell, layout.n),
-    )
-
-    # gamma = du/dy + dv/dx at nodes, ghost reflection doubles the wall term
-    nnode = (nx + 1) * (ny + 1)
-    node = np.arange(nnode).reshape(nx + 1, ny + 1)
-    rows, cols, vals = [], [], []
-
-    ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(1, ny), indexing="ij")
-    rows += [node[:, 1:-1].ravel()] * 2
-    cols += [uidx[ii, jj].ravel(), uidx[ii, jj - 1].ravel()]
-    vals += [np.full(ii.size, 1.0 / hy), np.full(ii.size, -1.0 / hy)]
-
-    i0 = np.arange(nx + 1)
-    rows += [node[:, 0], node[:, ny]]
-    cols += [uidx[i0, 0], uidx[i0, ny - 1]]
-    vals += [np.full(nx + 1, 2.0 / hy), np.full(nx + 1, -2.0 / hy)]
-
-    ii, jj = np.meshgrid(np.arange(1, nx), np.arange(ny + 1), indexing="ij")
-    rows += [node[1:-1, :].ravel()] * 2
-    cols += [vidx[ii, jj].ravel(), vidx[ii - 1, jj].ravel()]
-    vals += [np.full(ii.size, 1.0 / hx), np.full(ii.size, -1.0 / hx)]
-
-    j0 = np.arange(ny + 1)
-    rows += [node[0, :], node[nx, :]]
-    cols += [vidx[0, j0], vidx[nx - 1, j0]]
-    vals += [np.full(ny + 1, 2.0 / hx), np.full(ny + 1, -2.0 / hx)]
-
-    bgam = build(rows, cols, vals, (nnode, layout.n))
-
-    # trapezoidal node quadrature: wall nodes count half, corners a quarter;
-    # with the doubled ghost coefficients this reproduces the reflection
-    # stencil of operators.strain_divergence exactly
-    wnode = np.ones((nx + 1, ny + 1))
-    wnode[0, :] *= 0.5
-    wnode[-1, :] *= 0.5
-    wnode[:, 0] *= 0.5
-    wnode[:, -1] *= 0.5
-    wdiag = sp.diags(wnode.ravel())
-
-    s = 2.0 * (bxx.T @ bxx) + 2.0 * (byy.T @ byy) + bgam.T @ wdiag @ bgam
-    s = s.tocsr()
+    s = sp.csr_matrix((data.reshape(-1), cols.reshape(-1).astype(np.int32),
+                       9 * np.arange(layout.n + 1, dtype=np.int32)), shape=(layout.n, layout.n))
     # the prediction operators share these index arrays (assemble_prediction)
     s.indices.setflags(write=False)
     s.indptr.setflags(write=False)
     return s
-
-
-@lru_cache(maxsize=32)
-def _prediction_slots(grid: Grid):
-    """Slots in strain_energy_matrix(grid).data of the convective couplings.
-
-    Returns (fwd, bwd, diag): the slot of each off-diagonal flux entry
-    (r, c) in the order convection_matrix lists its values, the slot of
-    its transpose (c, r), and the slots of the diagonal. Every coupling
-    of the prediction operator already lies in the pattern of S.
-    """
-    s = strain_energy_matrix(grid)
-    lookup = sp.csr_matrix((np.arange(s.nnz), s.indices, s.indptr), shape=s.shape)
-    layout = face_layout(grid)
-    uidx = _u_index_grid(layout)
-    vidx = _v_index_grid(layout)
-    # (row, col) of the u east, u north, v north and v east neighbours
-    rows = np.concatenate([uidx[1:-2, :].ravel(), uidx[1:-1, :-1].ravel(),
-                           vidx[:, 1:-2].ravel(), vidx[:-1, 1:-1].ravel()])
-    cols = np.concatenate([uidx[2:-1, :].ravel(), uidx[1:-1, 1:].ravel(),
-                           vidx[:, 2:-1].ravel(), vidx[1:, 1:-1].ravel()])
-    diag = np.arange(s.shape[0])
-    slots = [np.asarray(lookup[r, c]).ravel().astype(s.indices.dtype)
-             for r, c in ((rows, cols), (cols, rows), (diag, diag))]
-    for a in slots:
-        a.setflags(write=False)
-    return tuple(slots)
 
 
 def convection_matrix(grid: Grid, vel_prev: VelocityField) -> sp.csr_matrix:
@@ -279,8 +239,8 @@ def convection_matrix(grid: Grid, vel_prev: VelocityField) -> sp.csr_matrix:
     x^T C x = 0 in exact arithmetic. The centered fluxes make the
     off-diagonal part of K skew already (the flux through a shared cell or
     node enters its two faces with opposite signs) and the diagonal cancels,
-    so C is that off-diagonal part, written on the pattern of
-    strain_energy_matrix(grid) with explicit zeros elsewhere.
+    so C is that off-diagonal part, written into the W, S, N and E slots of
+    the index arrays of strain_energy_matrix(grid), with zeros elsewhere.
     """
     if not (np.all(np.isfinite(vel_prev.u)) and np.all(np.isfinite(vel_prev.v))):
         raise ValueError("advecting velocity contains non-finite entries")
@@ -291,14 +251,22 @@ def convection_matrix(grid: Grid, vel_prev: VelocityField) -> sp.csr_matrix:
     vn = 0.5 * (vp[:-1, :] + vp[1:, :])     # advecting v at nodes, i = 1..nx-1
     un = 0.5 * (up[:, :-1] + up[:, 1:])     # advecting u at nodes, j = 1..ny-1
     # wall nodes contribute no flux: the centered average of w vanishes there
-    k = np.concatenate([(uc[1:-1, :] / (2 * hx)).ravel(), (vn[:, 1:-1] / (2 * hy)).ravel(),
-                        (vc[:, 1:-1] / (2 * hy)).ravel(), (un[1:-1, :] / (2 * hx)).ravel()])
-    fwd, bwd, _ = _prediction_slots(grid)
     s = strain_energy_matrix(grid)
-    c = np.zeros(s.nnz)
-    c[fwd] = k
-    c[bwd] = -k
-    return sp.csr_matrix((c, s.indices, s.indptr), shape=s.shape)
+    data = np.zeros(s.nnz)
+    cu, cv = _slots(grid, data)
+    k = uc[1:-1, :] / (2 * hx)              # u east, through the cells
+    cu[:-1, :, 4] = k
+    cu[1:, :, 0] = -k
+    k = vn[:, 1:-1] / (2 * hy)              # u north, through the nodes
+    cu[:, :-1, 3] = k
+    cu[:, 1:, 1] = -k
+    k = vc[:, 1:-1] / (2 * hy)              # v north, through the cells
+    cv[:, :-1, 7] = k
+    cv[:, 1:, 5] = -k
+    k = un[1:-1, :] / (2 * hx)              # v east, through the nodes
+    cv[:-1, :, 8] = k
+    cv[1:, :, 4] = -k
+    return sp.csr_matrix((data, s.indices, s.indptr), shape=s.shape)
 
 
 def penalization_diagonal(chi_u: np.ndarray, chi_v: np.ndarray) -> np.ndarray:
@@ -374,15 +342,19 @@ def assemble_prediction(grid, params, v_prev: VelocityField, chi=None) -> sp.csr
 
     (1/dt) I + C(v_prev) - div(2 mu D(.)) + (1/eta) chi I on the interior
     faces, Dirichlet rows eliminated; chi is the packed face mask of the
-    obstacle (penalization_diagonal), None without one. The operator
-    shares the index arrays of strain_energy_matrix(grid), which are
-    read-only: only its data array is new.
+    obstacle (penalization_diagonal), None without one. mu S and the
+    diagonal are added in place to the fresh data array of
+    convection_matrix; the operator shares the read-only index arrays of
+    strain_energy_matrix(grid).
     """
-    c = convection_matrix(grid, v_prev)
-    data = c.data + params.mu * strain_energy_matrix(grid).data
-    data[_prediction_slots(grid)[2]] += (
-        1.0 / params.dt if chi is None else 1.0 / params.dt + chi / params.eta)
-    return sp.csr_matrix((data, c.indices, c.indptr), shape=c.shape)
+    a = convection_matrix(grid, v_prev)
+    a.data += params.mu * strain_energy_matrix(grid).data
+    diag = 1.0 / params.dt if chi is None else 1.0 / params.dt + chi / params.eta
+    diag = np.broadcast_to(diag, a.shape[0])
+    nu = face_layout(grid).nu
+    a.data[2:9 * nu:9] += diag[:nu]         # self slot of the u rows
+    a.data[9 * nu + 6::9] += diag[nu:]      # and of the v rows
+    return a
 
 
 def assemble_correction(grid, params) -> sp.csr_matrix:

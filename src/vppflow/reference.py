@@ -9,8 +9,10 @@ scalar multiplier pinning the pressure mean:
     [ 0  a^T   0 ] [g]   [0]
 
 A is the same discrete momentum operator the split scheme assembles, G and
-D the packed gradient/divergence. Solving by dense LU keeps this path free
-of the iterative solvers' failure modes; grids above 32x32 are rejected.
+D the packed gradient/divergence. A dense Gaussian elimination keeps this
+path free of the iterative solvers' failure modes; it is written with
+numpy ufuncs and einsum, so no BLAS or LAPACK routine runs and its result
+does not depend on the BLAS thread count. Grids above 16x16 are rejected.
 """
 
 from __future__ import annotations
@@ -22,13 +24,31 @@ from .grid import PressureField, VelocityField
 from .obstacle import ObstacleFrame
 
 
-class SingularSystem(RuntimeError):
-    """The augmented coupled matrix was reported singular."""
+def solve_dense(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve mat x = rhs by Gaussian elimination with partial pivoting.
+
+    Rank-1 updates are ufunc outer products and the back-substitution
+    sums are einsums, so no BLAS or LAPACK routine runs. An exactly zero
+    pivot raises np.linalg.LinAlgError.
+    """
+    n = rhs.shape[0]
+    a = np.concatenate([mat, rhs[:, None]], axis=1)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if a[p, k] == 0.0:
+            raise np.linalg.LinAlgError(f"singular matrix: zero pivot in column {k}")
+        if p != k:
+            a[[k, p], k:] = a[[p, k], k:]
+        a[k + 1:, k:] -= np.multiply.outer(a[k + 1:, k] / a[k, k], a[k, k:])
+    x = np.empty(n)
+    for k in range(n - 1, -1, -1):
+        x[k] = (a[k, n] - np.einsum("i,i->", a[k, k + 1:n], x[k + 1:])) / a[k, k]
+    return x
 
 
 def coupled_step(v_prev: VelocityField, p_prev: PressureField, forcing: VelocityField,
                  obstacle, params, t_next: float | None = None,
-                 max_cells: int = 32 * 32):
+                 max_cells: int = 16 * 16):
     """Solve one fully coupled step; returns (v_new, p_new).
 
     forcing is the body force at t^{n+1}; the obstacle indicator and solid
@@ -68,11 +88,7 @@ def coupled_step(v_prev: VelocityField, p_prev: PressureField, forcing: Velocity
     if chi is not None:
         rhs[:n] += chi * layout.pack(frame.vs) / params.eta
 
-    try:
-        sol = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"coupled step matrix is singular: {exc}") from exc
-
+    sol = solve_dense(mat, rhs)
     v_new = layout.unpack(sol[:n])
     p_new = PressureField(grid, sol[n:n + nc].reshape(grid.shape_p)).project_mean_zero()
     return v_new, p_new

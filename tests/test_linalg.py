@@ -144,6 +144,59 @@ def test_prediction_assembly_on_the_strain_pattern(nx, ny, lx, ly, log10_mu, log
     assert np.array_equal(again.indices, s.indices)
 
 
+def folded(m):
+    """Canonical copy of a 9-slot matrix: duplicates summed, zeros dropped."""
+    f = m.copy()
+    f.sum_duplicates()
+    f.eliminate_zeros()
+    return f
+
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(2, 40), ny=st.integers(2, 40),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0), seed=st.integers(0, 2**32 - 1))
+@example(nx=2, ny=2, lx=1.0, ly=0.7, seed=0)
+def test_nine_slot_layout(nx, ny, lx, ly, seed):
+    # every row of S, C and the prediction operator holds nine slots: the
+    # real couplings in increasing column order, and a missing wall
+    # neighbour as an explicit zero at the row's own column
+    assume(lx != ly)
+    g = Grid(nx, ny, lx, ly)
+    layout = face_layout(g)
+    n = layout.n
+    rng = np.random.default_rng(seed)
+    adv = layout.unpack(rng.standard_normal(n))
+    chi = rng.uniform(0.0, 1.0, n)
+    s = linalg.strain_energy_matrix(g)
+    c = linalg.convection_matrix(g, adv)
+    a = linalg.assemble_prediction(g, params_for(), adv, chi)
+
+    assert np.array_equal(s.indptr, 9 * np.arange(n + 1))
+    cols = s.indices.reshape(n, 9)
+    rows = np.arange(n)[:, None]
+    self_slot = np.where(rows < layout.nu, 2, 6)
+    assert np.array_equal(np.take_along_axis(cols, self_slot, axis=1), rows)
+    padded = (cols == rows) & (np.arange(9) != self_slot)
+    for r in range(n):
+        assert np.all(np.diff(cols[r][~padded[r]]) > 0)
+    for m in (s, c, a):
+        assert np.all(m.data.reshape(n, 9)[padded] == 0.0)
+
+    for m in (c, a):
+        assert np.shares_memory(m.indices, s.indices)
+        assert np.shares_memory(m.indptr, s.indptr)
+    for m in (s, c, a):
+        assert not m.indices.flags.writeable and not m.indptr.flags.writeable
+        with pytest.raises(ValueError):
+            m.eliminate_zeros()
+        with pytest.raises(ValueError):
+            m.sum_duplicates()
+
+    x = rng.standard_normal(n)
+    for m in (s, c, a):
+        assert np.array_equal(m @ x, folded(m) @ x)
+
+
 def test_prediction_matches_matrix_free_residual_oracle(rng):
     # residual map evaluated through independent code paths:
     # loop-built convection, the strain_divergence stencil, explicit masks
@@ -372,6 +425,7 @@ def test_strain_matrix_is_dirichlet_laplacian_plus_grad_div(nx, ny, lx, ly, dyad
     ref = (sp.block_diag([dirichlet_laplacian(g, "u"),
                           dirichlet_laplacian(g, "v")]) + d.T @ d).tocsr()
     ref.sort_indices()
+    s = folded(s)
     assert np.array_equal(s.indptr, ref.indptr)
     assert np.array_equal(s.indices, ref.indices)
     if dyadic:

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vppflow
 from vppflow import diagnostics, operators, reference, scheme
 from vppflow.grid import Grid, PressureField, VelocityField
 from vppflow.linalg import SolverConfig
@@ -74,3 +78,60 @@ def test_oracle_pressure_is_mean_zero(rng):
     _, p = reference.coupled_step(v0, PressureField.zeros(g),
                                   zero_forcing_field(g), None, params)
     assert abs(p.p.mean()) <= 1e-12 * max(diagnostics.l2_norm(p), 1e-30)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dense_solve_matches_lapack(seed):
+    # both are backward stable, so they agree to about cond * eps
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 201))
+    mat = rng.standard_normal((n, n))
+    rhs = rng.standard_normal(n)
+    x = reference.solve_dense(mat, rhs)
+    ref = np.linalg.solve(mat, rhs)
+    tol = 1e-12 * max(1.0, np.linalg.cond(mat) / 1e3)
+    assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+
+
+def test_dense_solve_pivots_past_a_zero_diagonal():
+    mat = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0], [3.0, 1.0, 0.0]])
+    rhs = np.array([1.0, 2.0, 3.0])
+    assert np.allclose(mat @ reference.solve_dense(mat, rhs), rhs, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 4.0]],
+                                 [[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [0.0, 0.0, 5.0]]])
+def test_dense_solve_rejects_singular_matrices(mat):
+    mat = np.array(mat)
+    with pytest.raises(np.linalg.LinAlgError):
+        reference.solve_dense(mat, np.ones(mat.shape[0]))
+
+
+ORACLE_SCRIPT = """
+import sys
+import numpy as np
+from vppflow import reference
+from vppflow.grid import Grid, PressureField, VelocityField
+from vppflow.manufactured import random_solenoidal
+from vppflow.scheme import SchemeParams
+g = Grid(8, 8)
+v0 = random_solenoidal(g, np.random.default_rng(0), amplitude=0.01)
+params = SchemeParams(dt=0.01, t_final=0.02, lam=1e-8, mu=1e-3)
+v, p = reference.coupled_step(v0, PressureField.zeros(g), VelocityField.zeros(g), None, params)
+sys.stdout.buffer.write(v.u.tobytes() + v.v.tobytes() + p.p.tobytes())
+"""
+
+
+def test_oracle_does_not_depend_on_blas_thread_count():
+    # the A4 oracle's solve, 8x8 as in the criterion; each run is a fresh
+    # process because OpenBLAS reads the variable when it loads
+    src = os.path.dirname(os.path.dirname(vppflow.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", ORACLE_SCRIPT], env=env,
+                             capture_output=True, check=True, timeout=120)
+        outputs.append(run.stdout)
+    assert len(outputs[0]) == 8 * (9 * 8 + 8 * 9 + 8 * 8)
+    assert outputs[0] == outputs[1]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vppflow import diagnostics, linalg, operators, scheme
 from vppflow.experiments import fit_exponent
@@ -278,10 +279,16 @@ def test_step_additivity_and_mean_zero(rng):
         assert abs(state.p.p.mean()) <= 1e-12 * max(l2, 1e-30)
 
 
-def test_single_step_energy_identity(rng):
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(2, 24), ny=st.integers(2, 24),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0), seed=st.integers(0, 2**32 - 1))
+@example(nx=2, ny=2, lx=1.0, ly=0.7, seed=0)
+def test_single_step_energy_identity(nx, ny, lx, ly, seed):
     # with f = 0 and no obstacle the four energy estimates sum exactly:
     # E(v1,p1) + ||vt - v0||^2 + 2 dt D(vt) + eps dt ||p1 - p0||^2 = E(v0,p0)
-    g = Grid(12, 12)
+    assume(lx != ly)
+    rng = np.random.default_rng(seed)
+    g = Grid(nx, ny, lx, ly)
     params = tight_params(dt=0.02, lam=0.7, mu=0.05)
     v0 = random_solenoidal(g, rng)
     p0 = PressureField(g, rng.standard_normal(g.shape_p)).project_mean_zero()
