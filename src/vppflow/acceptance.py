@@ -192,7 +192,7 @@ def a4_splitting_limit() -> CriterionResult:
                               prediction_solver=tight_pred)
         state = FlowState.initial(v0, p0)
         new, _ = scheme.step(state, _zero_forcing, None, params)
-        vc, _ = reference.coupled_step(v0, p0, VelocityField.zeros(grid), None, params)
+        vc, _ = reference.coupled_step(v0, VelocityField.zeros(grid), None, params)
         rel = math.sqrt(operators.inner(new.v - vc, new.v - vc)
                         / operators.inner(vc, vc))
         errs.append(rel)

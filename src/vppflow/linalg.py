@@ -39,7 +39,8 @@ Operator structure:
   initial guess x0 and stops at ||b - A x|| <= rtol ||b||: the tolerance is
   relative to the right-hand side, not to the initial residual, so a good
   guess stops sooner at the same absolute tolerance. The prediction starts
-  from the previous step's tentative velocity.
+  from the extrapolation in time of the last tentative velocities
+  (scheme.predict).
 """
 
 from __future__ import annotations

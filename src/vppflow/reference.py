@@ -46,15 +46,14 @@ def solve_dense(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def coupled_step(v_prev: VelocityField, p_prev: PressureField, forcing: VelocityField,
-                 obstacle, params, t_next: float | None = None,
-                 max_cells: int = 16 * 16):
+def coupled_step(v_prev: VelocityField, forcing: VelocityField, obstacle, params,
+                 t_next: float | None = None, max_cells: int = 16 * 16):
     """Solve one fully coupled step; returns (v_new, p_new).
 
     forcing is the body force at t^{n+1}; the obstacle indicator and solid
     velocity are evaluated at t_next (defaults to one step from t = 0).
-    p_prev only fixes the problem data through its absence from the
-    momentum rows: the pressure unknown here is the full p^{n+1}.
+    The previous pressure does not enter: the pressure unknown here is the
+    full p^{n+1}.
     """
     grid = v_prev.grid
     if grid.ncells > max_cells:

@@ -4,7 +4,8 @@ Each step advances (v^n, p^n) to (v^{n+1}, p^{n+1}):
 
 1. prediction: implicit momentum solve for the tentative velocity with
    the old pressure gradient on the right-hand side and homogeneous
-   Dirichlet walls, started from the previous step's tentative velocity,
+   Dirichlet walls, started from the quadratic extrapolation in time of
+   the last three tentative velocities,
 2. correction: SPD grad-div solve for the incremental velocity with
    zero normal boundary values, exact by a DCT-II (linalg.solve_correction);
    v^{n+1} is the sum of the two,
@@ -63,7 +64,13 @@ class SchemeParams:
 
 @dataclass
 class FlowState:
-    """Solution at the end of step n (t = n dt)."""
+    """Solution at the end of step n (t = n dt).
+
+    earlier holds the packed tentative velocities of steps n-1 and n-2,
+    newest first, as far as a prediction solve produced them: the initial
+    velocity that FlowState.initial puts in v_tilde never enters it.
+    scheme.step shifts it along; predict extrapolates its start from it.
+    """
 
     n: int
     t: float
@@ -71,6 +78,7 @@ class FlowState:
     v_tilde: VelocityField
     v_hat: VelocityField
     p: PressureField
+    earlier: tuple = ()
 
     @classmethod
     def initial(cls, v0: VelocityField, p0: PressureField) -> "FlowState":
@@ -102,11 +110,15 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     frame is the obstacle sampled at t^{n+1} (ObstacleFrame.sample), None
     without one; its face indicator and solid velocity are packed into the
     penalization diagonal and right-hand side. The solve starts from the
-    previous tentative velocity state.v_tilde, which differs from the new
-    one by O(dt); FlowState.initial sets it to v0, so a run from rest
-    starts from zero. wall_slip optionally prescribes tangential wall
-    velocities (a linalg.WallSlip); the default is the homogeneous
-    no-slip wall.
+    extrapolation in time of the tentative velocities v~^n = state.v_tilde
+    and v~^{n-1}, v~^{n-2} = state.earlier: 3(v~^n - v~^{n-1}) + v~^{n-2}
+    from step 4 on, 2 v~^n - v~^{n-1} at step 3, v~^1 at step 2 and v0 at
+    step 1, so a run from rest starts from zero. v0 is not extrapolated
+    from: it need not match the solid velocity the penalization imposes,
+    and an impulsively started body would put such a start O(1) off inside
+    the body. The stopping test stays relative to the right-hand side.
+    wall_slip optionally prescribes tangential wall velocities (a
+    linalg.WallSlip); the default is the homogeneous no-slip wall.
     """
     grid = state.v.grid
     chi = None
@@ -121,8 +133,15 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
         rhs += chi * layout.pack(frame.vs) / params.eta
     if wall_slip is not None:
         rhs += linalg.boundary_rhs(grid, state.v, params.mu, wall_slip)
-    x, iters = linalg.solve(op, rhs, params.prediction_solver,
-                            x0=layout.pack(state.v_tilde))
+    x0 = layout.pack(state.v_tilde)
+    if len(state.earlier) == 2:
+        x0 -= state.earlier[0]
+        x0 *= 3.0
+        x0 += state.earlier[1]
+    elif state.earlier:
+        x0 *= 2.0
+        x0 -= state.earlier[0]
+    x, iters = linalg.solve(op, rhs, params.prediction_solver, x0=x0)
     return layout.unpack(x), iters
 
 
@@ -167,8 +186,10 @@ def step(state: FlowState, forcing_fn, obstacle, params: SchemeParams,
 
     v_new = v_tilde + v_hat
     p_new = update_pressure(state.p, v_new, params)
-    new_state = FlowState(n=state.n + 1, t=t_next, v=v_new,
-                          v_tilde=v_tilde, v_hat=v_hat, p=p_new)
+    earlier = ((linalg.face_layout(grid).pack(state.v_tilde),) + state.earlier[:1]
+               if state.n else ())
+    new_state = FlowState(n=state.n + 1, t=t_next, v=v_new, v_tilde=v_tilde,
+                          v_hat=v_hat, p=p_new, earlier=earlier)
     return new_state, StepInfo(pred_iters, corr_iters, frame)
 
 

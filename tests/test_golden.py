@@ -102,33 +102,33 @@ GOLDEN = {
     },
     "taylor-green-dt-sweep": {
         "dt0_diagnostics.csv":
-            "7805b353364e1b186b3640fd3b339e6fc4b83e1e4636b1ec9f748630bc0b1b1c",
+            "fa7ade9cd1e8adbe0f95d8cc264873b7d3b665f287197c08ff127b4ab8a50bc6",
         "dt1_diagnostics.csv":
-            "5d488369a7991c5e7103908874956c0566e71d7b1ac57d8060ded0c20ea57398",
+            "f693b8d3ad9f00cc60e59bb912801f6cfb3a811b368f8b5546c12c4d25eaa2ca",
         "dt2_diagnostics.csv":
-            "01f6e3b55e3e35d8e024c9738b444a69c4de47988980e60e1d20769b468a109b",
+            "bc5997085d9ce512c3150819c15094ba3cf5ff074b6f82c2d83d5e51667c2160",
     },
     "rotor-binary": {
         "diagnostics.csv":
-            "0c7124b14559eac87fdf7f7816d91bcb484ed91afeea69e4f0aa63c3d8f59d1d",
+            "4590f111aa76626cf1e95f7b9b86504871821126efc26f1a4a849a0775281b22",
     },
     "rotor-fraction": {
         "diagnostics.csv":
-            "440eb88ad6dce9613ac184d079b5ea0f19d30d996f91e353faa6f984027a941e",
+            "0bb59020cf0cc7a60e5e9b3dcdb6a29c7edf2057506259046f22a4dec12ccc0e",
     },
     "constant-forcing": {
         "diagnostics.csv":
-            "156e8d783416bcfe7ccf240c0a67e0147f79c8b27d31121a6a89ebc9831edcd3",
+            "5cf06cf1930b511e6b0cebe71b76b48f048bdc87f9d074a98509655c6f605c1d",
     },
     "vtk-mover": {
         "diagnostics.csv":
-            "9853007c7cd47203b8262aee26528bd90da800cb96aa2e98c2c65bc1e3aecb9b",
+            "b30944812b781f599a588a9615c52ff00719318a4ec9a8c9bd58a26b62a8d8fd",
         "fields_000000.vtk":
             "b679145e032c6e7a0b195d02821b7d04d26177bd3cc1fd60eda7fbdc0c563f16",
         "fields_000002.vtk":
             "e1fdd3ef40cecc0144867471bb690681010229cb29a898d3539c78f31206141e",
         "fields_000004.vtk":
-            "b0ff01e3b5f3bc766dfd7eb9d6e7f636e50b0a6481e0afd2241a1c1b851083c7",
+            "1bdc17ef37d1c8cda5a555d9eaad52a2ad7d83ef90bd4c4c49127e7baa25f59a",
     },
 }
 

@@ -21,8 +21,8 @@ def zero_forcing_field(grid):
 def test_zero_data_gives_zero_step():
     g = Grid(8, 8)
     params = SchemeParams(dt=0.05, t_final=0.1, mu=1.0)
-    v, p = reference.coupled_step(VelocityField.zeros(g), PressureField.zeros(g),
-                                  zero_forcing_field(g), None, params)
+    v, p = reference.coupled_step(VelocityField.zeros(g), zero_forcing_field(g),
+                                  None, params)
     assert np.abs(v.u).max() == 0.0
     assert np.abs(p.p).max() == 0.0
 
@@ -35,8 +35,7 @@ def test_forced_box_step_is_divergence_free_and_symmetric():
     g = Grid(8, 8)
     params = SchemeParams(dt=0.05, t_final=0.1, mu=1.0)
     f = VelocityField(g, np.ones(g.shape_u), np.zeros(g.shape_v))
-    v, p = reference.coupled_step(VelocityField.zeros(g), PressureField.zeros(g),
-                                  f, None, params)
+    v, p = reference.coupled_step(VelocityField.zeros(g), f, None, params)
     assert diagnostics.l2_norm(operators.divergence(v)) <= 1e-10
     assert np.abs(v.u - v.u[::-1, :]).max() <= 1e-8
     assert np.abs(v.v + v.v[::-1, :]).max() <= 1e-8
@@ -55,7 +54,7 @@ def test_vpp_error_decreases_monotonically_with_eps(rng):
         state = FlowState.initial(v0, p0)
         new, _ = scheme.step(state, lambda t, grid: VelocityField.zeros(grid),
                              None, params)
-        v_ref, _ = reference.coupled_step(v0, p0, zero_forcing_field(g), None, params)
+        v_ref, _ = reference.coupled_step(v0, zero_forcing_field(g), None, params)
         errs.append(math.sqrt(operators.inner(new.v - v_ref, new.v - v_ref)))
     # monotone decrease; at the smallest eps the per-decade change sits at
     # the iterative solvers' precision, hence the relative slack
@@ -67,16 +66,15 @@ def test_oracle_rejects_large_grids():
     g = Grid(48, 48)
     params = SchemeParams(dt=0.05, t_final=0.1)
     with pytest.raises(ValueError, match="restricted"):
-        reference.coupled_step(VelocityField.zeros(g), PressureField.zeros(g),
-                               zero_forcing_field(g), None, params)
+        reference.coupled_step(VelocityField.zeros(g), zero_forcing_field(g),
+                               None, params)
 
 
 def test_oracle_pressure_is_mean_zero(rng):
     g = Grid(8, 8)
     params = SchemeParams(dt=0.02, t_final=0.1, mu=0.1)
     v0 = random_solenoidal(g, rng)
-    _, p = reference.coupled_step(v0, PressureField.zeros(g),
-                                  zero_forcing_field(g), None, params)
+    _, p = reference.coupled_step(v0, zero_forcing_field(g), None, params)
     assert abs(p.p.mean()) <= 1e-12 * max(diagnostics.l2_norm(p), 1e-30)
 
 
@@ -111,13 +109,13 @@ ORACLE_SCRIPT = """
 import sys
 import numpy as np
 from vppflow import reference
-from vppflow.grid import Grid, PressureField, VelocityField
+from vppflow.grid import Grid, VelocityField
 from vppflow.manufactured import random_solenoidal
 from vppflow.scheme import SchemeParams
 g = Grid(8, 8)
 v0 = random_solenoidal(g, np.random.default_rng(0), amplitude=0.01)
 params = SchemeParams(dt=0.01, t_final=0.02, lam=1e-8, mu=1e-3)
-v, p = reference.coupled_step(v0, PressureField.zeros(g), VelocityField.zeros(g), None, params)
+v, p = reference.coupled_step(v0, VelocityField.zeros(g), None, params)
 sys.stdout.buffer.write(v.u.tobytes() + v.v.tobytes() + p.p.tobytes())
 """
 
