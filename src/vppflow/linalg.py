@@ -14,7 +14,7 @@ Operator structure:
 * the viscous block is mu times strain_energy_matrix S, the Hessian of
   the discrete strain energy 2(exx^2 + eyy^2) + gamma^2, so
   -div(2 mu D(.)) is symmetric positive semi-definite by construction and
-  reproduces the operators.strain_divergence stencil row by row.
+  reproduces the matrix-free strain-divergence stencil row by row.
 * convection_matrix antisymmetrizes the staggered divergence-form flux
   matrix, C = (K - K^T)/2. This is a second-order discretization of the
   advective form plus half the advecting field's divergence, and it makes
@@ -29,18 +29,26 @@ Operator structure:
   order, so a matrix-vector product sums them in the order the canonical
   matrix would, and the padding adds only exact zeros: the products, the
   diagonal and the solver iterates are bitwise those of the canonical
-  matrix. Each step writes the convection into strided slot views of a
-  fresh data array and adds mu S and the diagonal in place.
+  matrix. Each step computes mu S into one fresh data array, adds the
+  convection into strided slot views of it and then the diagonal, all in
+  place.
 * solve_correction solves the constant-coefficient correction exactly by
   a DCT-II; assemble_correction keeps its matrix as the reference operator.
 * dirichlet_bases diagonalizes the Dirichlet -Laplace on the cell and face
   lattices by sine transforms, for the closed-form H^-1 diagnostics.
-* solve runs Jacobi-preconditioned BiCGStab from an optional
-  initial guess x0 and stops at ||b - A x|| <= rtol ||b||: the tolerance is
-  relative to the right-hand side, not to the initial residual, so a good
-  guess stops sooner at the same absolute tolerance. The prediction starts
-  from the extrapolation in time of the last tentative velocities
-  (scheme.predict).
+* _matvec is the one caller of csr_matvec, scipy's private CSR kernel:
+  the same product as a @ x, bitwise, without the Python dispatch of the
+  @ operator, written into a checked output vector. Every product of the
+  solvers goes through it.
+* solve runs Jacobi-preconditioned BiCGStab (van der Vorst, 1992) from an
+  optional initial guess x0 and stops at ||b - A x|| <= rtol ||b||: the
+  tolerance is relative to the right-hand side, not to the initial
+  residual, so a good guess stops sooner at the same absolute tolerance.
+  The prediction starts from the extrapolation in time of the last
+  tentative velocities (scheme.predict). The work vectors are allocated
+  once per solve and updated in place, in the operation order of the
+  textbook recurrences, so the iterates are those of the allocating form
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .grid import Grid, VelocityField
 
@@ -183,7 +192,7 @@ def strain_energy_matrix(grid: Grid) -> sp.csr_matrix:
     exx = du/dx and eyy = dv/dy live on cells, gamma = du/dy + dv/dx on
     nodes; wall nodes reflect a ghost value (doubling the wall coefficient)
     and count half in the trapezoidal node quadrature, corners a quarter,
-    which reproduces the stencil of operators.strain_divergence. Every row
+    which reproduces the matrix-free stencil of div(2 mu D(v)). Every row
     is written out in closed form on the 9-slot layout of the module
     docstring; its index arrays are read-only because the prediction
     operators share them.
@@ -240,9 +249,18 @@ def convection_matrix(grid: Grid, vel_prev: VelocityField) -> sp.csr_matrix:
     x^T C x = 0 in exact arithmetic. The centered fluxes make the
     off-diagonal part of K skew already (the flux through a shared cell or
     node enters its two faces with opposite signs) and the diagonal cancels,
-    so C is that off-diagonal part, written into the W, S, N and E slots of
-    the index arrays of strain_energy_matrix(grid), with zeros elsewhere.
+    so C is that off-diagonal part, in the W, S, N and E slots of the index
+    arrays of strain_energy_matrix(grid), with zeros elsewhere.
     """
+    s = strain_energy_matrix(grid)
+    data = np.zeros(s.nnz)
+    _add_convection(grid, vel_prev, data)
+    return sp.csr_matrix((data, s.indices, s.indptr), shape=s.shape)
+
+
+def _add_convection(grid: Grid, vel_prev: VelocityField, data: np.ndarray):
+    """Add the entries of convection_matrix(grid, vel_prev) into the W, S, N
+    and E slots of a 9-slot data array, in place."""
     if not (np.all(np.isfinite(vel_prev.u)) and np.all(np.isfinite(vel_prev.v))):
         raise ValueError("advecting velocity contains non-finite entries")
     hx, hy = grid.hx, grid.hy
@@ -252,22 +270,19 @@ def convection_matrix(grid: Grid, vel_prev: VelocityField) -> sp.csr_matrix:
     vn = 0.5 * (vp[:-1, :] + vp[1:, :])     # advecting v at nodes, i = 1..nx-1
     un = 0.5 * (up[:, :-1] + up[:, 1:])     # advecting u at nodes, j = 1..ny-1
     # wall nodes contribute no flux: the centered average of w vanishes there
-    s = strain_energy_matrix(grid)
-    data = np.zeros(s.nnz)
     cu, cv = _slots(grid, data)
     k = uc[1:-1, :] / (2 * hx)              # u east, through the cells
-    cu[:-1, :, 4] = k
-    cu[1:, :, 0] = -k
+    cu[:-1, :, 4] += k
+    cu[1:, :, 0] -= k
     k = vn[:, 1:-1] / (2 * hy)              # u north, through the nodes
-    cu[:, :-1, 3] = k
-    cu[:, 1:, 1] = -k
+    cu[:, :-1, 3] += k
+    cu[:, 1:, 1] -= k
     k = vc[:, 1:-1] / (2 * hy)              # v north, through the cells
-    cv[:, :-1, 7] = k
-    cv[:, 1:, 5] = -k
+    cv[:, :-1, 7] += k
+    cv[:, 1:, 5] -= k
     k = un[1:-1, :] / (2 * hx)              # v east, through the nodes
-    cv[:-1, :, 8] = k
-    cv[1:, :, 4] = -k
-    return sp.csr_matrix((data, s.indices, s.indptr), shape=s.shape)
+    cv[:-1, :, 8] += k
+    cv[1:, :, 4] -= k
 
 
 def penalization_diagonal(chi_u: np.ndarray, chi_v: np.ndarray) -> np.ndarray:
@@ -343,19 +358,21 @@ def assemble_prediction(grid, params, v_prev: VelocityField, chi=None) -> sp.csr
 
     (1/dt) I + C(v_prev) - div(2 mu D(.)) + (1/eta) chi I on the interior
     faces, Dirichlet rows eliminated; chi is the packed face mask of the
-    obstacle (penalization_diagonal), None without one. mu S and the
-    diagonal are added in place to the fresh data array of
-    convection_matrix; the operator shares the read-only index arrays of
-    strain_energy_matrix(grid).
+    obstacle (penalization_diagonal), None without one. mu S is computed
+    into the one fresh data array of the operator; the convection
+    (_add_convection) and then the diagonal are added to it in place, so
+    each entry rounds as C + mu S + diagonal. The operator shares the
+    read-only index arrays of strain_energy_matrix(grid).
     """
-    a = convection_matrix(grid, v_prev)
-    a.data += params.mu * strain_energy_matrix(grid).data
+    s = strain_energy_matrix(grid)
+    data = params.mu * s.data
+    _add_convection(grid, v_prev, data)
     diag = 1.0 / params.dt if chi is None else 1.0 / params.dt + chi / params.eta
-    diag = np.broadcast_to(diag, a.shape[0])
+    diag = np.broadcast_to(diag, s.shape[0])
     nu = face_layout(grid).nu
-    a.data[2:9 * nu:9] += diag[:nu]         # self slot of the u rows
-    a.data[9 * nu + 6::9] += diag[nu:]      # and of the v rows
-    return a
+    data[2:9 * nu:9] += diag[:nu]           # self slot of the u rows
+    data[9 * nu + 6::9] += diag[nu:]        # and of the v rows
+    return sp.csr_matrix((data, s.indices, s.indptr), shape=s.shape)
 
 
 def assemble_correction(grid, params) -> sp.csr_matrix:
@@ -405,11 +422,11 @@ def solve_correction(grid: Grid, lam: float, v_tilde: np.ndarray) -> np.ndarray:
     """
     if lam <= 0:
         raise ValueError(f"lambda = eps/dt must be positive, got {lam}")
-    div = (divergence_matrix(grid) @ v_tilde).reshape(grid.nx, grid.ny)
+    div = _matvec(divergence_matrix(grid), v_tilde).reshape(grid.nx, grid.ny)
     phi = _dct(_dct(div).T).T / (lam + neumann_eigenvalues(grid))
     phi[0, 0] = 0.0
     phi = _idct(_idct(phi.T).T)
-    return gradient_matrix(grid) @ phi.ravel()
+    return _matvec(gradient_matrix(grid), phi.ravel())
 
 
 # ----------------------------------------------------------------------
@@ -451,13 +468,38 @@ def _jacobi(matrix: sp.csr_matrix) -> np.ndarray:
     return 1.0 / d
 
 
+def _matvec(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ x for a float64 CSR matrix a, bitwise, into out (fresh if None).
+
+    scipy's kernel adds into its output and silently converts an array of
+    another layout or type into a hidden copy, which is harmless for x but
+    would hide the result of an out that is not a C-contiguous float64
+    vector of the row count: such an out is rejected, a valid one zeroed.
+    The kernel checks no bounds, so x is checked for length.
+    """
+    n_row, n_col = a.shape
+    if x.shape != (n_col,):
+        raise ValueError(f"vector of shape {x.shape} does not match operator {a.shape}")
+    if out is None:
+        out = np.zeros(n_row)
+    elif out.dtype != np.float64 or out.shape != (n_row,) or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float64 vector of the row count")
+    else:
+        out.fill(0.0)
+    csr_matvec(n_row, n_col, a.indptr, a.indices, a.data, x, out)
+    return out
+
+
 def solve(a: sp.csr_matrix, rhs: np.ndarray, cfg: SolverConfig, x0=None):
     """Solve a x = rhs by BiCGStab from x0 (zero if None); returns (x, iterations).
 
-    Stops once ||rhs - a x|| <= cfg.rtol ||rhs||, whatever x0 is, and
-    raises NonConvergence if the residual stays above that after
-    cfg.max_iter iterations.
+    a must be a float64 CSR matrix. Stops once ||rhs - a x|| <= cfg.rtol
+    ||rhs||, whatever x0 is, and raises NonConvergence if the residual stays
+    above that after cfg.max_iter iterations. rhs and x0 are not modified,
+    and x is a fresh array.
     """
+    if not (sp.issparse(a) and a.format == "csr" and a.dtype == np.float64):
+        raise TypeError(f"solve needs a float64 CSR matrix, got {type(a).__name__}")
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match operator {a.shape}")
     return _bicgstab(a, rhs, cfg, x0)
@@ -474,53 +516,60 @@ def _norm(a: np.ndarray) -> float:
 
 
 def _bicgstab(a, b, cfg, x0=None):
+    # Every update below is the textbook expression evaluated in place, in
+    # its own operation order; w is scratch. p = r + beta (p - omega v) is
+    # w = omega v; p -= w; p *= beta; p += r, which rounds the same because
+    # IEEE addition and multiplication commute.
     norm_b = _norm(b)
     if norm_b == 0.0:
-        return np.zeros_like(b), 0
+        return np.zeros(b.shape[0]), 0
     tol = cfg.rtol * norm_b
     minv = _jacobi(a)
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - a @ x if x0 is not None else b.copy()
+    x = np.zeros(b.shape[0]) if x0 is None else np.array(x0, dtype=np.float64)
+    r = np.array(b, dtype=np.float64) if x0 is None else np.subtract(b, _matvec(a, x))
     if _norm(r) <= tol:
         return x, 0
     r_hat = r.copy()
     rho = alpha = omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
+    p, v, p_hat, s, s_hat, t, w = np.zeros((7, b.shape[0]))
     for k in range(1, cfg.max_iter + 1):
         rho_new = _dot(r_hat, r)
         if abs(rho_new) < 1e-300:
             raise NonConvergence("BiCGStab breakdown (rho ~ 0)", _norm(r), k)
         beta = (rho_new / rho) * (alpha / omega)
-        p = r + beta * (p - omega * v)
-        p_hat = minv * p
-        v = a @ p_hat
+        np.multiply(v, omega, out=w)
+        p -= w
+        p *= beta
+        p += r
+        np.multiply(minv, p, out=p_hat)
+        _matvec(a, p_hat, v)
         denom = _dot(r_hat, v)
         if abs(denom) < 1e-300:
             raise NonConvergence("BiCGStab breakdown (r_hat . v ~ 0)",
                                  _norm(r), k)
         alpha = rho_new / denom
-        s = r - alpha * v
+        np.multiply(v, alpha, out=s)
+        np.subtract(r, s, out=s)
         if _norm(s) <= tol:
-            x = x + alpha * p_hat
-            r_true = b - a @ x
-            if _norm(r_true) <= tol:
+            x += np.multiply(p_hat, alpha, out=w)
+            np.subtract(b, _matvec(a, x, r), out=r)     # the true residual
+            if _norm(r) <= tol:
                 return x, k
-            r = r_true
         else:
-            s_hat = minv * s
-            t = a @ s_hat
+            np.multiply(minv, s, out=s_hat)
+            _matvec(a, s_hat, t)
             tt = _dot(t, t)
             if tt == 0.0:
                 raise NonConvergence("BiCGStab breakdown (t = 0)", _norm(s), k)
             omega = _dot(t, s) / tt
-            x = x + alpha * p_hat + omega * s_hat
-            r = s - omega * t
+            x += np.multiply(p_hat, alpha, out=w)
+            x += np.multiply(s_hat, omega, out=w)
+            np.multiply(t, omega, out=r)
+            np.subtract(s, r, out=r)
             if _norm(r) <= tol:
-                r_true = b - a @ x
-                if _norm(r_true) <= tol:
+                np.subtract(b, _matvec(a, x, r), out=r)
+                if _norm(r) <= tol:
                     return x, k
-                r = r_true
         rho = rho_new
     raise NonConvergence("BiCGStab did not converge",
-                         _norm(b - a @ x), cfg.max_iter)
+                         _norm(np.subtract(b, _matvec(a, x, w), out=w)), cfg.max_iter)

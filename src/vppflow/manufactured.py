@@ -45,19 +45,6 @@ def taylor_green_pressure(t: float, grid: Grid, mu: float) -> PressureField:
     return PressureField(grid, p).project_mean_zero()
 
 
-def taylor_green(t: float, grid: Grid, mu: float):
-    """Velocity, pressure and the (identically zero) forcing at time t."""
-    vel = taylor_green_velocity(t, grid, mu)
-    p = taylor_green_pressure(t, grid, mu)
-    return vel, p, VelocityField.zeros(grid)
-
-
-def taylor_green_forcing(t: float, grid: Grid, mu: float) -> VelocityField:
-    """Forcing that makes the vortex an exact solution: zero everywhere."""
-    _require_unit_square(grid)
-    return VelocityField.zeros(grid)
-
-
 def taylor_green_wall_slip(t: float, grid: Grid, mu: float):
     """Tangential wall trace of the vortex (its normal trace vanishes)."""
     from .linalg import WallSlip

@@ -45,50 +45,6 @@ def curl(vel: VelocityField) -> np.ndarray:
     return dvdx - dudy
 
 
-def _shear_at_nodes(vel: VelocityField) -> np.ndarray:
-    """du/dy + dv/dx at all (nx+1)x(ny+1) nodes, Dirichlet ghosts.
-
-    At wall nodes the one-sided difference (value - (-value))/h realizes
-    the reflected ghost of a no-slip wall.
-    """
-    g = vel.grid
-    nx, ny = g.nx, g.ny
-    dudy = np.empty((nx + 1, ny + 1))
-    dudy[:, 1:ny] = (vel.u[:, 1:] - vel.u[:, :-1]) / g.hy
-    dudy[:, 0] = 2.0 * vel.u[:, 0] / g.hy
-    dudy[:, ny] = -2.0 * vel.u[:, ny - 1] / g.hy
-    dvdx = np.empty((nx + 1, ny + 1))
-    dvdx[1:nx, :] = (vel.v[1:, :] - vel.v[:-1, :]) / g.hx
-    dvdx[0, :] = 2.0 * vel.v[0, :] / g.hx
-    dvdx[nx, :] = -2.0 * vel.v[nx - 1, :] / g.hx
-    return dudy + dvdx
-
-
-def strain_divergence(vel: VelocityField, mu: float) -> VelocityField:
-    """div(2 mu D(v)) for a field with homogeneous Dirichlet walls.
-
-    Normal strains live at cell centers, the shear du/dy + dv/dx at nodes.
-    The result is zero on boundary faces (those rows are eliminated).
-    """
-    g = vel.grid
-    nx, ny = g.nx, g.ny
-    exx = (vel.u[1:, :] - vel.u[:-1, :]) / g.hx          # (nx, ny)
-    eyy = (vel.v[:, 1:] - vel.v[:, :-1]) / g.hy          # (nx, ny)
-    gam = _shear_at_nodes(vel)                           # (nx+1, ny+1)
-
-    ru = np.zeros(g.shape_u)
-    rv = np.zeros(g.shape_v)
-    ru[1:nx, :] = (
-        2.0 * mu * (exx[1:, :] - exx[:-1, :]) / g.hx
-        + mu * (gam[1:nx, 1:] - gam[1:nx, :-1]) / g.hy
-    )
-    rv[:, 1:ny] = (
-        2.0 * mu * (eyy[:, 1:] - eyy[:, :-1]) / g.hy
-        + mu * (gam[1:, 1:ny] - gam[:-1, 1:ny]) / g.hx
-    )
-    return VelocityField(g, ru, rv)
-
-
 def inner(a: VelocityField, b: VelocityField) -> float:
     """L2 inner product of two velocity fields (boundary faces half weight)."""
     g = a.grid

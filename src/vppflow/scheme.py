@@ -128,7 +128,8 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     layout = linalg.face_layout(grid)
 
     rhs_field = forcing + (1.0 / params.dt) * state.v
-    rhs = layout.pack(rhs_field) - linalg.gradient_matrix(grid) @ state.p.p.ravel()
+    grad_p = linalg._matvec(linalg.gradient_matrix(grid), state.p.p.ravel())
+    rhs = layout.pack(rhs_field) - grad_p
     if chi is not None:
         rhs += chi * layout.pack(frame.vs) / params.eta
     if wall_slip is not None:

@@ -1,9 +1,14 @@
-"""Reference operators assembled independently of the package's kernels."""
+"""Reference operators, fields and solvers, independent of the package's kernels."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+
+from vppflow import manufactured
+from vppflow.grid import VelocityField
+from vppflow.linalg import NonConvergence
 
 
 def _dirichlet_lap_1d(m: int, h: float, offset: bool) -> sp.csr_matrix:
@@ -41,3 +46,141 @@ def dirichlet_laplacian(grid, which: str) -> sp.csr_matrix:
     ix = sp.identity(lx.shape[0], format="csr")
     iy = sp.identity(ly.shape[0], format="csr")
     return (sp.kron(lx, iy) + sp.kron(ix, ly)).tocsr()
+
+
+# ----------------------------------------------------------------------
+# Test-only fields and stencils
+# ----------------------------------------------------------------------
+
+def _shear_at_nodes(vel: VelocityField) -> np.ndarray:
+    """du/dy + dv/dx at all (nx+1)x(ny+1) nodes, Dirichlet ghosts.
+
+    At wall nodes the one-sided difference (value - (-value))/h realizes
+    the reflected ghost of a no-slip wall.
+    """
+    g = vel.grid
+    nx, ny = g.nx, g.ny
+    dudy = np.empty((nx + 1, ny + 1))
+    dudy[:, 1:ny] = (vel.u[:, 1:] - vel.u[:, :-1]) / g.hy
+    dudy[:, 0] = 2.0 * vel.u[:, 0] / g.hy
+    dudy[:, ny] = -2.0 * vel.u[:, ny - 1] / g.hy
+    dvdx = np.empty((nx + 1, ny + 1))
+    dvdx[1:nx, :] = (vel.v[1:, :] - vel.v[:-1, :]) / g.hx
+    dvdx[0, :] = 2.0 * vel.v[0, :] / g.hx
+    dvdx[nx, :] = -2.0 * vel.v[nx - 1, :] / g.hx
+    return dudy + dvdx
+
+
+def strain_divergence(vel: VelocityField, mu: float) -> VelocityField:
+    """Matrix-free div(2 mu D(v)) for a field with homogeneous Dirichlet
+    walls, the stencil that -mu linalg.strain_energy_matrix reproduces.
+
+    Normal strains live at cell centers, the shear du/dy + dv/dx at nodes.
+    The result is zero on boundary faces (those rows are eliminated).
+    """
+    g = vel.grid
+    nx, ny = g.nx, g.ny
+    exx = (vel.u[1:, :] - vel.u[:-1, :]) / g.hx          # (nx, ny)
+    eyy = (vel.v[:, 1:] - vel.v[:, :-1]) / g.hy          # (nx, ny)
+    gam = _shear_at_nodes(vel)                           # (nx+1, ny+1)
+
+    ru = np.zeros(g.shape_u)
+    rv = np.zeros(g.shape_v)
+    ru[1:nx, :] = (
+        2.0 * mu * (exx[1:, :] - exx[:-1, :]) / g.hx
+        + mu * (gam[1:nx, 1:] - gam[1:nx, :-1]) / g.hy
+    )
+    rv[:, 1:ny] = (
+        2.0 * mu * (eyy[:, 1:] - eyy[:, :-1]) / g.hy
+        + mu * (gam[1:, 1:ny] - gam[:-1, 1:ny]) / g.hx
+    )
+    return VelocityField(g, ru, rv)
+
+
+def taylor_green(t: float, grid, mu: float):
+    """Velocity, pressure and the (identically zero) forcing of the
+    manufactured vortex at time t."""
+    vel = manufactured.taylor_green_velocity(t, grid, mu)
+    p = manufactured.taylor_green_pressure(t, grid, mu)
+    return vel, p, VelocityField.zeros(grid)
+
+
+def taylor_green_forcing(t: float, grid, mu: float) -> VelocityField:
+    """Forcing that makes the vortex an exact solution: zero everywhere."""
+    manufactured._require_unit_square(grid)
+    return VelocityField.zeros(grid)
+
+
+# ----------------------------------------------------------------------
+# Reference BiCGStab: the allocate-per-iteration form, on a @ x
+# ----------------------------------------------------------------------
+
+def _dot(a, b):
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a):
+    return math.sqrt(_dot(a, a))
+
+
+def bicgstab(a, b, cfg, x0=None, events=None):
+    """Jacobi-preconditioned BiCGStab with fresh vectors on every update,
+    the reference for linalg.solve; returns (x, iterations). If events is a
+    list, "s_exit" is appended each time the half-step residual s meets the
+    tolerance and "restart" each time the recursive residual met it but the
+    true residual did not."""
+    events = [] if events is None else events
+    norm_b = _norm(b)
+    if norm_b == 0.0:
+        return np.zeros_like(b), 0
+    tol = cfg.rtol * norm_b
+    d = a.diagonal()
+    minv = 1.0 / np.where(np.abs(d) > 0, d, 1.0)
+    x = np.zeros_like(b) if x0 is None else x0.copy()
+    r = b - a @ x if x0 is not None else b.copy()
+    if _norm(r) <= tol:
+        return x, 0
+    r_hat = r.copy()
+    rho = alpha = omega = 1.0
+    v = np.zeros_like(b)
+    p = np.zeros_like(b)
+    for k in range(1, cfg.max_iter + 1):
+        rho_new = _dot(r_hat, r)
+        if abs(rho_new) < 1e-300:
+            raise NonConvergence("BiCGStab breakdown (rho ~ 0)", _norm(r), k)
+        beta = (rho_new / rho) * (alpha / omega)
+        p = r + beta * (p - omega * v)
+        p_hat = minv * p
+        v = a @ p_hat
+        denom = _dot(r_hat, v)
+        if abs(denom) < 1e-300:
+            raise NonConvergence("BiCGStab breakdown (r_hat . v ~ 0)",
+                                 _norm(r), k)
+        alpha = rho_new / denom
+        s = r - alpha * v
+        if _norm(s) <= tol:
+            events.append("s_exit")
+            x = x + alpha * p_hat
+            r_true = b - a @ x
+            if _norm(r_true) <= tol:
+                return x, k
+            events.append("restart")
+            r = r_true
+        else:
+            s_hat = minv * s
+            t = a @ s_hat
+            tt = _dot(t, t)
+            if tt == 0.0:
+                raise NonConvergence("BiCGStab breakdown (t = 0)", _norm(s), k)
+            omega = _dot(t, s) / tt
+            x = x + alpha * p_hat + omega * s_hat
+            r = s - omega * t
+            if _norm(r) <= tol:
+                r_true = b - a @ x
+                if _norm(r_true) <= tol:
+                    return x, k
+                events.append("restart")
+                r = r_true
+        rho = rho_new
+    raise NonConvergence("BiCGStab did not converge",
+                         _norm(b - a @ x), cfg.max_iter)

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import dirichlet_laplacian
+import vppflow
+from oracles import bicgstab, dirichlet_laplacian, strain_divergence
 from vppflow import linalg, operators
 from vppflow.grid import Grid, PressureField, VelocityField
 from vppflow.linalg import NonConvergence, SolverConfig, face_layout
@@ -213,7 +216,7 @@ def test_prediction_matches_matrix_free_residual_oracle(rng):
     for _ in range(5):
         x = rng.standard_normal(layout.n)
         w = layout.unpack(x)
-        visc = operators.strain_divergence(w, params.mu)
+        visc = strain_divergence(w, params.mu)
         residual = (x / params.dt
                     + c_dense @ x
                     - layout.pack(visc)
@@ -327,8 +330,7 @@ def test_solve_zero_rhs_returns_zero_without_iterating():
     assert np.abs(x).max() == 0.0
 
 
-@pytest.mark.parametrize("method", ["bicgstab"])
-def test_solve_identity_in_one_iteration(method, rng):
+def test_solve_identity_in_one_iteration(rng):
     g = Grid(5, 5)
     n = face_layout(g).n
     b = rng.standard_normal(n)
@@ -346,8 +348,7 @@ def test_solve_matches_dense_factorization(rng):
     assert np.abs(x - x_ref).max() <= 1e-8 * np.abs(x_ref).max()
 
 
-@pytest.mark.parametrize("method", ["bicgstab"])
-def test_solve_accepts_warm_start(method, rng):
+def test_solve_accepts_warm_start(rng):
     g = Grid(8, 8)
     op = linalg.assemble_correction(g, params_for(dt=0.02))
     b = random_packed(g, rng)
@@ -365,6 +366,171 @@ def test_solve_reports_residual_on_nonconvergence(rng):
         linalg.solve(op, b, SolverConfig(rtol=1e-14, max_iter=2))
     assert excinfo.value.residual > 0
     assert excinfo.value.iterations == 2
+
+
+def _solver_case(nx, ny, lx, ly, log10_dt, log10_eta, log10_rtol, binary, warm, seed):
+    """A prediction system on a random grid with a fraction or binary chi,
+    started cold or from a random x0."""
+    g = Grid(nx, ny, lx, ly)
+    layout = face_layout(g)
+    rng = np.random.default_rng(seed)
+    params = SchemeParams(dt=10.0 ** log10_dt, t_final=1.0, eta=10.0 ** log10_eta)
+    adv = layout.unpack(rng.standard_normal(layout.n))
+    chi = rng.uniform(0.0, 1.0, layout.n)
+    if binary:
+        chi = np.round(chi)
+    a = linalg.assemble_prediction(g, params, adv, chi)
+    b = rng.standard_normal(layout.n)
+    x0 = rng.standard_normal(layout.n) if warm else None
+    return a, b, SolverConfig(rtol=10.0 ** log10_rtol, max_iter=500), x0
+
+
+def _assert_solve_matches_oracle(a, b, cfg, x0):
+    """linalg.solve gives bitwise the x, the iteration count or the failure
+    of the allocating reference; returns the reference's branch events."""
+    events = []
+    try:
+        x_ref, iters_ref = bicgstab(a, b, cfg, x0, events)
+    except NonConvergence as exc:
+        with pytest.raises(NonConvergence) as excinfo:
+            linalg.solve(a, b, cfg, x0)
+        assert excinfo.value.residual == exc.residual
+        assert excinfo.value.iterations == exc.iterations
+        return events
+    x, iters = linalg.solve(a, b, cfg, x0)
+    assert iters == iters_ref
+    assert np.array_equal(x, x_ref)
+    return events
+
+
+# each reaches the half-step exit ||s|| <= tol; the warm ones also restart
+# from the true residual, after the half step and after the full step
+EXIT_CASES = [
+    dict(nx=4, ny=3, lx=1.0, ly=0.8, log10_dt=-2, log10_eta=-6, log10_rtol=-10,
+         binary=True, warm=False, seed=2),
+    dict(nx=2, ny=2, lx=1.0, ly=0.8, log10_dt=-2, log10_eta=-8, log10_rtol=-11,
+         binary=False, warm=True, seed=32),
+    dict(nx=2, ny=3, lx=1.0, ly=0.8, log10_dt=-3, log10_eta=-8, log10_rtol=-9,
+         binary=True, warm=True, seed=54),
+]
+
+
+def test_solver_cases_reach_both_exits():
+    events = [_assert_solve_matches_oracle(*_solver_case(**case)) for case in EXIT_CASES]
+    assert events[0] == ["s_exit"]
+    assert events[1][:2] == ["s_exit", "restart"]
+    assert events[2][0] == "restart"
+
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(2, 12), ny=st.integers(2, 12),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0),
+       log10_dt=st.floats(-4.0, -1.0), log10_eta=st.floats(-8.0, 0.0),
+       log10_rtol=st.floats(-13.0, -6.0), binary=st.booleans(), warm=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_solve_is_bitwise_the_allocating_bicgstab(nx, ny, lx, ly, log10_dt, log10_eta,
+                                                   log10_rtol, binary, warm, seed):
+    _assert_solve_matches_oracle(*_solver_case(nx, ny, lx, ly, log10_dt, log10_eta,
+                                               log10_rtol, binary, warm, seed))
+
+
+def test_solve_leaves_its_inputs_alone(rng):
+    # scheme.predict reuses the packed arrays of FlowState.earlier, so the
+    # solver may neither write into rhs and x0 nor hand them back
+    a, b, cfg, x0 = _solver_case(6, 5, 1.0, 0.8, -2, -6, -8, False, True, 7)
+    x_exact = np.linalg.solve(a.toarray(), b)
+    for start in (None, x0, x_exact):
+        rhs = b.copy()
+        guess = None if start is None else start.copy()
+        x, iters = linalg.solve(a, rhs, cfg, x0=guess)
+        assert np.array_equal(rhs, b)
+        assert not np.shares_memory(x, rhs)
+        if start is not None:
+            assert np.array_equal(guess, start)
+            assert not np.shares_memory(x, guess)
+    assert iters == 0        # the exact start returns at once, as a copy
+
+
+def test_solve_rejects_a_non_csr_operator():
+    a = linalg.assemble_correction(Grid(4, 4), params_for())
+    b = np.ones(a.shape[0])
+    for bad in (a.tocsc(), a.tocoo(), a.toarray(), a.astype(np.float32)):
+        with pytest.raises(TypeError):
+            linalg.solve(bad, b, SolverConfig())
+
+
+def _matvec_operators(grid, rng):
+    layout = face_layout(grid)
+    params = params_for()
+    adv = layout.unpack(rng.standard_normal(layout.n))
+    return {
+        "S": linalg.strain_energy_matrix(grid),
+        "prediction": linalg.assemble_prediction(grid, params, adv,
+                                                 rng.uniform(0.0, 1.0, layout.n)),
+        "D": linalg.divergence_matrix(grid),
+        "G": linalg.gradient_matrix(grid),
+        "correction": linalg.assemble_correction(grid, params),
+        "identity": sp.identity(layout.n, format="csr"),
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(nx=st.integers(2, 24), ny=st.integers(2, 24),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0), seed=st.integers(0, 2**32 - 1))
+@example(nx=2, ny=2, lx=1.0, ly=0.7, seed=0)
+def test_matvec_is_bitwise_the_scipy_product(nx, ny, lx, ly, seed):
+    g = Grid(nx, ny, lx, ly)
+    rng = np.random.default_rng(seed)
+    for name, a in _matvec_operators(g, rng).items():
+        x = rng.standard_normal(a.shape[1])
+        expect = a @ x
+        assert np.array_equal(linalg._matvec(a, x), expect), name
+
+        # a reused output is cleared first, not added to
+        out = np.full(a.shape[0], np.nan)
+        assert linalg._matvec(a, x, out) is out
+        assert np.array_equal(out, expect), name
+
+        strided = np.repeat(x, 2)[::2]
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(linalg._matvec(a, strided), expect), name
+
+        wide = a.copy()
+        wide.indices = a.indices.astype(np.int64)
+        wide.indptr = a.indptr.astype(np.int64)
+        assert wide.indices.dtype == wide.indptr.dtype == np.int64
+        assert np.array_equal(linalg._matvec(wide, x), expect), name
+
+
+def test_matvec_rejects_outputs_it_would_not_write():
+    a = linalg.strain_energy_matrix(Grid(4, 3))
+    n = a.shape[0]
+    x = np.ones(n)
+    for out in (np.zeros(n, dtype=np.float32), np.zeros(n + 1), np.zeros(2 * n)[::2],
+                np.zeros((n, 1))):
+        with pytest.raises(ValueError):
+            linalg._matvec(a, x, out)
+    for bad_x in (np.ones(n - 1), np.ones((n, 1))):
+        with pytest.raises(ValueError):
+            linalg._matvec(a, bad_x)
+
+
+def test_scipy_private_api_is_imported_once():
+    # the raw CSR kernel is the one private scipy dependency, and _matvec
+    # its one caller: a second one must not creep in unseen
+    src = os.path.dirname(vppflow.__file__)
+    hits, calls = [], []
+    for root, _, files in os.walk(src):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                with open(os.path.join(root, name)) as fh:
+                    for line in fh:
+                        if "scipy.sparse._" in line:
+                            hits.append((name, line.strip()))
+                        if "csr_matvec(" in line:
+                            calls.append(name)
+    assert hits == [("linalg.py", "from scipy.sparse._sparsetools import csr_matvec")]
+    assert calls == ["linalg.py"]
 
 
 def test_solver_config_validation():
@@ -385,7 +551,7 @@ def test_viscous_matrix_matches_stencil_and_is_symmetric(rng):
         mu = 0.42
         vel = layout.unpack(rng.standard_normal(layout.n))
         applied = -(mu * s) @ layout.pack(vel)
-        stencil = layout.pack(operators.strain_divergence(vel, mu))
+        stencil = layout.pack(strain_divergence(vel, mu))
         assert np.abs(applied - stencil).max() <= 1e-11 * np.abs(stencil).max()
 
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import taylor_green, taylor_green_forcing
 from vppflow import diagnostics, operators
 from vppflow.grid import Grid
-from vppflow.manufactured import (random_solenoidal, taylor_green,
-                                  taylor_green_forcing, taylor_green_velocity)
+from vppflow.manufactured import random_solenoidal, taylor_green_velocity
 
 
 def test_initial_field_is_discretely_divergence_free():
