@@ -207,7 +207,7 @@ def a4_splitting_limit() -> CriterionResult:
 
 
 def _rotating_disk(t_final):
-    return Obstacle(shape="disk", radius=0.15, center=(0.5, 0.5),
+    return Obstacle(radius=0.15, center=(0.5, 0.5),
                     omega=1.0, t_max=t_final)
 
 

@@ -82,9 +82,6 @@ def main(argv=None) -> int:
             run_single(cfg, args.out, quiet=args.quiet)
         else:
             run_sweep(cfg, args.out, quiet=args.quiet)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

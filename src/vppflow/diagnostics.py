@@ -176,7 +176,7 @@ def slip_error(vel: VelocityField, obstacle, t: float) -> float:
     Cells within one diagonal of the circle are weighted by cell area over
     the band width (two diagonals). An empty band yields 0 with a warning.
     """
-    if obstacle is None or obstacle.shape == "none":
+    if obstacle is None:
         return 0.0
     g = vel.grid
     band = obstacle.boundary_band(t, g)
@@ -240,7 +240,7 @@ def make_record(prev, state, info, obstacle, params) -> DiagnosticsRecord:
         penalization_energy=penalization_energy(state.v_tilde, info.frame),
         slip_error=slip_error(state.v, obstacle, state.t),
         prediction_iterations=info.prediction_iterations,
-        correction_iterations=info.correction_iterations,
+        correction_iterations=0,   # the correction is solved exactly
     )
     rec.validate()
     return rec

@@ -62,16 +62,40 @@ def observed_order(xs, ys):
 # Initial condition and forcing selectors
 # ----------------------------------------------------------------------
 
-def make_initial(cfg: RunConfig, grid: Grid):
-    kind = cfg.initial.kind
+def _load_fields(path, grid: Grid, names):
+    """The arrays of the npz file at path that are among names, by name.
+
+    Each is checked to have its grid shape (u faces, v faces or p cells)
+    and only finite entries; u and v must be present. A failed check
+    raises ValueError naming the file and the array.
+    """
+    shapes = {"u": grid.shape_u, "v": grid.shape_v, "p": grid.shape_p}
+    out = {}
+    with np.load(path) as data:
+        for name in names:
+            if name not in data:
+                if name == "p":   # an initial pressure is optional
+                    continue
+                raise ValueError(f"{path}: no array {name!r}")
+            arr = np.asarray(data[name], dtype=float)
+            if arr.shape != shapes[name]:
+                raise ValueError(f"{path}: array {name!r} has shape {arr.shape}, "
+                                 f"expected {shapes[name]}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: array {name!r} has non-finite entries")
+            out[name] = arr
+    return out
+
+
+def make_initial(cfg: RunConfig):
+    grid, kind = cfg.grid, cfg.initial.kind
     if kind == "zero":
         return VelocityField.zeros(grid), PressureField.zeros(grid)
     if kind == "taylor-green":
-        return (taylor_green_velocity(0.0, grid, cfg.mu),
-                taylor_green_pressure(0.0, grid, cfg.mu))
+        return (taylor_green_velocity(0.0, grid, cfg.params.mu),
+                taylor_green_pressure(0.0, grid, cfg.params.mu))
     if kind == "file":
-        path = dict(cfg.initial.options)["path"]
-        data = np.load(path)
+        data = _load_fields(dict(cfg.initial.options)["path"], grid, ("u", "v", "p"))
         vel = VelocityField(grid, data["u"], data["v"])
         p = PressureField(grid, data["p"]) if "p" in data else PressureField.zeros(grid)
         return vel, p.project_mean_zero()
@@ -93,16 +117,13 @@ def make_forcing(cfg: RunConfig):
                                  np.full(grid.shape_v, fy))
         return constant
     if kind == "file":
-        path = dict(cfg.forcing.options)["path"]
-        data = np.load(path)
-
-        def from_file(t, grid):
-            return VelocityField(grid, data["u"], data["v"])
-        return from_file
+        data = _load_fields(dict(cfg.forcing.options)["path"], cfg.grid, ("u", "v"))
+        force = VelocityField(cfg.grid, data["u"], data["v"])
+        return lambda t, grid: force
     raise ValueError(f"unknown forcing {kind!r}")
 
 
-def make_wall_slip(cfg: RunConfig, grid: Grid):
+def make_wall_slip(cfg: RunConfig):
     """Wall-velocity function for the manufactured study, else None.
 
     Selecting the manufactured forcing means running the manufactured
@@ -111,7 +132,7 @@ def make_wall_slip(cfg: RunConfig, grid: Grid):
     if cfg.forcing.kind != "taylor-green":
         return None
     from .manufactured import taylor_green_wall_slip
-    return lambda t: taylor_green_wall_slip(t, grid, cfg.mu)
+    return lambda t: taylor_green_wall_slip(t, cfg.grid, cfg.params.mu)
 
 
 # ----------------------------------------------------------------------
@@ -165,27 +186,14 @@ class ExperimentResult:
     config: RunConfig
     run_result: RunResult
     csv_path: str
-    snapshots: list | None = None
     manufactured_error: float | None = None
 
 
 def run_single(cfg: RunConfig, out_dir: str, tag: str = "",
                quiet: bool = True) -> ExperimentResult:
-    grid = Grid(cfg.grid.nx, cfg.grid.ny, cfg.grid.lx, cfg.grid.ly)
-    params = cfg.scheme_params()
-    obstacle = cfg.make_obstacle() if cfg.obstacle.shape != "none" else None
-    v0, p0 = make_initial(cfg, grid)
+    v0, p0 = make_initial(cfg)
     forcing = make_forcing(cfg)
-    wall_slip = make_wall_slip(cfg, grid)
-
-    snapshots = None
-    snapshot_sink = None
-    if cfg.output.retain_snapshots:
-        if grid.nx > 64 or grid.ny > 64:
-            raise ValueError("snapshot retention is limited to grids up to 64x64")
-        snapshots = []
-        snapshot_sink = lambda state: snapshots.append(
-            (state.t, state.v.copy(), state.p.copy()))
+    wall_slip = make_wall_slip(cfg)
 
     dump_every = cfg.output.dump_every
     os.makedirs(out_dir, exist_ok=True)
@@ -198,13 +206,11 @@ def run_single(cfg: RunConfig, out_dir: str, tag: str = "",
                       state)
 
     sinks = [dump_sink] if dump_every > 0 else []
-    if snapshot_sink is not None:
-        sinks.append(snapshot_sink)
 
     # manufactured studies accumulate the space-time velocity error
     error = None
     if cfg.initial.kind == "taylor-green":
-        error = SpaceTimeError(grid, cfg.mu, params.dt)
+        error = SpaceTimeError(cfg.grid, cfg.params.mu, cfg.params.dt)
         sinks.append(error)
 
     def snapshot_fanout(state):
@@ -212,7 +218,7 @@ def run_single(cfg: RunConfig, out_dir: str, tag: str = "",
             s(state)
 
     try:
-        result = run(v0, p0, forcing, obstacle, params,
+        result = run(v0, p0, forcing, cfg.obstacle, cfg.params,
                      snapshot_sink=snapshot_fanout if sinks else None,
                      wall_slip_fn=wall_slip)
         write_records_csv(csv_path, result.records)
@@ -228,7 +234,7 @@ def run_single(cfg: RunConfig, out_dir: str, tag: str = "",
         print(f"wrote {csv_path} ({len(result.records)} steps, "
               f"initial divergence {result.initial_divergence:.3e})")
     manufactured_error = error.value() if error is not None else None
-    return ExperimentResult(cfg, result, csv_path, snapshots, manufactured_error)
+    return ExperimentResult(cfg, result, csv_path, manufactured_error)
 
 
 _SUMMARY_COLUMNS = [
@@ -256,17 +262,17 @@ def run_sweep(cfg: RunConfig, out_dir: str, quiet: bool = True):
         tag = f"{cfg.sweep.parameter}{idx}"
         res = run_single(member, out_dir, tag=tag, quiet=quiet)
         recs = res.run_result.records
-        dt = member.dt
+        dt = member.params.dt
         div_l2t = math.sqrt(sum(dt * r.div_norm**2 for r in recs))
         slip = sum(dt * r.slip_error for r in recs)
         pen = sum(dt * r.penalization_energy for r in recs)
         last = recs[-1]
         row = {
             "parameter": cfg.sweep.parameter,
-            "value": getattr(member, {"dt": "dt", "eta": "eta", "lambda": "lam"}[cfg.sweep.parameter]),
-            "dt": member.dt,
-            "eps": member.epsilon,
-            "eta": member.eta,
+            "value": getattr(member.params, cfg.sweep.param_field),
+            "dt": dt,
+            "eps": member.params.epsilon,
+            "eta": member.params.eta,
             "steps": len(recs),
             "final_kinetic_energy": last.kinetic_energy,
             "final_div_norm": last.div_norm,

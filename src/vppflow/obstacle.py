@@ -23,8 +23,7 @@ from .grid import Grid, ScalarCellField, VelocityField
 class Obstacle:
     """Rigid disk with trajectory c(t) = center + velocity * t."""
 
-    shape: str = "none"                 # "none" or "disk"
-    radius: float = 0.0
+    radius: float
     center: tuple[float, float] = (0.0, 0.0)
     velocity: tuple[float, float] = (0.0, 0.0)
     omega: float = 0.0                  # angular velocity about the center
@@ -32,10 +31,8 @@ class Obstacle:
     chi_mode: str = "binary"            # "binary" or "fraction"
 
     def __post_init__(self):
-        if self.shape not in ("none", "disk"):
-            raise ValueError(f"unknown obstacle shape {self.shape!r}")
-        if self.shape == "disk" and self.radius <= 0:
-            raise ValueError("disk obstacle needs a positive radius")
+        if self.radius <= 0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
         if self.chi_mode not in ("binary", "fraction"):
             raise ValueError(f"unknown chi mode {self.chi_mode!r}")
 
@@ -54,8 +51,6 @@ class Obstacle:
         The trajectory is linear, so the per-wall distance is linear in t
         and attains its minimum at an endpoint.
         """
-        if self.shape == "none":
-            return math.inf
         best = math.inf
         for t in (0.0, min(t_final, self.t_max)):
             cx, cy = self.center_at(t)
@@ -97,8 +92,6 @@ class Obstacle:
     def sample_chi(self, t: float, grid: Grid) -> ScalarCellField:
         """Indicator of the solid region at cell centers."""
         self._check_time(t)
-        if self.shape == "none":
-            return ScalarCellField.zeros(grid)
         x, y = grid.cell_coords()
         if self.chi_mode == "binary":
             return ScalarCellField(grid, self._indicator(t, x, y))
@@ -111,8 +104,6 @@ class Obstacle:
         averages the fractions of the two cells sharing the face.
         """
         self._check_time(t)
-        if self.shape == "none":
-            return np.zeros(grid.shape_u), np.zeros(grid.shape_v)
         if self.chi_mode == "binary":
             xu, yu = grid.u_coords()
             xv, yv = grid.v_coords()
@@ -131,8 +122,6 @@ class Obstacle:
     def sample_solid_velocity(self, t: float, grid: Grid) -> VelocityField:
         """Rigid-body velocity translation + omega x (x - c(t)) on all faces."""
         self._check_time(t)
-        if self.shape == "none":
-            return VelocityField.zeros(grid)
         cx, cy = self.center_at(t)
         vx, vy = self.velocity
         xu, yu = grid.u_coords()
@@ -144,11 +133,9 @@ class Obstacle:
     def boundary_band(self, t: float, grid: Grid) -> np.ndarray:
         """Cells whose center lies within one cell diagonal of the circle.
 
-        Returns an (m, 2) integer array of cell indices; empty for "none".
+        Returns an (m, 2) integer array of cell indices.
         """
         self._check_time(t)
-        if self.shape == "none":
-            return np.empty((0, 2), dtype=int)
         cx, cy = self.center_at(t)
         x, y = grid.cell_coords()
         diag = math.hypot(grid.hx, grid.hy)
@@ -171,7 +158,7 @@ class ObstacleFrame:
     @classmethod
     def sample(cls, obstacle, t: float, grid: Grid) -> "ObstacleFrame | None":
         """Sample obstacle at t on grid; None without an obstacle."""
-        if obstacle is None or obstacle.shape == "none":
+        if obstacle is None:
             return None
         chi_u, chi_v = obstacle.sample_chi_faces(t, grid)
         return cls(chi_u, chi_v, obstacle.sample_solid_velocity(t, grid))

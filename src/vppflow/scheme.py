@@ -99,7 +99,6 @@ class SolverFailure(RuntimeError):
 @dataclass
 class StepInfo:
     prediction_iterations: int = 0
-    correction_iterations: int = 0   # the exact correction solve reports 0
     frame: ObstacleFrame | None = None   # the obstacle at t^{n+1}, if any
 
 
@@ -147,11 +146,11 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
 
 
 def correct(v_tilde: VelocityField, params: SchemeParams):
-    """Solve the grad-div correction exactly; returns (v_hat, 0 iterations)."""
+    """Solve the grad-div correction exactly; returns v_hat."""
     grid = v_tilde.grid
     layout = linalg.face_layout(grid)
     x = linalg.solve_correction(grid, params.epsilon / params.dt, layout.pack(v_tilde))
-    return layout.unpack(x), 0
+    return layout.unpack(x)
 
 
 def update_pressure(p_old: PressureField, v_new: VelocityField,
@@ -183,7 +182,7 @@ def step(state: FlowState, forcing_fn, obstacle, params: SchemeParams,
         v_tilde, pred_iters = predict(state, f_next, frame, params, wall_slip=slip)
     except NonConvergence as exc:
         raise SolverFailure("prediction", state.n + 1, exc) from exc
-    v_hat, corr_iters = correct(v_tilde, params)
+    v_hat = correct(v_tilde, params)
 
     v_new = v_tilde + v_hat
     p_new = update_pressure(state.p, v_new, params)
@@ -191,7 +190,7 @@ def step(state: FlowState, forcing_fn, obstacle, params: SchemeParams,
                if state.n else ())
     new_state = FlowState(n=state.n + 1, t=t_next, v=v_new, v_tilde=v_tilde,
                           v_hat=v_hat, p=p_new, earlier=earlier)
-    return new_state, StepInfo(pred_iters, corr_iters, frame)
+    return new_state, StepInfo(pred_iters, frame)
 
 
 @dataclass
@@ -214,7 +213,7 @@ def run(v0: VelocityField, p0: PressureField, forcing_fn, obstacle,
     from .diagnostics import make_record  # local import to avoid a cycle
 
     grid = v0.grid
-    if obstacle is not None and obstacle.shape != "none":
+    if obstacle is not None:
         gap = obstacle.clearance(grid, params.t_final)
         if gap <= 0:
             raise ValueError(f"obstacle touches the boundary (clearance {gap:.3g})")

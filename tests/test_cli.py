@@ -2,6 +2,9 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import vppflow
 from vppflow.cli import main
 from vppflow.diagnostics import CSV_COLUMNS
@@ -334,15 +337,47 @@ def test_io_failure_leaves_partial_output_marker(tmp_path):
     assert os.path.exists(os.path.join(out, "PARTIAL_OUTPUT"))
 
 
-def test_snapshot_retention_guard(tmp_path):
-    cfg = write(tmp_path, "big.ini", """
-[grid]
-nx = 96
-ny = 96
-[scheme]
-dt = 0.05
-T = 0.1
-[output]
-retain_snapshots = true
-""")
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+@pytest.mark.parametrize("text, named", [
+    (ZERO_RUN + "[obstacle]\nshape = disk\nradius = 0.2\ncenter_x = 0.5\n"
+     "center_y = 0.5\nchi_mode = fractoin\n", "[obstacle] radius/chi_mode"),
+    (ZERO_RUN + "[solver]\nprediction_rtol = 2\n", "[solver] prediction_rtol"),
+    (ZERO_RUN + "[obstacle]\nshape = disk\nradius = 0\ncenter_x = 0.5\n"
+     "center_y = 0.5\n", "[obstacle] radius"),
+    (ZERO_RUN.replace("nx = 8", "nx = 1"), "[grid]"),
+], ids=["chi_mode", "prediction_rtol", "radius", "nx"])
+def test_print_config_rejects_invalid_domain_values(tmp_path, capsys, text, named):
+    cfg = write(tmp_path, "bad.ini", text)
+    assert main(["print-config", "--config", cfg]) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_sweep_member_longer_than_run_is_rejected_before_any_output(tmp_path, capsys):
+    # dt = 0.5 exceeds T = 0.1: the second member could not take one step
+    cfg = write(tmp_path, "sweep.ini",
+                ZERO_RUN + "[sweep]\nparameter = dt\nvalues = 0.01 0.5\n")
+    assert main(["print-config", "--config", cfg]) == 1
+    assert "[sweep] values" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("section, name, spoil", [
+    ("initial", "u", lambda a: a[:-1]),
+    ("initial", "p", lambda a: a + np.inf),
+    ("forcing", "v", lambda a: a * np.nan),
+])
+def test_bad_field_file_exits_one_naming_file_and_array(tmp_path, capsys,
+                                                        section, name, spoil):
+    from vppflow.grid import Grid
+
+    g = Grid(8, 8)
+    arrays = {"u": np.zeros(g.shape_u), "v": np.zeros(g.shape_v), "p": np.zeros(g.shape_p)}
+    arrays[name] = spoil(arrays[name])
+    npz = tmp_path / "fields.npz"
+    np.savez(npz, **arrays)
+    cfg = write(tmp_path, "run.ini", ZERO_RUN + f"[{section}]\ntype = file\npath = {npz}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert str(npz) in err
+    assert f"array {name!r}" in err

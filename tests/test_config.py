@@ -15,26 +15,39 @@ T = 0.1
 
 def test_minimal_config_gets_documented_defaults():
     cfg = load_config(MINIMAL)
-    assert cfg.lam == 1.0
-    assert cfg.eta == 1e-6
-    assert cfg.mu == 1e-2
+    assert cfg.params.lam == 1.0
+    assert cfg.params.eta == 1e-6
+    assert cfg.params.mu == 1e-2
     assert cfg.initial.kind == "zero"
     assert cfg.forcing.kind == "zero"
-    assert cfg.obstacle.shape == "none"
-    assert cfg.epsilon == pytest.approx(1.0 * 0.01)
+    assert cfg.obstacle is None
+    assert cfg.params.epsilon == pytest.approx(1.0 * 0.01)
     # every applied default is echoed
     assert any("scheme.lambda" in d for d in cfg.defaulted)
     assert any("scheme.eta" in d for d in cfg.defaulted)
     assert "lambda=1.0" in cfg.echo()
 
 
-def test_correction_rtol_is_still_accepted_validated_and_echoed():
+def test_correction_rtol_is_still_accepted_and_validated():
     # the correction is solved exactly, but existing files keep loading
-    cfg = load_config(MINIMAL + "\n[solver]\ncorrection_rtol = 1e-9\n")
-    assert cfg.correction_rtol == 1e-9
-    assert "correction_rtol=1e-09" in cfg.echo()
+    load_config(MINIMAL + "\n[solver]\ncorrection_rtol = 1e-9\n")
     with pytest.raises(ConfigError, match="correction_rtol"):
         load_config(MINIMAL + "\n[solver]\ncorrection_rtol = 2\n")
+
+
+@pytest.mark.parametrize("text, field", [
+    (MINIMAL.replace("T = 0.1", "T = 0.1\nviscosity = 0.5"), r"\[scheme\] viscosity"),
+    (MINIMAL + "\n[output]\nretain_snapshots = true\n", r"\[output\] retain_snapshots"),
+    (MINIMAL + "\n[solver]\ncorrection_tol = 1e-9\n", r"\[solver\] correction_tol"),
+], ids=["viscosity", "retain_snapshots", "correction_tol"])
+def test_unknown_key_rejected(text, field):
+    with pytest.raises(ConfigError, match="unknown field " + field):
+        load_config(text)
+
+
+def test_negative_dump_every_rejected():
+    with pytest.raises(ConfigError, match=r"\[output\] dump_every"):
+        load_config(MINIMAL + "\n[output]\ndump_every = -1\n")
 
 
 def test_explicit_epsilon_is_rejected():
@@ -54,8 +67,8 @@ values = 0.025 0.0125 0.00625 0.003125
     members = cfg.sweep_configs()
     assert len(members) == 4
     for member, dt in zip(members, (0.025, 0.0125, 0.00625, 0.003125)):
-        assert member.dt == dt
-        assert member.epsilon == pytest.approx(member.lam * dt)
+        assert member.params.dt == dt
+        assert member.params.epsilon == pytest.approx(member.params.lam * dt)
         assert member.sweep is None
 
 
@@ -67,6 +80,8 @@ def test_parse_error_reports_line_number():
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="unknown section"):
         load_config(MINIMAL + "\n[turbulence]\nmodel = none\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        load_config("[DEFAULT]\nmu = 0.5\n" + MINIMAL)
 
 
 def test_validation_errors_name_the_field():
@@ -89,12 +104,10 @@ center_x = 0.5
 center_y = 0.5
 omega = 1.0
 """
-    cfg = load_config(text)
-    assert cfg.obstacle.shape == "disk"
-    obs = cfg.make_obstacle()
+    obs = load_config(text).obstacle
     assert obs.radius == 0.15
     assert obs.omega == 1.0
-    assert obs.t_max == cfg.t_final
+    assert obs.t_max == 0.1
 
 
 def test_obstacle_requires_radius():

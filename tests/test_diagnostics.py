@@ -191,7 +191,7 @@ def test_translation_rejects_offsets_outside_range():
 # ----------------------------------------------------------------- slip
 
 def make_rotor(t_max=1.0, r=0.2):
-    return Obstacle(shape="disk", radius=r, center=(0.5, 0.5), omega=1.0,
+    return Obstacle(radius=r, center=(0.5, 0.5), omega=1.0,
                     t_max=t_max)
 
 
@@ -206,7 +206,7 @@ def test_slip_error_approximates_circumference():
     # |v - v_s| = 1 on the band: the integral is the circle length 2 pi r
     g = Grid(64, 64)
     r = 0.2
-    obs = Obstacle(shape="disk", radius=r, center=(0.5, 0.5), t_max=1.0)
+    obs = Obstacle(radius=r, center=(0.5, 0.5), t_max=1.0)
     vel = VelocityField(g, np.ones(g.shape_u), np.zeros(g.shape_v))
     est = diagnostics.slip_error(vel, obs, 0.0)
     assert abs(est - 2 * math.pi * r) <= 0.15 * 2 * math.pi * r
@@ -227,7 +227,7 @@ def test_slip_error_ignores_fields_away_from_band(rng):
 def test_slip_error_empty_band_warns_and_returns_zero():
     g = Grid(4, 4)
     # disk much smaller than a cell, centered between cell centers
-    obs = Obstacle(shape="disk", radius=1e-6, center=(0.5, 0.5), t_max=1.0)
+    obs = Obstacle(radius=1e-6, center=(0.5, 0.5), t_max=1.0)
     vel = VelocityField(g, np.ones(g.shape_u), np.zeros(g.shape_v))
     band = obs.boundary_band(0.0, g)
     if band.shape[0] == 0:

@@ -207,7 +207,7 @@ def test_prediction_matches_matrix_free_residual_oracle(rng):
     layout = face_layout(g)
     params = params_for(dt=0.04, mu=0.3, eta=1e-3)
     adv = layout.unpack(rng.standard_normal(layout.n))
-    obstacle = Obstacle(shape="disk", radius=0.25, center=(0.5, 0.5), t_max=1.0)
+    obstacle = Obstacle(radius=0.25, center=(0.5, 0.5), t_max=1.0)
     chi_u, chi_v = obstacle.sample_chi_faces(0.04, g)
     op = linalg.assemble_prediction(g, params, adv, linalg.penalization_diagonal(chi_u, chi_v))
 

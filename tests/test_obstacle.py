@@ -8,18 +8,9 @@ from vppflow.grid import Grid
 from vppflow.obstacle import Obstacle
 
 
-def test_none_obstacle_samples_zero():
-    g = Grid(8, 8)
-    obs = Obstacle()
-    assert np.abs(obs.sample_chi(0.0, g).data).max() == 0.0
-    assert obs.boundary_band(0.0, g).shape == (0, 2)
-    vs = obs.sample_solid_velocity(0.0, g)
-    assert np.abs(vs.u).max() == 0.0
-
-
 def test_half_cell_disk_marks_exactly_one_cell():
     g = Grid(9, 9)  # odd count puts a cell center at the domain center
-    obs = Obstacle(shape="disk", radius=0.5 * g.hx, center=(0.5, 0.5))
+    obs = Obstacle(radius=0.5 * g.hx, center=(0.5, 0.5))
     chi = obs.sample_chi(0.0, g).data
     assert chi.sum() == 1.0
     assert chi[4, 4] == 1.0
@@ -29,7 +20,7 @@ def test_half_cell_disk_marks_exactly_one_cell():
 def test_disk_area_within_perimeter_band(mode):
     g = Grid(64, 64)
     r = 0.2
-    obs = Obstacle(shape="disk", radius=r, center=(0.5, 0.5), chi_mode=mode)
+    obs = Obstacle(radius=r, center=(0.5, 0.5), chi_mode=mode)
     chi = obs.sample_chi(0.0, g)
     area = chi.data.sum() * g.cell_area
     tol = 4.0 * math.pi * r * g.hx
@@ -41,10 +32,10 @@ def test_disk_area_within_perimeter_band(mode):
 
 def test_chi_value_ranges():
     g = Grid(32, 32)
-    binary = Obstacle(shape="disk", radius=0.21, center=(0.45, 0.55))
+    binary = Obstacle(radius=0.21, center=(0.45, 0.55))
     vals = np.unique(binary.sample_chi(0.0, g).data)
     assert set(vals).issubset({0.0, 1.0})
-    frac = Obstacle(shape="disk", radius=0.21, center=(0.45, 0.55), chi_mode="fraction")
+    frac = Obstacle(radius=0.21, center=(0.45, 0.55), chi_mode="fraction")
     data = frac.sample_chi(0.0, g).data
     assert data.min() >= 0.0 and data.max() <= 1.0
     assert np.any((data > 0.0) & (data < 1.0))
@@ -52,7 +43,7 @@ def test_chi_value_ranges():
 
 def test_solid_velocity_pure_translation():
     g = Grid(8, 8)
-    obs = Obstacle(shape="disk", radius=0.1, center=(0.3, 0.3), velocity=(1.0, 0.0))
+    obs = Obstacle(radius=0.1, center=(0.3, 0.3), velocity=(1.0, 0.0))
     vs = obs.sample_solid_velocity(0.25, g)
     assert np.allclose(vs.u, 1.0)
     assert np.abs(vs.v).max() == 0.0
@@ -60,14 +51,14 @@ def test_solid_velocity_pure_translation():
 
 def test_rigid_rotation_is_discretely_divergence_free():
     g = Grid(16, 16)
-    obs = Obstacle(shape="disk", radius=0.2, center=(0.5, 0.5), omega=1.0)
+    obs = Obstacle(radius=0.2, center=(0.5, 0.5), omega=1.0)
     vs = obs.sample_solid_velocity(0.0, g)
     assert np.abs(operators.divergence(vs).data).max() <= 1e-12
 
 
 def test_combined_motion_matches_analytic_formula(rng):
     g = Grid(12, 10)
-    obs = Obstacle(shape="disk", radius=0.1, center=(0.4, 0.5),
+    obs = Obstacle(radius=0.1, center=(0.4, 0.5),
                    velocity=(0.2, -0.1), omega=0.7, t_max=1.0)
     t = 0.5
     vs = obs.sample_solid_velocity(t, g)
@@ -84,7 +75,7 @@ def test_combined_motion_matches_analytic_formula(rng):
 def test_boundary_band_count_and_definition():
     g = Grid(64, 64)
     r = 10 * g.hx
-    obs = Obstacle(shape="disk", radius=r, center=(0.5, 0.5))
+    obs = Obstacle(radius=r, center=(0.5, 0.5))
     band = obs.boundary_band(0.0, g)
     circ_cells = 2 * math.pi * r / g.hx
     assert 0.5 * circ_cells <= band.shape[0] <= 4.0 * circ_cells
@@ -96,7 +87,7 @@ def test_boundary_band_count_and_definition():
 
 
 def test_trajectory_continuity():
-    obs = Obstacle(shape="disk", radius=0.05, center=(0.3, 0.4),
+    obs = Obstacle(radius=0.05, center=(0.3, 0.4),
                    velocity=(0.6, -0.8), t_max=2.0)
     speed = math.hypot(*obs.velocity)
     for t in np.linspace(0.0, 1.5, 7):
@@ -108,7 +99,7 @@ def test_trajectory_continuity():
 
 def test_time_window_enforced():
     g = Grid(8, 8)
-    obs = Obstacle(shape="disk", radius=0.1, center=(0.5, 0.5), t_max=1.0)
+    obs = Obstacle(radius=0.1, center=(0.5, 0.5), t_max=1.0)
     with pytest.raises(ValueError):
         obs.sample_chi(1.5, g)
     with pytest.raises(ValueError):
@@ -119,7 +110,7 @@ def test_time_window_enforced():
 
 def test_clearance_accounts_for_translation():
     g = Grid(8, 8)
-    obs = Obstacle(shape="disk", radius=0.2, center=(0.5, 0.5),
+    obs = Obstacle(radius=0.2, center=(0.5, 0.5),
                    velocity=(0.4, 0.0), t_max=1.0)
     # at t=1 the center is at x=0.9, so the disk pokes through the wall
     assert obs.clearance(g, 1.0) < 0

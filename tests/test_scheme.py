@@ -81,7 +81,7 @@ def test_predict_enforces_rigid_body_in_stiff_limit():
     # forced to the solid velocity (zero) despite the driving force
     g = Grid(16, 16)
     params = tight_params(dt=0.05, eta=1e-8, mu=1e-2)
-    obstacle = Obstacle(shape="disk", radius=0.3, center=(0.5, 0.5), t_max=1.0)
+    obstacle = Obstacle(radius=0.3, center=(0.5, 0.5), t_max=1.0)
     forcing = VelocityField(g, np.ones(g.shape_u), np.zeros(g.shape_v))
     state = FlowState.initial(VelocityField.zeros(g), PressureField.zeros(g))
     frame = ObstacleFrame.sample(obstacle, params.dt, g)
@@ -97,7 +97,7 @@ def test_predict_enforces_rigid_body_in_stiff_limit():
 def rotor_case():
     # viscous enough that the Jacobi-BiCGStab prediction takes ~20 iterations
     g = Grid(32, 32)
-    obstacle = Obstacle(shape="disk", radius=0.15, center=(0.5, 0.5), omega=1.0,
+    obstacle = Obstacle(radius=0.15, center=(0.5, 0.5), omega=1.0,
                         t_max=1.0)
     params = SchemeParams(dt=1.0 / 64, t_final=1.0, mu=0.1)
     state = FlowState.initial(VelocityField.zeros(g), PressureField.zeros(g))
@@ -222,7 +222,7 @@ def test_obstacle_is_sampled_once_per_step(monkeypatch):
             return _original(self, *args)
         monkeypatch.setattr(Obstacle, name, counted)
     g = Grid(16, 16)
-    obstacle = Obstacle(shape="disk", radius=0.15, center=(0.5, 0.5), omega=1.0,
+    obstacle = Obstacle(radius=0.15, center=(0.5, 0.5), omega=1.0,
                         t_max=0.125, chi_mode="fraction")
     params = SchemeParams(dt=1.0 / 32, t_final=0.125)
     result = scheme.run(VelocityField.zeros(g), PressureField.zeros(g), zero_forcing,
@@ -237,12 +237,11 @@ def test_obstacle_is_sampled_once_per_step(monkeypatch):
 def test_correct_returns_zero_for_solenoidal_input(rng):
     g = Grid(10, 10)
     params = tight_params()
-    # exactly zero divergence: zero right-hand side, no iterations at all
-    v_hat, iters = scheme.correct(VelocityField.zeros(g), params)
-    assert iters == 0
+    # exactly zero divergence: zero right-hand side
+    v_hat = scheme.correct(VelocityField.zeros(g), params)
     assert np.abs(v_hat.u).max() == 0.0
     # stream-function data leaves only roundoff divergence behind
-    v_hat, _ = scheme.correct(random_solenoidal(g, rng), params)
+    v_hat = scheme.correct(random_solenoidal(g, rng), params)
     assert np.abs(v_hat.u).max() <= 1e-13
     assert np.abs(v_hat.v).max() <= 1e-13
 
@@ -253,7 +252,7 @@ def test_correct_matches_dense_solve_on_gradient_input(rng):
     x, y = g.cell_coords()
     p = PressureField(g, np.sin(2 * np.pi * x) * np.sin(np.pi * y)).project_mean_zero()
     v_tilde = operators.gradient(p)
-    v_hat, _ = scheme.correct(v_tilde, params)
+    v_hat = scheme.correct(v_tilde, params)
     layout = face_layout(g)
     op = linalg.assemble_correction(g, params)
     d = linalg.divergence_matrix(g)
@@ -276,7 +275,7 @@ def test_correct_reduces_divergence_with_spectral_bound(rng):
     layout = face_layout(g)
     for _ in range(10):
         v_tilde = layout.unpack(rng.standard_normal(layout.n))
-        v_hat, _ = scheme.correct(v_tilde, params)
+        v_hat = scheme.correct(v_tilde, params)
         before = diagnostics.l2_norm(operators.divergence(v_tilde))
         after = diagnostics.l2_norm(operators.divergence(v_tilde + v_hat))
         assert after < before
@@ -288,7 +287,7 @@ def test_correct_output_is_curl_free(rng):
     params = tight_params()
     layout = face_layout(g)
     v_tilde = layout.unpack(rng.standard_normal(layout.n))
-    v_hat, _ = scheme.correct(v_tilde, params)
+    v_hat = scheme.correct(v_tilde, params)
     h1 = math.sqrt(operators.inner(v_hat, v_hat)
                    + diagnostics.velocity_grad_norm(v_hat) ** 2)
     assert np.abs(operators.curl(v_hat)).max() <= 1e-6 * max(h1, 1e-30)
@@ -431,7 +430,7 @@ def test_run_reports_initial_divergence(rng):
 
 def test_run_rejects_obstacle_touching_boundary():
     g = Grid(8, 8)
-    obstacle = Obstacle(shape="disk", radius=0.2, center=(0.5, 0.5),
+    obstacle = Obstacle(radius=0.2, center=(0.5, 0.5),
                         velocity=(1.0, 0.0), t_max=1.0)
     with pytest.raises(ValueError, match="clearance"):
         scheme.run(VelocityField.zeros(g), PressureField.zeros(g),
@@ -455,7 +454,7 @@ def test_translating_obstacle_drags_fluid():
     # the prescribed trajectory and the interior fluid follows the body
     g = Grid(32, 32)
     dt = 1.0 / 64
-    obstacle = Obstacle(shape="disk", radius=0.12, center=(0.3, 0.5),
+    obstacle = Obstacle(radius=0.12, center=(0.3, 0.5),
                         velocity=(0.5, 0.0), t_max=0.5, chi_mode="binary")
     params = SchemeParams(dt=dt, t_final=0.5, lam=1.0, eta=1e-6, mu=1e-2)
     res = scheme.run(VelocityField.zeros(g), PressureField.zeros(g),
@@ -541,7 +540,7 @@ def test_chi_modes_agree_on_rotor_slip():
     dt = 1.0 / 64
     slips = {}
     for mode in ("binary", "fraction"):
-        obstacle = Obstacle(shape="disk", radius=0.15, center=(0.5, 0.5),
+        obstacle = Obstacle(radius=0.15, center=(0.5, 0.5),
                             omega=1.0, t_max=0.25, chi_mode=mode)
         params = SchemeParams(dt=dt, t_final=0.25, lam=1.0, eta=1e-4, mu=1e-2)
         res = scheme.run(VelocityField.zeros(g), PressureField.zeros(g),
