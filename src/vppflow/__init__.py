@@ -2,7 +2,7 @@
 immersed moving obstacle, plus the verification machinery around it."""
 
 from .grid import Grid, PressureField, ScalarCellField, VelocityField
-from .linalg import NonConvergence, SolverConfig
+from .linalg import NonConvergence
 from .obstacle import Obstacle
 from .scheme import FlowState, RunResult, SchemeParams, SolverFailure, run, step
 
@@ -15,7 +15,6 @@ __all__ = [
     "SchemeParams",
     "FlowState",
     "RunResult",
-    "SolverConfig",
     "NonConvergence",
     "SolverFailure",
     "run",

@@ -1,17 +1,19 @@
 """Run configuration: INI-style key-value sections, parsed into domain objects.
 
-[grid] becomes a Grid, [scheme] and [solver] one SchemeParams, and
-[obstacle] an Obstacle (None for shape = none). Each is built once while
-parsing, and its own constructor holds the range checks: a ValueError it
-raises becomes a ConfigError naming the section and its keys. Every member
-of a [sweep] is built too, so a configuration that loads can run them all.
+[grid] becomes a Grid, [scheme] and [solver] one SchemeParams, [obstacle]
+an Obstacle (None for shape = none) and [output] an OutputSpec, each built
+once from the keys the file sets: every other field keeps its type's
+default, and the type's constructor holds the range checks. A ValueError
+it raises becomes a ConfigError naming the section and its keys. Every
+member of a [sweep] is built too, so a configuration that loads can run
+them all.
 
 The divergence penalty is never a free input: only the ratio lambda is
 accepted and eps = lambda * dt is derived per run, also inside sweeps.
 Unknown sections and keys are rejected. [solver] correction_rtol is still
 accepted and range-checked so existing files keep loading, but no solver
-reads it: the correction is solved exactly. Defaults applied during
-parsing are echoed so a run log shows the full effective configuration.
+reads it: the correction is solved exactly. The echo shows every
+effective value and names the keys that took a default.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import io
 from dataclasses import dataclass, replace
 
 from .grid import Grid
-from .linalg import SolverConfig
 from .obstacle import Obstacle
 from .scheme import SchemeParams
 
@@ -43,20 +44,14 @@ _KEYS = {
     "sweep": ("parameter", "values"),
 }
 
+# the INI keys whose constructor field is named otherwise
+_FIELD = {"T": "t_final", "lambda": "lam"}
+
+# the selectors; every other default belongs to the type its section builds
 _DEFAULTS = {
-    ("grid", "lx"): "1.0",
-    ("grid", "ly"): "1.0",
-    ("scheme", "lambda"): "1.0",
-    ("scheme", "eta"): "1e-6",
-    ("scheme", "mu"): "1e-2",
-    ("solver", "prediction_rtol"): "1e-8",
-    ("solver", "max_iter"): "20000",
     ("initial", "type"): "zero",
     ("forcing", "type"): "zero",
     ("obstacle", "shape"): "none",
-    ("obstacle", "chi_mode"): "binary",
-    ("output", "csv"): "diagnostics.csv",
-    ("output", "dump_every"): "0",
 }
 
 
@@ -69,7 +64,11 @@ class SelectorSpec:
 @dataclass(frozen=True)
 class OutputSpec:
     csv: str = "diagnostics.csv"
-    dump_every: int = 0
+    dump_every: int = 0       # a VTK snapshot every k steps; 0 = never
+
+    def __post_init__(self):
+        if self.dump_every < 0:
+            raise ValueError(f"dump_every must be >= 0, got {self.dump_every}")
 
 
 @dataclass(frozen=True)
@@ -103,16 +102,18 @@ class RunConfig:
                 for val in self.sweep.values]
 
     def echo(self) -> str:
-        g, p = self.grid, self.params
+        g, p, o = self.grid, self.params, self.obstacle
         lines = [
             "effective configuration:",
             f"  grid: {g.nx}x{g.ny} on {g.lx}x{g.ly}",
             f"  scheme: dt={p.dt} T={p.t_final} lambda={p.lam} "
             f"eps={p.epsilon} eta={p.eta} mu={p.mu}",
-            f"  solver: prediction_rtol={p.prediction_solver.rtol} "
-            f"max_iter={p.prediction_solver.max_iter}",
+            f"  solver: prediction_rtol={p.prediction_rtol} max_iter={p.max_iter}",
             f"  initial: {self.initial.kind}  forcing: {self.forcing.kind}",
-            f"  obstacle: {'none' if self.obstacle is None else 'disk'}",
+            "  obstacle: none" if o is None else
+            f"  obstacle: disk radius={o.radius} center={o.center} velocity={o.velocity} "
+            f"omega={o.omega} chi_mode={o.chi_mode}",
+            f"  output: csv={self.output.csv} dump_every={self.output.dump_every}",
         ]
         if self.sweep:
             lines.append(f"  sweep: {self.sweep.parameter} over {list(self.sweep.values)}")
@@ -125,14 +126,14 @@ def _get(parser, section, key, defaulted, required=False):
     if parser.has_option(section, key):
         return parser.get(section, key)
     if (section, key) in _DEFAULTS:
-        defaulted.append(f"{section}.{key}={_DEFAULTS[(section, key)]}")
+        defaulted.append(f"{section}.{key}")
         return _DEFAULTS[(section, key)]
     if required:
         raise ConfigError(f"missing required field [{section}] {key}")
     return None
 
 
-def _number(convert, section, key, raw):
+def _value(convert, section, key, raw):
     try:
         return convert(raw)
     except ValueError:
@@ -179,25 +180,37 @@ def load_config(text: str) -> RunConfig:
     def get(section, key, required=False):
         return _get(parser, section, key, defaulted, required)
 
-    def num(section, key, convert=float, required=False, default=None):
-        raw = get(section, key, required)
-        return default if raw is None else _number(convert, section, key, raw)
+    def num(section, key, default=None):
+        raw = get(section, key)
+        return default if raw is None else _value(float, section, key, raw)
 
-    grid = _domain("[grid] nx/ny/lx/ly", Grid,
-                   num("grid", "nx", int, required=True), num("grid", "ny", int, required=True),
-                   num("grid", "lx"), num("grid", "ly"))
+    def given(section, spec, required=()):
+        """Constructor keywords from the keys of section the file sets; spec
+        maps each key to its conversion. A key left out keeps its type's
+        default and, unless required, is named in defaulted."""
+        kwargs = {}
+        for key, convert in spec.items():
+            if parser.has_option(section, key):
+                raw = parser.get(section, key)
+                kwargs[_FIELD.get(key, key)] = _value(convert, section, key, raw)
+            elif key in required:
+                raise ConfigError(f"missing required field [{section}] {key}")
+            else:
+                defaulted.append(f"{section}.{key}")
+        return kwargs
 
-    scheme = dict(dt=num("scheme", "dt", required=True),
-                  t_final=num("scheme", "T", required=True),
-                  lam=num("scheme", "lambda"), eta=num("scheme", "eta"), mu=num("scheme", "mu"))
-    solver = _domain("[solver] prediction_rtol/max_iter", SolverConfig,
-                     rtol=num("solver", "prediction_rtol"),
-                     max_iter=num("solver", "max_iter", int))
-    if parser.has_option("solver", "correction_rtol"):
-        _domain("[solver] correction_rtol", SolverConfig,
-                rtol=num("solver", "correction_rtol"))
-    params = _domain("[scheme] dt/T/lambda/eta/mu", SchemeParams,
-                     prediction_solver=solver, **scheme)
+    grid = _domain("[grid] nx/ny/lx/ly", Grid, **given(
+        "grid", {"nx": int, "ny": int, "lx": float, "ly": float}, required=("nx", "ny")))
+
+    scheme = given("scheme", dict.fromkeys(("dt", "T", "lambda", "eta", "mu"), float),
+                   required=("dt", "T"))
+    solver = given("solver", {"prediction_rtol": float, "max_iter": int})
+    correction_rtol = num("solver", "correction_rtol")
+    if correction_rtol is not None and not 0.0 < correction_rtol < 1.0:
+        raise ConfigError(f"field [solver] correction_rtol must be in (0, 1), "
+                          f"got {correction_rtol}")
+    params = _domain("[scheme] dt/T/lambda/eta/mu, [solver] prediction_rtol/max_iter",
+                     SchemeParams, **scheme, **solver)
 
     init_kind = get("initial", "type")
     if init_kind not in ("zero", "taylor-green", "file"):
@@ -222,22 +235,23 @@ def load_config(text: str) -> RunConfig:
     if shape not in ("none", "disk"):
         raise ConfigError(f"field [obstacle] shape = {shape!r} must be none or disk")
     obstacle = None
-    if shape == "disk":
-        obstacle = _domain(
-            "[obstacle] radius/chi_mode", Obstacle,
-            radius=num("obstacle", "radius", required=True),
-            center=(num("obstacle", "center_x", required=True),
-                    num("obstacle", "center_y", required=True)),
-            velocity=(num("obstacle", "vel_x", default=0.0),
-                      num("obstacle", "vel_y", default=0.0)),
-            omega=num("obstacle", "omega", default=0.0),
-            t_max=params.t_final, chi_mode=get("obstacle", "chi_mode"))
+    if shape == "none":
+        for key in _KEYS["obstacle"]:
+            if key != "shape" and parser.has_option("obstacle", key):
+                raise ConfigError(f"field [obstacle] {key} is set, but shape = none")
+    else:
+        disk = given("obstacle", dict.fromkeys(
+            ("radius", "center_x", "center_y", "vel_x", "vel_y", "omega"), float)
+            | {"chi_mode": str}, required=("radius", "center_x", "center_y"))
+        disk["center"] = (disk.pop("center_x"), disk.pop("center_y"))
+        if "vel_x" in disk or "vel_y" in disk:
+            disk["velocity"] = (disk.pop("vel_x", Obstacle.velocity[0]),
+                                disk.pop("vel_y", Obstacle.velocity[1]))
+        obstacle = _domain("[obstacle] radius/chi_mode", Obstacle,
+                           t_max=params.t_final, **disk)
 
-    csv_name = get("output", "csv")
-    dump_every = num("output", "dump_every", int)
-    if dump_every < 0:
-        raise ConfigError(f"field [output] dump_every must be >= 0, got {dump_every}")
-    output = OutputSpec(csv=csv_name, dump_every=dump_every)
+    output = _domain("[output] dump_every", OutputSpec,
+                     **given("output", {"csv": str, "dump_every": int}))
 
     sweep = None
     if parser.has_section("sweep"):

@@ -107,9 +107,8 @@ class FieldSeries:
         return min(max(k, 0), len(self.snapshots) - 1)
 
 
-def nikolskii_translation(series: FieldSeries, h: float, norm=l2_norm,
-                          form: str = "L1") -> float:
-    """Exact time integral of the translated-difference norm.
+def nikolskii_translation(series: FieldSeries, h: float, form: str = "L1") -> float:
+    """Exact time integral of the translated-difference l2_norm.
 
     form="L1" returns int_0^{T-h} ||u(t+h) - u(t)|| dt; form="L2" returns
     the square root of the integral of the squared norm. Both are computed
@@ -139,7 +138,7 @@ def nikolskii_translation(series: FieldSeries, h: float, norm=l2_norm,
             return 0.0
         key = (a, b)
         if key not in norm_cache:
-            norm_cache[key] = norm(series.snapshots[a] - series.snapshots[b])
+            norm_cache[key] = l2_norm(series.snapshots[a] - series.snapshots[b])
         return norm_cache[key]
 
     total = 0.0

@@ -74,18 +74,6 @@ class NonConvergence(Exception):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    rtol: float = 1e-10
-    max_iter: int = 10000
-
-    def __post_init__(self):
-        if not 0.0 < self.rtol < 1.0:
-            raise ValueError(f"rtol must be in (0, 1), got {self.rtol}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-@dataclass(frozen=True)
 class FaceLayout:
     """Index bookkeeping between packed vectors and staggered arrays."""
 
@@ -490,19 +478,19 @@ def _matvec(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray | None = None) -> n
     return out
 
 
-def solve(a: sp.csr_matrix, rhs: np.ndarray, cfg: SolverConfig, x0=None):
+def solve(a: sp.csr_matrix, rhs: np.ndarray, rtol: float, max_iter: int, x0=None):
     """Solve a x = rhs by BiCGStab from x0 (zero if None); returns (x, iterations).
 
-    a must be a float64 CSR matrix. Stops once ||rhs - a x|| <= cfg.rtol
+    a must be a float64 CSR matrix. Stops once ||rhs - a x|| <= rtol
     ||rhs||, whatever x0 is, and raises NonConvergence if the residual stays
-    above that after cfg.max_iter iterations. rhs and x0 are not modified,
+    above that after max_iter iterations. rhs and x0 are not modified,
     and x is a fresh array.
     """
     if not (sp.issparse(a) and a.format == "csr" and a.dtype == np.float64):
         raise TypeError(f"solve needs a float64 CSR matrix, got {type(a).__name__}")
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match operator {a.shape}")
-    return _bicgstab(a, rhs, cfg, x0)
+    return _bicgstab(a, rhs, rtol, max_iter, x0)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -515,7 +503,7 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def _bicgstab(a, b, cfg, x0=None):
+def _bicgstab(a, b, rtol, max_iter, x0=None):
     # Every update below is the textbook expression evaluated in place, in
     # its own operation order; w is scratch. p = r + beta (p - omega v) is
     # w = omega v; p -= w; p *= beta; p += r, which rounds the same because
@@ -523,7 +511,7 @@ def _bicgstab(a, b, cfg, x0=None):
     norm_b = _norm(b)
     if norm_b == 0.0:
         return np.zeros(b.shape[0]), 0
-    tol = cfg.rtol * norm_b
+    tol = rtol * norm_b
     minv = _jacobi(a)
     x = np.zeros(b.shape[0]) if x0 is None else np.array(x0, dtype=np.float64)
     r = np.array(b, dtype=np.float64) if x0 is None else np.subtract(b, _matvec(a, x))
@@ -532,7 +520,7 @@ def _bicgstab(a, b, cfg, x0=None):
     r_hat = r.copy()
     rho = alpha = omega = 1.0
     p, v, p_hat, s, s_hat, t, w = np.zeros((7, b.shape[0]))
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, max_iter + 1):
         rho_new = _dot(r_hat, r)
         if abs(rho_new) < 1e-300:
             raise NonConvergence("BiCGStab breakdown (rho ~ 0)", _norm(r), k)
@@ -572,4 +560,4 @@ def _bicgstab(a, b, cfg, x0=None):
                     return x, k
         rho = rho_new
     raise NonConvergence("BiCGStab did not converge",
-                         _norm(np.subtract(b, _matvec(a, x, w), out=w)), cfg.max_iter)
+                         _norm(np.subtract(b, _matvec(a, x, w), out=w)), max_iter)

@@ -23,6 +23,8 @@ from . import linalg
 from .grid import PressureField, VelocityField
 from .obstacle import ObstacleFrame
 
+MAX_CELLS = 16 * 16     # the dense elimination is O(n^3) in the unknowns
+
 
 def solve_dense(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve mat x = rhs by Gaussian elimination with partial pivoting.
@@ -46,26 +48,22 @@ def solve_dense(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def coupled_step(v_prev: VelocityField, forcing: VelocityField, obstacle, params,
-                 t_next: float | None = None, max_cells: int = 16 * 16):
-    """Solve one fully coupled step; returns (v_new, p_new).
+def coupled_step(v_prev: VelocityField, forcing: VelocityField, obstacle, params):
+    """Solve the fully coupled first step, from t = 0; returns (v_new, p_new).
 
-    forcing is the body force at t^{n+1}; the obstacle indicator and solid
-    velocity are evaluated at t_next (defaults to one step from t = 0).
-    The previous pressure does not enter: the pressure unknown here is the
-    full p^{n+1}.
+    forcing is the body force at t = dt, where the obstacle indicator and
+    solid velocity are evaluated too. The previous pressure does not enter:
+    the pressure unknown here is the full p^{n+1}.
     """
     grid = v_prev.grid
-    if grid.ncells > max_cells:
-        raise ValueError(f"coupled oracle restricted to {max_cells} cells, "
+    if grid.ncells > MAX_CELLS:
+        raise ValueError(f"coupled oracle restricted to {MAX_CELLS} cells, "
                          f"got {grid.ncells}")
-    if t_next is None:
-        t_next = params.dt
     layout = linalg.face_layout(grid)
     n = layout.n
     nc = grid.ncells
 
-    frame = ObstacleFrame.sample(obstacle, t_next, grid)
+    frame = ObstacleFrame.sample(obstacle, params.dt, grid)
     chi = None
     if frame is not None:
         chi = linalg.penalization_diagonal(frame.chi_u, frame.chi_v)

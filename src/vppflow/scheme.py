@@ -18,13 +18,14 @@ The penalty weight is always slaved to the time step, eps = lambda * dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, operators
+from .diagnostics import make_record
 from .grid import PressureField, VelocityField
-from .linalg import NonConvergence, SolverConfig
+from .linalg import NonConvergence
 from .obstacle import ObstacleFrame
 
 
@@ -37,8 +38,8 @@ class SchemeParams:
     lam: float = 1.0
     eta: float = 1e-6
     mu: float = 1e-2
-    prediction_solver: SolverConfig = field(
-        default_factory=lambda: SolverConfig(rtol=1e-8, max_iter=20000))
+    prediction_rtol: float = 1e-8
+    max_iter: int = 20000
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -52,6 +53,10 @@ class SchemeParams:
         if self.t_final < self.dt:
             raise ValueError(
                 f"final time {self.t_final} shorter than one step dt={self.dt}")
+        if not 0.0 < self.prediction_rtol < 1.0:
+            raise ValueError(f"prediction_rtol must be in (0, 1), got {self.prediction_rtol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
     @property
     def epsilon(self) -> float:
@@ -141,7 +146,7 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     elif state.earlier:
         x0 *= 2.0
         x0 -= state.earlier[0]
-    x, iters = linalg.solve(op, rhs, params.prediction_solver, x0=x0)
+    x, iters = linalg.solve(op, rhs, params.prediction_rtol, params.max_iter, x0=x0)
     return layout.unpack(x), iters
 
 
@@ -210,8 +215,6 @@ def run(v0: VelocityField, p0: PressureField, forcing_fn, obstacle,
     including the initial one. Any initial divergence is reported in the
     result rather than rejected.
     """
-    from .diagnostics import make_record  # local import to avoid a cycle
-
     grid = v0.grid
     if obstacle is not None:
         gap = obstacle.clearance(grid, params.t_final)

@@ -123,7 +123,7 @@ def _norm(a):
     return math.sqrt(_dot(a, a))
 
 
-def bicgstab(a, b, cfg, x0=None, events=None):
+def bicgstab(a, b, rtol, max_iter, x0=None, events=None):
     """Jacobi-preconditioned BiCGStab with fresh vectors on every update,
     the reference for linalg.solve; returns (x, iterations). If events is a
     list, "s_exit" is appended each time the half-step residual s meets the
@@ -133,7 +133,7 @@ def bicgstab(a, b, cfg, x0=None, events=None):
     norm_b = _norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b), 0
-    tol = cfg.rtol * norm_b
+    tol = rtol * norm_b
     d = a.diagonal()
     minv = 1.0 / np.where(np.abs(d) > 0, d, 1.0)
     x = np.zeros_like(b) if x0 is None else x0.copy()
@@ -144,7 +144,7 @@ def bicgstab(a, b, cfg, x0=None, events=None):
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, max_iter + 1):
         rho_new = _dot(r_hat, r)
         if abs(rho_new) < 1e-300:
             raise NonConvergence("BiCGStab breakdown (rho ~ 0)", _norm(r), k)
@@ -183,4 +183,4 @@ def bicgstab(a, b, cfg, x0=None, events=None):
                 r = r_true
         rho = rho_new
     raise NonConvergence("BiCGStab did not converge",
-                         _norm(b - a @ x), cfg.max_iter)
+                         _norm(b - a @ x), max_iter)

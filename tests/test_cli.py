@@ -192,6 +192,8 @@ def test_print_config_echoes_and_exits_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "effective configuration" in out
     assert "defaulted" in out
+    assert "obstacle: none" in out
+    assert "output: csv=diagnostics.csv dump_every=0" in out
 
 
 def test_invalid_config_exits_one(tmp_path, capsys):
@@ -349,6 +351,14 @@ def test_print_config_rejects_invalid_domain_values(tmp_path, capsys, text, name
     cfg = write(tmp_path, "bad.ini", text)
     assert main(["print-config", "--config", cfg]) == 1
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("chi_mode", "fractoin"), ("radius", "-1")])
+def test_obstacle_keys_without_a_disk_are_rejected(tmp_path, capsys, key, value):
+    # with shape = none (the default) no Obstacle is built to check them
+    cfg = write(tmp_path, "bad.ini", ZERO_RUN + f"[obstacle]\n{key} = {value}\n")
+    assert main(["print-config", "--config", cfg]) == 1
+    assert f"[obstacle] {key}" in capsys.readouterr().err
 
 
 def test_sweep_member_longer_than_run_is_rejected_before_any_output(tmp_path, capsys):

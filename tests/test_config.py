@@ -1,6 +1,9 @@
 import pytest
 
-from vppflow.config import ConfigError, load_config
+from vppflow.config import ConfigError, OutputSpec, load_config
+from vppflow.grid import Grid
+from vppflow.obstacle import Obstacle
+from vppflow.scheme import SchemeParams
 
 MINIMAL = """
 [grid]
@@ -22,6 +25,10 @@ def test_minimal_config_gets_documented_defaults():
     assert cfg.forcing.kind == "zero"
     assert cfg.obstacle is None
     assert cfg.params.epsilon == pytest.approx(1.0 * 0.01)
+    # config restates no default: each comes from the type the section builds
+    assert cfg.grid == Grid(16, 16)
+    assert cfg.params == SchemeParams(dt=0.01, t_final=0.1)
+    assert cfg.output == OutputSpec()
     # every applied default is echoed
     assert any("scheme.lambda" in d for d in cfg.defaulted)
     assert any("scheme.eta" in d for d in cfg.defaulted)
@@ -102,12 +109,18 @@ shape = disk
 radius = 0.15
 center_x = 0.5
 center_y = 0.5
+vel_y = 0.25
 omega = 1.0
 """
-    obs = load_config(text).obstacle
+    cfg = load_config(text)
+    obs = cfg.obstacle
     assert obs.radius == 0.15
     assert obs.omega == 1.0
     assert obs.t_max == 0.1
+    # the keys left out take Obstacle's defaults
+    assert obs.velocity == (Obstacle.velocity[0], 0.25)
+    assert obs.chi_mode == Obstacle.chi_mode
+    assert "obstacle.chi_mode" in cfg.defaulted
 
 
 def test_obstacle_requires_radius():

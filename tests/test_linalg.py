@@ -9,7 +9,7 @@ import vppflow
 from oracles import bicgstab, dirichlet_laplacian, strain_divergence
 from vppflow import linalg, operators
 from vppflow.grid import Grid, PressureField, VelocityField
-from vppflow.linalg import NonConvergence, SolverConfig, face_layout
+from vppflow.linalg import NonConvergence, face_layout
 from vppflow.obstacle import Obstacle
 from vppflow.scheme import SchemeParams
 
@@ -325,7 +325,7 @@ def test_solve_correction_rejects_nonpositive_lambda():
 def test_solve_zero_rhs_returns_zero_without_iterating():
     g = Grid(6, 6)
     op = linalg.assemble_correction(g, params_for())
-    x, iters = linalg.solve(op, np.zeros(op.shape[0]), SolverConfig())
+    x, iters = linalg.solve(op, np.zeros(op.shape[0]), 1e-10, 10000)
     assert iters == 0
     assert np.abs(x).max() == 0.0
 
@@ -334,7 +334,7 @@ def test_solve_identity_in_one_iteration(rng):
     g = Grid(5, 5)
     n = face_layout(g).n
     b = rng.standard_normal(n)
-    x, iters = linalg.solve(sp.identity(n, format="csr"), b, SolverConfig())
+    x, iters = linalg.solve(sp.identity(n, format="csr"), b, 1e-10, 10000)
     assert iters <= 1
     assert np.allclose(x, b, atol=1e-12)
 
@@ -343,7 +343,7 @@ def test_solve_matches_dense_factorization(rng):
     g = Grid(8, 8)
     op = linalg.assemble_correction(g, params_for(dt=0.02))
     b = random_packed(g, rng)
-    x, _ = linalg.solve(op, b, SolverConfig(rtol=1e-12, max_iter=10000))
+    x, _ = linalg.solve(op, b, 1e-12, 10000)
     x_ref = np.linalg.solve(op.toarray(), b)
     assert np.abs(x - x_ref).max() <= 1e-8 * np.abs(x_ref).max()
 
@@ -353,7 +353,7 @@ def test_solve_accepts_warm_start(rng):
     op = linalg.assemble_correction(g, params_for(dt=0.02))
     b = random_packed(g, rng)
     x_ref = np.linalg.solve(op.toarray(), b)
-    x, iters = linalg.solve(op, b, SolverConfig(rtol=1e-10), x0=x_ref)
+    x, iters = linalg.solve(op, b, 1e-10, 10000, x0=x_ref)
     assert iters == 0
     assert np.allclose(x, x_ref)
 
@@ -363,7 +363,7 @@ def test_solve_reports_residual_on_nonconvergence(rng):
     op = linalg.assemble_correction(g, params_for(dt=0.02))
     b = random_packed(g, rng)
     with pytest.raises(NonConvergence) as excinfo:
-        linalg.solve(op, b, SolverConfig(rtol=1e-14, max_iter=2))
+        linalg.solve(op, b, 1e-14, 2)
     assert excinfo.value.residual > 0
     assert excinfo.value.iterations == 2
 
@@ -382,22 +382,22 @@ def _solver_case(nx, ny, lx, ly, log10_dt, log10_eta, log10_rtol, binary, warm, 
     a = linalg.assemble_prediction(g, params, adv, chi)
     b = rng.standard_normal(layout.n)
     x0 = rng.standard_normal(layout.n) if warm else None
-    return a, b, SolverConfig(rtol=10.0 ** log10_rtol, max_iter=500), x0
+    return a, b, 10.0 ** log10_rtol, 500, x0
 
 
-def _assert_solve_matches_oracle(a, b, cfg, x0):
+def _assert_solve_matches_oracle(a, b, rtol, max_iter, x0):
     """linalg.solve gives bitwise the x, the iteration count or the failure
     of the allocating reference; returns the reference's branch events."""
     events = []
     try:
-        x_ref, iters_ref = bicgstab(a, b, cfg, x0, events)
+        x_ref, iters_ref = bicgstab(a, b, rtol, max_iter, x0, events)
     except NonConvergence as exc:
         with pytest.raises(NonConvergence) as excinfo:
-            linalg.solve(a, b, cfg, x0)
+            linalg.solve(a, b, rtol, max_iter, x0)
         assert excinfo.value.residual == exc.residual
         assert excinfo.value.iterations == exc.iterations
         return events
-    x, iters = linalg.solve(a, b, cfg, x0)
+    x, iters = linalg.solve(a, b, rtol, max_iter, x0)
     assert iters == iters_ref
     assert np.array_equal(x, x_ref)
     return events
@@ -437,12 +437,12 @@ def test_solve_is_bitwise_the_allocating_bicgstab(nx, ny, lx, ly, log10_dt, log1
 def test_solve_leaves_its_inputs_alone(rng):
     # scheme.predict reuses the packed arrays of FlowState.earlier, so the
     # solver may neither write into rhs and x0 nor hand them back
-    a, b, cfg, x0 = _solver_case(6, 5, 1.0, 0.8, -2, -6, -8, False, True, 7)
+    a, b, rtol, max_iter, x0 = _solver_case(6, 5, 1.0, 0.8, -2, -6, -8, False, True, 7)
     x_exact = np.linalg.solve(a.toarray(), b)
     for start in (None, x0, x_exact):
         rhs = b.copy()
         guess = None if start is None else start.copy()
-        x, iters = linalg.solve(a, rhs, cfg, x0=guess)
+        x, iters = linalg.solve(a, rhs, rtol, max_iter, x0=guess)
         assert np.array_equal(rhs, b)
         assert not np.shares_memory(x, rhs)
         if start is not None:
@@ -456,7 +456,7 @@ def test_solve_rejects_a_non_csr_operator():
     b = np.ones(a.shape[0])
     for bad in (a.tocsc(), a.tocoo(), a.toarray(), a.astype(np.float32)):
         with pytest.raises(TypeError):
-            linalg.solve(bad, b, SolverConfig())
+            linalg.solve(bad, b, 1e-10, 10000)
 
 
 def _matvec_operators(grid, rng):
@@ -534,10 +534,12 @@ def test_scipy_private_api_is_imported_once():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(rtol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
+    # the prediction solve's settings are SchemeParams fields
+    for rtol in (0.0, 1.0):
+        with pytest.raises(ValueError, match="prediction_rtol"):
+            SchemeParams(dt=0.1, t_final=1.0, prediction_rtol=rtol)
+    with pytest.raises(ValueError, match="max_iter"):
+        SchemeParams(dt=0.1, t_final=1.0, max_iter=0)
 
 
 # ------------------------------------------------------- viscous matrix

@@ -9,7 +9,6 @@ import pytest
 import vppflow
 from vppflow import diagnostics, operators, reference, scheme
 from vppflow.grid import Grid, PressureField, VelocityField
-from vppflow.linalg import SolverConfig
 from vppflow.manufactured import random_solenoidal
 from vppflow.scheme import FlowState, SchemeParams
 
@@ -50,7 +49,7 @@ def test_vpp_error_decreases_monotonically_with_eps(rng):
     for eps in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
         params = SchemeParams(
             dt=dt, t_final=2 * dt, lam=eps / dt, mu=1e-3,
-            prediction_solver=SolverConfig(rtol=1e-13, max_iter=50000))
+            prediction_rtol=1e-13, max_iter=50000)
         state = FlowState.initial(v0, p0)
         new, _ = scheme.step(state, lambda t, grid: VelocityField.zeros(grid),
                              None, params)

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from vppflow import diagnostics, linalg, operators, scheme
 from vppflow.experiments import fit_exponent
 from vppflow.grid import Grid, PressureField, VelocityField
-from vppflow.linalg import SolverConfig, face_layout
+from vppflow.linalg import face_layout
 from vppflow.manufactured import (random_solenoidal, taylor_green_pressure,
                                   taylor_green_velocity)
 from vppflow.obstacle import Obstacle, ObstacleFrame
@@ -22,9 +22,7 @@ def zero_forcing(t, grid):
 def tight_params(**kw):
     defaults = dict(dt=0.02, t_final=0.1, lam=1.0, eta=1e-6, mu=1e-2)
     defaults.update(kw)
-    return SchemeParams(
-        prediction_solver=SolverConfig(rtol=1e-12, max_iter=50000),
-        **defaults)
+    return SchemeParams(prediction_rtol=1e-12, max_iter=50000, **defaults)
 
 
 # ------------------------------------------------------------------- params
@@ -122,7 +120,7 @@ def test_first_prediction_from_rest_is_the_cold_solve():
     frame = ObstacleFrame.sample(obstacle, params.dt, g)
     v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), frame, params)
     op, rhs = prediction_system(state, obstacle, params)
-    x_cold, iters_cold = linalg.solve(op, rhs, params.prediction_solver)
+    x_cold, iters_cold = linalg.solve(op, rhs, params.prediction_rtol, params.max_iter)
     assert iters == iters_cold > 0
     assert np.array_equal(face_layout(g).pack(v_tilde), x_cold)
 
@@ -132,9 +130,9 @@ def recorded_starts(monkeypatch):
     starts = []
     solve = linalg.solve
 
-    def recording(a, rhs, cfg, x0=None):
+    def recording(a, rhs, rtol, max_iter, x0=None):
         starts.append(x0.copy())
-        return solve(a, rhs, cfg, x0)
+        return solve(a, rhs, rtol, max_iter, x0)
     monkeypatch.setattr(linalg, "solve", recording)
     return starts
 
@@ -156,12 +154,12 @@ def test_warm_started_prediction_meets_the_rhs_relative_tolerance(monkeypatch):
     (x0,) = starts
     r0 = np.linalg.norm(rhs - op @ x0)
     r = np.linalg.norm(rhs - op @ layout.pack(v_tilde))
-    rtol = params.prediction_solver.rtol
+    rtol = params.prediction_rtol
     assert r0 < 0.1 * np.linalg.norm(rhs)
     assert r <= rtol * np.linalg.norm(rhs)
     assert r > rtol * r0
 
-    _, iters_cold = linalg.solve(op, rhs, params.prediction_solver)
+    _, iters_cold = linalg.solve(op, rhs, params.prediction_rtol, params.max_iter)
     assert 0 < iters < iters_cold
 
 
@@ -385,7 +383,7 @@ def test_step_against_coupled_oracle_in_small_eps_limit(rng):
     dt = 0.01
     params = SchemeParams(
         dt=dt, t_final=2 * dt, lam=1e-10 / dt, mu=1e-3,
-        prediction_solver=SolverConfig(rtol=1e-13, max_iter=50000))
+        prediction_rtol=1e-13, max_iter=50000)
     state = FlowState.initial(v0, p0)
     new, _ = scheme.step(state, zero_forcing, None, params)
     v_ref, _ = reference.coupled_step(v0, VelocityField.zeros(g), None, params)
@@ -441,8 +439,7 @@ def test_run_rejects_obstacle_touching_boundary():
 def test_solver_failure_carries_step_index(rng):
     g = Grid(16, 16)
     params = SchemeParams(
-        dt=0.01, t_final=0.1, mu=1.0,
-        prediction_solver=SolverConfig(rtol=1e-12, max_iter=1))
+        dt=0.01, t_final=0.1, mu=1.0, prediction_rtol=1e-12, max_iter=1)
     v0 = random_solenoidal(g, rng)
     with pytest.raises(SolverFailure) as excinfo:
         scheme.run(v0, PressureField.zeros(g), zero_forcing, None, params)
