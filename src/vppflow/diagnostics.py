@@ -11,7 +11,6 @@ weighted by cell area over band width.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -165,30 +164,24 @@ def penalization_energy(vel: VelocityField, frame) -> float:
     g = vel.grid
     wu = g.u_face_weights()
     wv = g.v_face_weights()
-    return float(np.sum(wu * frame.chi_u * (vel.u - frame.vs.u) ** 2)
-                 + np.sum(wv * frame.chi_v * (vel.v - frame.vs.v) ** 2))
+    return float(np.sum(wu * frame.chi.u * (vel.u - frame.vs.u) ** 2)
+                 + np.sum(wv * frame.chi.v * (vel.v - frame.vs.v) ** 2))
 
 
-def slip_error(vel: VelocityField, obstacle, t: float) -> float:
+def slip_error(vel: VelocityField, frame) -> float:
     """Band approximation of the boundary integral of |v - v_s|^2.
 
-    Cells within one diagonal of the circle are weighted by cell area over
-    the band width (two diagonals). An empty band yields 0 with a warning.
+    frame is the step's ObstacleFrame, None without an obstacle. Its band
+    cells, those within one diagonal of the circle, are weighted by cell
+    area over the band width (two diagonals).
     """
-    if obstacle is None:
+    if frame is None:
         return 0.0
     g = vel.grid
-    band = obstacle.boundary_band(t, g)
-    if band.shape[0] == 0:
-        warnings.warn("slip_error: empty boundary band, reporting 0", stacklevel=2)
-        return 0.0
     uc, vc = operators.velocity_at_cell_centers(vel)
-    cx, cy = obstacle.center_at(t)
-    x, y = g.cell_coords()
-    usol = obstacle.velocity[0] - obstacle.omega * (y - cy)
-    vsol = obstacle.velocity[1] + obstacle.omega * (x - cx)
-    ii, jj = band[:, 0], band[:, 1]
-    sq = (uc[ii, jj] - usol[ii, jj]) ** 2 + (vc[ii, jj] - vsol[ii, jj]) ** 2
+    ii, jj = frame.band[:, 0], frame.band[:, 1]
+    usol, vsol = frame.band_vs
+    sq = (uc[ii, jj] - usol) ** 2 + (vc[ii, jj] - vsol) ** 2
     width = 2.0 * math.hypot(g.hx, g.hy)
     return float(np.sum(sq) * g.cell_area / width)
 
@@ -225,7 +218,7 @@ class DiagnosticsRecord:
 CSV_COLUMNS = [f.name for f in fields(DiagnosticsRecord)]
 
 
-def make_record(prev, state, info, obstacle, params) -> DiagnosticsRecord:
+def make_record(prev, state, info, params) -> DiagnosticsRecord:
     rec = DiagnosticsRecord(
         n=state.n,
         t=state.t,
@@ -237,7 +230,7 @@ def make_record(prev, state, info, obstacle, params) -> DiagnosticsRecord:
         increment_norm=l2_norm(state.v_tilde - prev.v),
         pressure_increment_norm=l2_norm(state.p - prev.p),
         penalization_energy=penalization_energy(state.v_tilde, info.frame),
-        slip_error=slip_error(state.v, obstacle, state.t),
+        slip_error=slip_error(state.v, info.frame),
         prediction_iterations=info.prediction_iterations,
         correction_iterations=0,   # the correction is solved exactly
     )

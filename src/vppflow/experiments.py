@@ -139,13 +139,16 @@ def make_wall_slip(cfg: RunConfig):
 # Output writers
 # ----------------------------------------------------------------------
 
+def _csv_line(values) -> str:
+    """One CSV row: floats as _FMT, everything else as str."""
+    return ",".join(_FMT % v if isinstance(v, float) else str(v) for v in values) + "\n"
+
+
 def write_records_csv(path, records):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(diagnostics.CSV_COLUMNS) + "\n")
         for rec in records:
-            vals = [getattr(rec, c) for c in diagnostics.CSV_COLUMNS]
-            fh.write(",".join(_FMT % v if isinstance(v, float) else str(v)
-                              for v in vals) + "\n")
+            fh.write(_csv_line(getattr(rec, c) for c in diagnostics.CSV_COLUMNS))
 
 
 def write_vtk(path, state):
@@ -311,9 +314,7 @@ def run_sweep(cfg: RunConfig, out_dir: str, quiet: bool = True):
         cols += sorted(exponents)
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            vals = [row[c] if c in row else exponents[c] for c in cols]
-            fh.write(",".join(_FMT % v if isinstance(v, float) else str(v)
-                              for v in vals) + "\n")
+            fh.write(_csv_line(row[c] if c in row else exponents[c] for c in cols))
     if not quiet:
         print(f"wrote {summary}")
         for key, val in exponents.items():

@@ -156,15 +156,8 @@ class PressureField:
     def zeros(cls, grid: Grid) -> "PressureField":
         return cls(grid, np.zeros(grid.shape_p))
 
-    def mean(self) -> float:
-        # cells have uniform area, so the area-weighted mean is the plain mean
-        return float(self.p.mean())
-
     def project_mean_zero(self) -> "PressureField":
         return PressureField(self.grid, self.p - self.p.mean())
-
-    def copy(self) -> "PressureField":
-        return PressureField(self.grid, self.p.copy())
 
     def __add__(self, other):
         return PressureField(self.grid, self.p + other.p)
@@ -192,9 +185,6 @@ class ScalarCellField:
     @classmethod
     def zeros(cls, grid: Grid) -> "ScalarCellField":
         return cls(grid, np.zeros(grid.shape_p))
-
-    def copy(self) -> "ScalarCellField":
-        return ScalarCellField(self.grid, self.data.copy())
 
     def __add__(self, other):
         return ScalarCellField(self.grid, self.data + other.data)

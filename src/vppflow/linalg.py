@@ -273,11 +273,6 @@ def _add_convection(grid: Grid, vel_prev: VelocityField, data: np.ndarray):
     cv[1:, :, 4] -= k
 
 
-def penalization_diagonal(chi_u: np.ndarray, chi_v: np.ndarray) -> np.ndarray:
-    """Pack face-sampled obstacle masks into a diagonal over the unknowns."""
-    return np.concatenate([chi_u[1:-1, :].ravel(), chi_v[:, 1:-1].ravel()])
-
-
 @dataclass(frozen=True)
 class WallSlip:
     """Prescribed tangential wall velocities (normal traces must stay zero).
@@ -346,11 +341,11 @@ def assemble_prediction(grid, params, v_prev: VelocityField, chi=None) -> sp.csr
 
     (1/dt) I + C(v_prev) - div(2 mu D(.)) + (1/eta) chi I on the interior
     faces, Dirichlet rows eliminated; chi is the packed face mask of the
-    obstacle (penalization_diagonal), None without one. mu S is computed
-    into the one fresh data array of the operator; the convection
-    (_add_convection) and then the diagonal are added to it in place, so
-    each entry rounds as C + mu S + diagonal. The operator shares the
-    read-only index arrays of strain_energy_matrix(grid).
+    obstacle (FaceLayout.pack of ObstacleFrame.chi), None without one.
+    mu S is computed into the one fresh data array of the operator; the
+    convection (_add_convection) and then the diagonal are added to it in
+    place, so each entry rounds as C + mu S + diagonal. The operator shares
+    the read-only index arrays of strain_energy_matrix(grid).
     """
     s = strain_energy_matrix(grid)
     data = params.mu * s.data

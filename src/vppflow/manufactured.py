@@ -75,20 +75,21 @@ class SpaceTimeError:
 
 
 def random_solenoidal(grid: Grid, rng: np.random.Generator,
-                      amplitude: float = 1.0, modes: int = 3) -> VelocityField:
+                      amplitude: float = 1.0) -> VelocityField:
     """Exactly discretely divergence-free random field with v.n = 0 on walls.
 
-    Built from a random low-mode stream function sampled at grid nodes:
-    u = d(psi)/dy, v = -d(psi)/dx by node differences, which makes the MAC
-    divergence vanish identically and zeroes the normal boundary faces.
+    Built from a random stream function of the lowest 3 x 3 sine modes,
+    sampled at grid nodes: u = d(psi)/dy, v = -d(psi)/dx by node
+    differences, which makes the MAC divergence vanish identically and
+    zeroes the normal boundary faces.
     """
     nx, ny = grid.nx, grid.ny
     xn = np.linspace(0.0, grid.lx, nx + 1)
     yn = np.linspace(0.0, grid.ly, ny + 1)
     x, y = np.meshgrid(xn, yn, indexing="ij")
     psi = np.zeros((nx + 1, ny + 1))
-    for k in range(1, modes + 1):
-        for m in range(1, modes + 1):
+    for k in range(1, 4):
+        for m in range(1, 4):
             psi += rng.standard_normal() * np.sin(k * np.pi * x / grid.lx) \
                 * np.sin(m * np.pi * y / grid.ly)
     # constant (zero) boundary stream function, exact rather than sin(k pi)

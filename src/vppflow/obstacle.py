@@ -1,12 +1,14 @@
 """Moving rigid obstacle: indicator sampling and solid velocity.
 
 The obstacle is a disk on a prescribed trajectory (uniform translation
-plus rigid rotation about its own center). The indicator can be sampled
-binary (1 where the cell center is inside) or as the exact covered area
-fraction of each cell; both modes are also offered at velocity faces for
-the penalization term, where the fraction mode averages the two adjacent
-cell fractions. An ObstacleFrame holds the face indicator and the solid
-velocity sampled once at one time, for every consumer of that step.
+plus rigid rotation about its own center); Obstacle.rigid_velocity is the
+one rigid-body formula. The indicator can be sampled binary (1 where the
+cell center is inside) or as the exact covered area fraction of each
+cell; both modes are also offered at velocity faces for the penalization
+term, where the fraction mode averages the two adjacent cell fractions.
+An ObstacleFrame holds every obstacle sample of one step (face indicator,
+solid velocity, boundary band and the rigid velocity on it), taken once,
+for the prediction and all of that step's diagnostics.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ class Obstacle:
     center: tuple[float, float] = (0.0, 0.0)
     velocity: tuple[float, float] = (0.0, 0.0)
     omega: float = 0.0                  # angular velocity about the center
-    t_max: float = math.inf             # samplers reject t outside [0, t_max]
     chi_mode: str = "binary"            # "binary" or "fraction"
 
     def __post_init__(self):
@@ -36,12 +37,7 @@ class Obstacle:
         if self.chi_mode not in ("binary", "fraction"):
             raise ValueError(f"unknown chi mode {self.chi_mode!r}")
 
-    def _check_time(self, t):
-        if t < -1e-12 or t > self.t_max + 1e-12:
-            raise ValueError(f"time {t} outside the obstacle horizon [0, {self.t_max}]")
-
     def center_at(self, t: float) -> tuple[float, float]:
-        self._check_time(t)
         return (self.center[0] + self.velocity[0] * t,
                 self.center[1] + self.velocity[1] * t)
 
@@ -52,7 +48,7 @@ class Obstacle:
         and attains its minimum at an endpoint.
         """
         best = math.inf
-        for t in (0.0, min(t_final, self.t_max)):
+        for t in (0.0, t_final):
             cx, cy = self.center_at(t)
             gap = min(cx, grid.lx - cx, cy, grid.ly - cy) - self.radius
             best = min(best, gap)
@@ -91,7 +87,6 @@ class Obstacle:
 
     def sample_chi(self, t: float, grid: Grid) -> ScalarCellField:
         """Indicator of the solid region at cell centers."""
-        self._check_time(t)
         x, y = grid.cell_coords()
         if self.chi_mode == "binary":
             return ScalarCellField(grid, self._indicator(t, x, y))
@@ -103,7 +98,6 @@ class Obstacle:
         Binary mode point-samples the disk at face centers; fraction mode
         averages the fractions of the two cells sharing the face.
         """
-        self._check_time(t)
         if self.chi_mode == "binary":
             xu, yu = grid.u_coords()
             xv, yv = grid.v_coords()
@@ -119,23 +113,28 @@ class Obstacle:
         chi_v[:, -1] = frac[:, -1]
         return chi_u, chi_v
 
-    def sample_solid_velocity(self, t: float, grid: Grid) -> VelocityField:
-        """Rigid-body velocity translation + omega x (x - c(t)) on all faces."""
-        self._check_time(t)
+    def rigid_velocity(self, t: float, x, y):
+        """Rigid-body velocity translation + omega x (p - c(t)) at points p.
+
+        Returns (us, vs). us depends on y alone and vs on x alone, so x and
+        y need not share a shape: each face set passes only the coordinate
+        its own component needs.
+        """
         cx, cy = self.center_at(t)
-        vx, vy = self.velocity
-        xu, yu = grid.u_coords()
-        xv, yv = grid.v_coords()
-        us = vx - self.omega * (yu - cy)
-        vs = vy + self.omega * (xv - cx)
-        return VelocityField(grid, us, vs)
+        return (self.velocity[0] - self.omega * (y - cy),
+                self.velocity[1] + self.omega * (x - cx))
+
+    def sample_solid_velocity(self, t: float, grid: Grid) -> VelocityField:
+        """Rigid-body velocity on all faces: us at u faces, vs at v faces."""
+        _, yu = grid.u_coords()
+        xv, _ = grid.v_coords()
+        return VelocityField(grid, *self.rigid_velocity(t, xv, yu))
 
     def boundary_band(self, t: float, grid: Grid) -> np.ndarray:
         """Cells whose center lies within one cell diagonal of the circle.
 
         Returns an (m, 2) integer array of cell indices.
         """
-        self._check_time(t)
         cx, cy = self.center_at(t)
         x, y = grid.cell_coords()
         diag = math.hypot(grid.hx, grid.hy)
@@ -145,20 +144,29 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class ObstacleFrame:
-    """The obstacle sampled once at time t: face indicators and solid velocity.
+    """Every obstacle sample of one step, all taken at one time t.
 
-    One frame per step, at t^{n+1}, serves the prediction's penalization
-    and the penalization_energy diagnostic, so both see the same samples.
+    chi is the face indicator and vs the solid velocity on the faces; band
+    holds the boundary_band cells, an (m, 2) index array, and band_vs the
+    rigid velocity (us, vs) at their centers. One frame per step, at
+    t^{n+1}, serves the prediction's penalization and the step's
+    penalization_energy and slip_error diagnostics, so all of them see the
+    same obstacle and the same v_s.
     """
 
-    chi_u: np.ndarray
-    chi_v: np.ndarray
+    chi: VelocityField
     vs: VelocityField
+    band: np.ndarray
+    band_vs: tuple
 
     @classmethod
     def sample(cls, obstacle, t: float, grid: Grid) -> "ObstacleFrame | None":
         """Sample obstacle at t on grid; None without an obstacle."""
         if obstacle is None:
             return None
-        chi_u, chi_v = obstacle.sample_chi_faces(t, grid)
-        return cls(chi_u, chi_v, obstacle.sample_solid_velocity(t, grid))
+        band = obstacle.boundary_band(t, grid)
+        x, y = grid.cell_coords()
+        ii, jj = band[:, 0], band[:, 1]
+        return cls(VelocityField(grid, *obstacle.sample_chi_faces(t, grid)),
+                   obstacle.sample_solid_velocity(t, grid), band,
+                   obstacle.rigid_velocity(t, x[ii, jj], y[ii, jj]))

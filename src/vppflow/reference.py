@@ -64,9 +64,7 @@ def coupled_step(v_prev: VelocityField, forcing: VelocityField, obstacle, params
     nc = grid.ncells
 
     frame = ObstacleFrame.sample(obstacle, params.dt, grid)
-    chi = None
-    if frame is not None:
-        chi = linalg.penalization_diagonal(frame.chi_u, frame.chi_v)
+    chi = None if frame is None else layout.pack(frame.chi)
     a = linalg.assemble_prediction(grid, params, v_prev, chi)
     g = linalg.gradient_matrix(grid)
     d = linalg.divergence_matrix(grid)

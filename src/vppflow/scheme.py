@@ -125,11 +125,9 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     linalg.WallSlip); the default is the homogeneous no-slip wall.
     """
     grid = state.v.grid
-    chi = None
-    if frame is not None:
-        chi = linalg.penalization_diagonal(frame.chi_u, frame.chi_v)
-    op = linalg.assemble_prediction(grid, params, state.v, chi)
     layout = linalg.face_layout(grid)
+    chi = None if frame is None else layout.pack(frame.chi)
+    op = linalg.assemble_prediction(grid, params, state.v, chi)
 
     rhs_field = forcing + (1.0 / params.dt) * state.v
     grad_p = linalg._matvec(linalg.gradient_matrix(grid), state.p.p.ravel())
@@ -232,7 +230,7 @@ def run(v0: VelocityField, p0: PressureField, forcing_fn, obstacle,
         prev = state
         state, info = step(state, forcing_fn, obstacle, params,
                            wall_slip_fn=wall_slip_fn)
-        rec = make_record(prev, state, info, obstacle, params)
+        rec = make_record(prev, state, info, params)
         records.append(rec)
         if record_sink is not None:
             record_sink(rec)

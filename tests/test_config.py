@@ -116,7 +116,6 @@ omega = 1.0
     obs = cfg.obstacle
     assert obs.radius == 0.15
     assert obs.omega == 1.0
-    assert obs.t_max == 0.1
     # the keys left out take Obstacle's defaults
     assert obs.velocity == (Obstacle.velocity[0], 0.25)
     assert obs.chi_mode == Obstacle.chi_mode

@@ -1,17 +1,16 @@
 import functools
 import math
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import dirichlet_laplacian
-from vppflow import diagnostics, scheme
+from vppflow import diagnostics, operators, scheme
 from vppflow.diagnostics import FieldSeries, nikolskii_translation
 from vppflow.grid import Grid, PressureField, ScalarCellField, VelocityField
 from vppflow.manufactured import taylor_green_pressure, taylor_green_velocity
-from vppflow.obstacle import Obstacle
+from vppflow.obstacle import Obstacle, ObstacleFrame
 from vppflow.scheme import SchemeParams
 
 
@@ -190,51 +189,71 @@ def test_translation_rejects_offsets_outside_range():
 
 # ----------------------------------------------------------------- slip
 
-def make_rotor(t_max=1.0, r=0.2):
-    return Obstacle(radius=r, center=(0.5, 0.5), omega=1.0,
-                    t_max=t_max)
+ROTOR = Obstacle(radius=0.2, center=(0.5, 0.5), omega=1.0)
+# translating and rotating: the center is (0.49, 0.39) at t = 0.3
+MOVER = Obstacle(radius=0.2, center=(0.4, 0.45), velocity=(0.3, -0.2), omega=1.3)
 
 
 def test_slip_error_zero_when_velocity_matches_solid():
     g = Grid(32, 32)
-    obs = make_rotor()
-    vs = obs.sample_solid_velocity(0.3, g)
-    assert diagnostics.slip_error(vs, obs, 0.3) <= 1e-28
+    for obs in (ROTOR, MOVER):
+        frame = ObstacleFrame.sample(obs, 0.3, g)
+        assert frame.band.shape[0] > 0
+        assert diagnostics.slip_error(obs.sample_solid_velocity(0.3, g), frame) <= 1e-28
+
+
+def test_frame_band_velocity_is_the_penalized_solid_velocity():
+    # slip is measured against the v_s the faces are penalized towards:
+    # averaged to the band's cell centres, the face v_s is band_vs bit for bit
+    g = Grid(32, 24, 1.0, 0.9)
+    frame = ObstacleFrame.sample(MOVER, 0.3, g)
+    uc, vc = operators.velocity_at_cell_centers(frame.vs)
+    ii, jj = frame.band[:, 0], frame.band[:, 1]
+    assert np.array_equal(frame.band, MOVER.boundary_band(0.3, g))
+    assert np.array_equal(frame.band_vs[0], uc[ii, jj])
+    assert np.array_equal(frame.band_vs[1], vc[ii, jj])
 
 
 def test_slip_error_approximates_circumference():
     # |v - v_s| = 1 on the band: the integral is the circle length 2 pi r
     g = Grid(64, 64)
     r = 0.2
-    obs = Obstacle(radius=r, center=(0.5, 0.5), t_max=1.0)
+    frame = ObstacleFrame.sample(Obstacle(radius=r, center=(0.5, 0.5)), 0.0, g)
     vel = VelocityField(g, np.ones(g.shape_u), np.zeros(g.shape_v))
-    est = diagnostics.slip_error(vel, obs, 0.0)
+    est = diagnostics.slip_error(vel, frame)
     assert abs(est - 2 * math.pi * r) <= 0.15 * 2 * math.pi * r
 
 
 def test_slip_error_ignores_fields_away_from_band(rng):
     g = Grid(64, 64)
-    obs = make_rotor(r=0.15)
+    frame = ObstacleFrame.sample(Obstacle(radius=0.15, center=(0.5, 0.5), omega=1.0),
+                                 0.0, g)
     vel = VelocityField(g, rng.standard_normal(g.shape_u),
                         rng.standard_normal(g.shape_v))
-    base = diagnostics.slip_error(vel, obs, 0.0)
+    base = diagnostics.slip_error(vel, frame)
     # perturb only far outside the band (near the domain corner)
     far = vel.copy()
     far.u[:5, :5] += 100.0
-    assert diagnostics.slip_error(far, obs, 0.0) == pytest.approx(base)
+    assert diagnostics.slip_error(far, frame) == pytest.approx(base)
 
 
-def test_slip_error_empty_band_warns_and_returns_zero():
-    g = Grid(4, 4)
-    # disk much smaller than a cell, centered between cell centers
-    obs = Obstacle(radius=1e-6, center=(0.5, 0.5), t_max=1.0)
-    vel = VelocityField(g, np.ones(g.shape_u), np.zeros(g.shape_v))
-    band = obs.boundary_band(0.0, g)
-    if band.shape[0] == 0:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert diagnostics.slip_error(vel, obs, 0.0) == 0.0
-            assert any("empty" in str(w.message) for w in caught)
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(2, 64), ny=st.integers(2, 64),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0),
+       fx=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       fy=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       fr=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(nx=2, ny=2, lx=1.0, ly=1.0, fx=0.5, fy=0.5, fr=1e-6)
+def test_every_disk_that_fits_has_a_nonempty_boundary_band(nx, ny, lx, ly, fx, fy, fr):
+    # a circle point inside the domain lies within half a cell diagonal of
+    # the center of its cell, so that cell is in the one-diagonal band
+    g = Grid(nx, ny, lx, ly)
+    cx, cy = fx * lx, fy * ly
+    r = fr * min(cx, lx - cx, cy, ly - cy)
+    assume(r > 0)
+    obs = Obstacle(radius=r, center=(cx, cy))
+    assume(obs.clearance(g, 0.0) > 0)
+    assert obs.boundary_band(0.0, g).shape[0] > 0
 
 
 # --------------------------------------------------------------- ledger

@@ -207,9 +207,10 @@ def test_prediction_matches_matrix_free_residual_oracle(rng):
     layout = face_layout(g)
     params = params_for(dt=0.04, mu=0.3, eta=1e-3)
     adv = layout.unpack(rng.standard_normal(layout.n))
-    obstacle = Obstacle(radius=0.25, center=(0.5, 0.5), t_max=1.0)
+    obstacle = Obstacle(radius=0.25, center=(0.5, 0.5))
     chi_u, chi_v = obstacle.sample_chi_faces(0.04, g)
-    op = linalg.assemble_prediction(g, params, adv, linalg.penalization_diagonal(chi_u, chi_v))
+    op = linalg.assemble_prediction(g, params, adv,
+                                    layout.pack(VelocityField(g, chi_u, chi_v)))
 
     c_dense = _slow_convection_dense(g, adv)
 
@@ -220,7 +221,7 @@ def test_prediction_matches_matrix_free_residual_oracle(rng):
         residual = (x / params.dt
                     + c_dense @ x
                     - layout.pack(visc)
-                    + linalg.penalization_diagonal(chi_u, chi_v) * x / params.eta)
+                    + layout.pack(VelocityField(g, chi_u * w.u, chi_v * w.v)) / params.eta)
         applied = op @ x
         assert np.abs(applied - residual).max() <= 1e-10 * np.abs(residual).max()
 

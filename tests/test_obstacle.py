@@ -59,7 +59,7 @@ def test_rigid_rotation_is_discretely_divergence_free():
 def test_combined_motion_matches_analytic_formula(rng):
     g = Grid(12, 10)
     obs = Obstacle(radius=0.1, center=(0.4, 0.5),
-                   velocity=(0.2, -0.1), omega=0.7, t_max=1.0)
+                   velocity=(0.2, -0.1), omega=0.7)
     t = 0.5
     vs = obs.sample_solid_velocity(t, g)
     cx, cy = 0.4 + 0.2 * t, 0.5 - 0.1 * t
@@ -70,6 +70,9 @@ def test_combined_motion_matches_analytic_formula(rng):
         assert vs.u[i, j] == pytest.approx(0.2 - 0.7 * (yu[i, j] - cy), abs=1e-14)
         i, j = rng.integers(0, g.nx), rng.integers(0, g.ny + 1)
         assert vs.v[i, j] == pytest.approx(-0.1 + 0.7 * (xv[i, j] - cx), abs=1e-14)
+    # the faces and the band share the one rigid-body formula, bit for bit
+    assert np.array_equal(obs.rigid_velocity(t, xu, yu)[0], vs.u)
+    assert np.array_equal(obs.rigid_velocity(t, xv, yv)[1], vs.v)
 
 
 def test_boundary_band_count_and_definition():
@@ -87,8 +90,7 @@ def test_boundary_band_count_and_definition():
 
 
 def test_trajectory_continuity():
-    obs = Obstacle(radius=0.05, center=(0.3, 0.4),
-                   velocity=(0.6, -0.8), t_max=2.0)
+    obs = Obstacle(radius=0.05, center=(0.3, 0.4), velocity=(0.6, -0.8))
     speed = math.hypot(*obs.velocity)
     for t in np.linspace(0.0, 1.5, 7):
         for delta in (1e-3, 0.05, 0.3):
@@ -97,21 +99,9 @@ def test_trajectory_continuity():
             assert np.linalg.norm(c1 - c0) <= speed * delta + 1e-14
 
 
-def test_time_window_enforced():
-    g = Grid(8, 8)
-    obs = Obstacle(radius=0.1, center=(0.5, 0.5), t_max=1.0)
-    with pytest.raises(ValueError):
-        obs.sample_chi(1.5, g)
-    with pytest.raises(ValueError):
-        obs.sample_solid_velocity(-0.5, g)
-    with pytest.raises(ValueError):
-        obs.boundary_band(2.0, g)
-
-
 def test_clearance_accounts_for_translation():
     g = Grid(8, 8)
-    obs = Obstacle(radius=0.2, center=(0.5, 0.5),
-                   velocity=(0.4, 0.0), t_max=1.0)
+    obs = Obstacle(radius=0.2, center=(0.5, 0.5), velocity=(0.4, 0.0))
     # at t=1 the center is at x=0.9, so the disk pokes through the wall
     assert obs.clearance(g, 1.0) < 0
     assert obs.clearance(g, 0.5) > 0

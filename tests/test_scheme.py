@@ -79,7 +79,7 @@ def test_predict_enforces_rigid_body_in_stiff_limit():
     # forced to the solid velocity (zero) despite the driving force
     g = Grid(16, 16)
     params = tight_params(dt=0.05, eta=1e-8, mu=1e-2)
-    obstacle = Obstacle(radius=0.3, center=(0.5, 0.5), t_max=1.0)
+    obstacle = Obstacle(radius=0.3, center=(0.5, 0.5))
     forcing = VelocityField(g, np.ones(g.shape_u), np.zeros(g.shape_v))
     state = FlowState.initial(VelocityField.zeros(g), PressureField.zeros(g))
     frame = ObstacleFrame.sample(obstacle, params.dt, g)
@@ -95,8 +95,7 @@ def test_predict_enforces_rigid_body_in_stiff_limit():
 def rotor_case():
     # viscous enough that the Jacobi-BiCGStab prediction takes ~20 iterations
     g = Grid(32, 32)
-    obstacle = Obstacle(radius=0.15, center=(0.5, 0.5), omega=1.0,
-                        t_max=1.0)
+    obstacle = Obstacle(radius=0.15, center=(0.5, 0.5), omega=1.0)
     params = SchemeParams(dt=1.0 / 64, t_final=1.0, mu=0.1)
     state = FlowState.initial(VelocityField.zeros(g), PressureField.zeros(g))
     return g, obstacle, params, state
@@ -212,22 +211,41 @@ def test_extrapolated_start_saves_prediction_iterations():
 
 
 def test_obstacle_is_sampled_once_per_step(monkeypatch):
-    # the prediction and the penalization_energy column share one frame
-    calls = {"sample_chi_faces": 0, "sample_solid_velocity": 0}
-    for name in calls:
-        def counted(self, *args, _name=name, _original=getattr(Obstacle, name)):
-            calls[_name] += 1
-            return _original(self, *args)
-        monkeypatch.setattr(Obstacle, name, counted)
+    # the step samples the obstacle into one frame; the prediction and every
+    # column of the record read that frame, never the obstacle itself
+    calls = {"sample_chi_faces": 0, "sample_solid_velocity": 0, "boundary_band": 0}
+    in_record = []
+    for name, attr in list(vars(Obstacle).items()):
+        if not callable(attr) or name.startswith("__"):
+            continue
+
+        def guarded(self, *args, _name=name, _original=attr, **kwargs):
+            if in_record:
+                raise AssertionError(f"make_record called Obstacle.{_name}")
+            if _name in calls:
+                calls[_name] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(Obstacle, name, guarded)
+
+    records = []
+
+    def recording(*args):
+        in_record.append(True)
+        try:
+            records.append(diagnostics.make_record(*args))
+        finally:
+            in_record.pop()
+        return records[-1]
+    monkeypatch.setattr(scheme, "make_record", recording)
     g = Grid(16, 16)
     obstacle = Obstacle(radius=0.15, center=(0.5, 0.5), omega=1.0,
-                        t_max=0.125, chi_mode="fraction")
+                        chi_mode="fraction")
     params = SchemeParams(dt=1.0 / 32, t_final=0.125)
     result = scheme.run(VelocityField.zeros(g), PressureField.zeros(g), zero_forcing,
                         obstacle, params)
-    assert len(result.records) == 4
-    assert all(rec.penalization_energy > 0 for rec in result.records)
-    assert calls == {"sample_chi_faces": 4, "sample_solid_velocity": 4}
+    assert result.records == records and len(records) == 4
+    assert all(rec.penalization_energy > 0 and rec.slip_error > 0 for rec in records)
+    assert calls == {"sample_chi_faces": 4, "sample_solid_velocity": 4, "boundary_band": 4}
 
 
 # ------------------------------------------------------------------ correct
@@ -428,8 +446,7 @@ def test_run_reports_initial_divergence(rng):
 
 def test_run_rejects_obstacle_touching_boundary():
     g = Grid(8, 8)
-    obstacle = Obstacle(radius=0.2, center=(0.5, 0.5),
-                        velocity=(1.0, 0.0), t_max=1.0)
+    obstacle = Obstacle(radius=0.2, center=(0.5, 0.5), velocity=(1.0, 0.0))
     with pytest.raises(ValueError, match="clearance"):
         scheme.run(VelocityField.zeros(g), PressureField.zeros(g),
                    zero_forcing, obstacle,
@@ -452,7 +469,7 @@ def test_translating_obstacle_drags_fluid():
     g = Grid(32, 32)
     dt = 1.0 / 64
     obstacle = Obstacle(radius=0.12, center=(0.3, 0.5),
-                        velocity=(0.5, 0.0), t_max=0.5, chi_mode="binary")
+                        velocity=(0.5, 0.0), chi_mode="binary")
     params = SchemeParams(dt=dt, t_final=0.5, lam=1.0, eta=1e-6, mu=1e-2)
     res = scheme.run(VelocityField.zeros(g), PressureField.zeros(g),
                      zero_forcing, obstacle, params)
@@ -538,7 +555,7 @@ def test_chi_modes_agree_on_rotor_slip():
     slips = {}
     for mode in ("binary", "fraction"):
         obstacle = Obstacle(radius=0.15, center=(0.5, 0.5),
-                            omega=1.0, t_max=0.25, chi_mode=mode)
+                            omega=1.0, chi_mode=mode)
         params = SchemeParams(dt=dt, t_final=0.25, lam=1.0, eta=1e-4, mu=1e-2)
         res = scheme.run(VelocityField.zeros(g), PressureField.zeros(g),
                          zero_forcing, obstacle, params)
