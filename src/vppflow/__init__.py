@@ -1,7 +1,7 @@
 """Incompressible flow solver with penalty-projection stepping and an
 immersed moving obstacle, plus the verification machinery around it."""
 
-from .grid import Grid, PressureField, ScalarCellField, VelocityField
+from .grid import Grid, PressureField, VelocityField
 from .linalg import NonConvergence
 from .obstacle import Obstacle
 from .scheme import FlowState, RunResult, SchemeParams, SolverFailure, run, step
@@ -10,7 +10,6 @@ __all__ = [
     "Grid",
     "VelocityField",
     "PressureField",
-    "ScalarCellField",
     "Obstacle",
     "SchemeParams",
     "FlowState",

@@ -15,7 +15,7 @@ import numpy as np
 from . import diagnostics, linalg, operators, reference, scheme
 from .diagnostics import FieldSeries, nikolskii_translation
 from .experiments import fit_exponent, observed_order
-from .grid import Grid, PressureField, ScalarCellField, VelocityField
+from .grid import Grid, PressureField, VelocityField
 from .manufactured import (SpaceTimeError, random_solenoidal, taylor_green_pressure,
                            taylor_green_velocity, taylor_green_wall_slip)
 from .obstacle import Obstacle
@@ -296,9 +296,9 @@ def a7_translation_estimator() -> CriterionResult:
     all_ok = True
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        vals = [ScalarCellField.zeros(grid)]
+        vals = [PressureField.zeros(grid)]
         for _ in range(n_steps - 1):
-            inc = ScalarCellField(grid, rng.standard_normal(grid.shape_p))
+            inc = PressureField(grid, rng.standard_normal(grid.shape_p))
             vals.append(vals[-1] + inc)
         # normalize so sum of squared increment norms and sup norm are <= 1
         inc_sq = sum(diagnostics.l2_norm(vals[k + 1] - vals[k]) ** 2
@@ -310,17 +310,17 @@ def a7_translation_estimator() -> CriterionResult:
         t_total = series.t_final
         bound_c = 2.0 * max(math.sqrt(t_total), 2.0)
         for h in np.geomspace(dt / 4, t_total / 2, 9):
-            integral = nikolskii_translation(series, float(h), form="L1")
+            integral = nikolskii_translation(series, float(h))
             ratio = integral / (bound_c * math.sqrt(h))
             worst_margin = max(worst_margin, ratio)
             all_ok = all_ok and integral <= bound_c * math.sqrt(h)
 
     # hand-computed overlap value on the two-snapshot unit-jump series
     two = FieldSeries(dt=1.0, snapshots=[
-        ScalarCellField.zeros(grid),
-        ScalarCellField(grid, np.ones(grid.shape_p)),
+        PressureField.zeros(grid),
+        PressureField(grid, np.ones(grid.shape_p)),
     ])
-    val = nikolskii_translation(two, 0.5, form="L1")
+    val = nikolskii_translation(two, 0.5)
     exact_ok = abs(val - 0.5) <= 1e-14
     passed = all_ok and exact_ok
     return CriterionResult(

@@ -79,7 +79,7 @@ class SweepSpec:
     @property
     def param_field(self) -> str:
         """The SchemeParams field the sweep varies."""
-        return "lam" if self.parameter == "lambda" else self.parameter
+        return _FIELD.get(self.parameter, self.parameter)
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import linalg, operators
-from .grid import Grid, PressureField, ScalarCellField, VelocityField
+from .grid import Grid, PressureField, VelocityField
 
 
 def l2_norm(f) -> float:
-    """Area-weighted L2 norm of a field (velocity, pressure or scalar)."""
+    """Area-weighted L2 norm of a velocity or cell field."""
     if isinstance(f, VelocityField):
         return math.sqrt(operators.inner(f, f))
-    if isinstance(f, (PressureField, ScalarCellField)):
+    if isinstance(f, PressureField):
         return math.sqrt(operators.cell_inner(f, f))
     raise TypeError(f"cannot take the L2 norm of {type(f).__name__}")
 
@@ -59,8 +59,8 @@ def h_minus1_norm(f) -> float:
     In the sine basis of each lattice the Laplacian L is diagonal, so
     f^T L^{-1} f is a transform, a divide and a sum (Schumann & Sweet, 1976).
     """
-    if isinstance(f, (ScalarCellField, PressureField)):
-        parts = [("cell", f.data if isinstance(f, ScalarCellField) else f.p)]
+    if isinstance(f, PressureField):
+        parts = [("cell", f.p)]
     elif isinstance(f, VelocityField):
         parts = [("u", f.u[1:-1, :]), ("v", f.v[:, 1:-1])]
     else:
@@ -106,16 +106,13 @@ class FieldSeries:
         return min(max(k, 0), len(self.snapshots) - 1)
 
 
-def nikolskii_translation(series: FieldSeries, h: float, form: str = "L1") -> float:
-    """Exact time integral of the translated-difference l2_norm.
+def nikolskii_translation(series: FieldSeries, h: float) -> float:
+    """Exact L1 time integral int_0^{T-h} ||u(t+h) - u(t)|| dt.
 
-    form="L1" returns int_0^{T-h} ||u(t+h) - u(t)|| dt; form="L2" returns
-    the square root of the integral of the squared norm. Both are computed
-    analytically from the overlap lengths of the piecewise-constant
-    intervals, which covers the offsets below and above dt alike.
+    It is computed analytically from the overlap lengths of the
+    piecewise-constant intervals, which covers the offsets below and above
+    dt alike.
     """
-    if form not in ("L1", "L2"):
-        raise ValueError(f"unknown form {form!r}")
     t_end = series.t_final - h
     if h <= 0 or t_end <= 0:
         raise ValueError(f"offset h must lie in (0, T); got h={h}, T={series.t_final}")
@@ -144,9 +141,8 @@ def nikolskii_translation(series: FieldSeries, h: float, form: str = "L1") -> fl
     for left, right in zip(pts[:-1], pts[1:]):
         mid = 0.5 * (left + right)
         val = diff_norm(series.value_index(mid + h), series.value_index(mid))
-        length = right - left
-        total += length * (val * val if form == "L2" else val)
-    return math.sqrt(total) if form == "L2" else total
+        total += (right - left) * val
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +214,7 @@ class DiagnosticsRecord:
 CSV_COLUMNS = [f.name for f in fields(DiagnosticsRecord)]
 
 
-def make_record(prev, state, info, params) -> DiagnosticsRecord:
+def make_record(prev, state, info) -> DiagnosticsRecord:
     rec = DiagnosticsRecord(
         n=state.n,
         t=state.t,
@@ -243,22 +239,19 @@ class LedgerReport:
     """Accumulated stability ledger and its componentwise maxima."""
 
     max_total: float
-    final_total: float
-    kinetic_monotone: bool
     max_kinetic_increase: float
     all_finite: bool
     totals: dict
 
 
-def energy_ledger_check(records, params, initial_kinetic: float | None = None,
-                        rel_tol: float = 1e-10) -> LedgerReport:
+def energy_ledger_check(records, params, initial_kinetic: float) -> LedgerReport:
     """Accumulate the stability ledger over a run.
 
     At each n the ledger is ||v^n||^2 + dt*eps*||p^n||^2 + dt^2*||grad p^n||^2
     plus the running sums of increment, viscous, pressure-increment and
-    penalization terms. The kinetic-monotone flag checks every consecutive
-    pair of kinetic energies against rel_tol (meaningful for unforced runs
-    with a resting obstacle).
+    penalization terms. max_kinetic_increase is the largest relative rise
+    between consecutive kinetic energies, starting from initial_kinetic
+    (a monotonicity check for unforced runs with a resting obstacle).
     """
     eps = params.epsilon
     dt = params.dt
@@ -266,9 +259,7 @@ def energy_ledger_check(records, params, initial_kinetic: float | None = None,
     totals = {"increment": 0.0, "viscous": 0.0, "pressure_increment": 0.0,
               "penalization": 0.0}
     max_inc = 0.0
-    monotone = True
     prev_ke = initial_kinetic
-    final_total = 0.0
     all_finite = True
     for rec in records:
         totals["increment"] += rec.increment_norm**2
@@ -278,15 +269,11 @@ def energy_ledger_check(records, params, initial_kinetic: float | None = None,
         point = (2.0 * rec.kinetic_energy
                  + dt * eps * rec.pressure_norm**2
                  + dt**2 * rec.pressure_grad_norm**2)
-        final_total = point + sum(totals.values())
-        max_total = max(max_total, final_total)
-        all_finite = all_finite and np.isfinite(final_total)
-        if prev_ke is not None and prev_ke > 0:
-            inc = (rec.kinetic_energy - prev_ke) / prev_ke
-            max_inc = max(max_inc, inc)
-            if inc > rel_tol:
-                monotone = False
+        total = point + sum(totals.values())
+        max_total = max(max_total, total)
+        all_finite = all_finite and np.isfinite(total)
+        if prev_ke > 0:
+            max_inc = max(max_inc, (rec.kinetic_energy - prev_ke) / prev_ke)
         prev_ke = rec.kinetic_energy
-    return LedgerReport(max_total=max_total, final_total=final_total,
-                        kinetic_monotone=monotone, max_kinetic_increase=max_inc,
+    return LedgerReport(max_total=max_total, max_kinetic_increase=max_inc,
                         all_finite=all_finite, totals=totals)

@@ -2,7 +2,7 @@
 
 Layout conventions used throughout the package:
 
-* pressure / scalar cell fields: shape (nx, ny), sample at cell centers
+* cell fields (PressureField): shape (nx, ny), sample at cell centers
   ((i + 1/2) hx, (j + 1/2) hy)
 * u (horizontal velocity): shape (nx+1, ny), sample at vertical face
   centers (i hx, (j + 1/2) hy); columns i = 0 and i = nx lie on the
@@ -143,7 +143,8 @@ class VelocityField:
 
 @dataclass
 class PressureField:
-    """Cell-centered pressure samples on a Grid."""
+    """Cell-centered samples on a Grid: the one type for every cell quantity
+    (pressure, divergence, translation-series snapshots)."""
 
     grid: Grid
     p: np.ndarray
@@ -170,29 +171,3 @@ class PressureField:
 
     __rmul__ = __mul__
 
-
-@dataclass
-class ScalarCellField:
-    """Generic cell-centered scalar samples (divergence, chi, ...)."""
-
-    grid: Grid
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        _check_shape("data", self.data, self.grid.shape_p)
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarCellField":
-        return cls(grid, np.zeros(grid.shape_p))
-
-    def __add__(self, other):
-        return ScalarCellField(self.grid, self.data + other.data)
-
-    def __sub__(self, other):
-        return ScalarCellField(self.grid, self.data - other.data)
-
-    def __mul__(self, a: float):
-        return ScalarCellField(self.grid, self.data * a)
-
-    __rmul__ = __mul__

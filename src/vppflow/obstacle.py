@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarCellField, VelocityField
+from .grid import Grid, VelocityField
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class Obstacle:
         inside = (x - cx) ** 2 + (y - cy) ** 2 <= self.radius**2
         return inside.astype(float)
 
-    def _fraction(self, t, x, y, hx, hy, subdiv=4):
-        """Covered area fraction of cells centered at (x, y), by subsampling.
+    def _fraction(self, t, x, y, hx, hy):
+        """Covered area fraction of cells centered at (x, y), by 4x4 subsampling.
 
         Cells fully inside/outside the disk (center more than half a cell
         diagonal from the circle) are resolved exactly; only the boundary
@@ -77,7 +77,7 @@ class Obstacle:
         frac[dist <= self.radius - half_diag] = 1.0
         band = np.abs(dist - self.radius) < half_diag
         if np.any(band):
-            offs = (np.arange(subdiv) + 0.5) / subdiv - 0.5
+            offs = (np.arange(4) + 0.5) / 4 - 0.5
             ox, oy = np.meshgrid(offs * hx, offs * hy, indexing="ij")
             bx = x[band][:, None] + ox.ravel()[None, :]
             by = y[band][:, None] + oy.ravel()[None, :]
@@ -85,12 +85,12 @@ class Obstacle:
             frac[band] = sub.mean(axis=1)
         return frac
 
-    def sample_chi(self, t: float, grid: Grid) -> ScalarCellField:
-        """Indicator of the solid region at cell centers."""
+    def sample_chi(self, t: float, grid: Grid) -> np.ndarray:
+        """Indicator of the solid region at cell centers, shape (nx, ny)."""
         x, y = grid.cell_coords()
         if self.chi_mode == "binary":
-            return ScalarCellField(grid, self._indicator(t, x, y))
-        return ScalarCellField(grid, self._fraction(t, x, y, grid.hx, grid.hy))
+            return self._indicator(t, x, y)
+        return self._fraction(t, x, y, grid.hx, grid.hy)
 
     def sample_chi_faces(self, t: float, grid: Grid):
         """Indicator at u and v face centers, for the penalization diagonal.
@@ -102,7 +102,7 @@ class Obstacle:
             xu, yu = grid.u_coords()
             xv, yv = grid.v_coords()
             return self._indicator(t, xu, yu), self._indicator(t, xv, yv)
-        frac = self.sample_chi(t, grid).data
+        frac = self.sample_chi(t, grid)
         chi_u = np.zeros(grid.shape_u)
         chi_v = np.zeros(grid.shape_v)
         chi_u[1:-1, :] = 0.5 * (frac[1:, :] + frac[:-1, :])

@@ -16,24 +16,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import ScalarCellField, VelocityField
+from .grid import PressureField, VelocityField
 
 
-def divergence(vel: VelocityField) -> ScalarCellField:
+def divergence(vel: VelocityField) -> PressureField:
     """Cell-centered divergence: sum of face fluxes over the cell area."""
     g = vel.grid
     d = (vel.u[1:, :] - vel.u[:-1, :]) / g.hx + (vel.v[:, 1:] - vel.v[:, :-1]) / g.hy
-    return ScalarCellField(g, d)
+    return PressureField(g, d)
 
 
-def gradient(p) -> VelocityField:
+def gradient(p: PressureField) -> VelocityField:
     """Face-centered gradient of a cell field, zero on boundary faces."""
     g = p.grid
-    arr = p.data if isinstance(p, ScalarCellField) else p.p
     gu = np.zeros(g.shape_u)
     gv = np.zeros(g.shape_v)
-    gu[1:-1, :] = (arr[1:, :] - arr[:-1, :]) / g.hx
-    gv[:, 1:-1] = (arr[:, 1:] - arr[:, :-1]) / g.hy
+    gu[1:-1, :] = (p.p[1:, :] - p.p[:-1, :]) / g.hx
+    gv[:, 1:-1] = (p.p[:, 1:] - p.p[:, :-1]) / g.hy
     return VelocityField(g, gu, gv)
 
 
@@ -53,11 +52,9 @@ def inner(a: VelocityField, b: VelocityField) -> float:
     return float(np.sum(wu * a.u * b.u) + np.sum(wv * a.v * b.v))
 
 
-def cell_inner(a, b) -> float:
+def cell_inner(a: PressureField, b: PressureField) -> float:
     """L2 inner product of two cell fields."""
-    arr_a = a.data if isinstance(a, ScalarCellField) else a.p
-    arr_b = b.data if isinstance(b, ScalarCellField) else b.p
-    return float(a.grid.cell_area * np.sum(arr_a * arr_b))
+    return float(a.grid.cell_area * np.sum(a.p * b.p))
 
 
 def velocity_at_cell_centers(vel: VelocityField) -> tuple[np.ndarray, np.ndarray]:

@@ -20,10 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg, operators
-from .diagnostics import make_record
+from .diagnostics import l2_norm, make_record
 from .grid import PressureField, VelocityField
 from .linalg import NonConvergence
 from .obstacle import ObstacleFrame
@@ -92,11 +90,13 @@ class FlowState:
 
 
 class SolverFailure(RuntimeError):
-    """A step's prediction solve failed; carries the step index."""
+    """A step's prediction solve failed; carries the step index.
 
-    def __init__(self, stage, step_index, cause: NonConvergence):
-        super().__init__(f"{stage} solve failed at step {step_index}: {cause}")
-        self.stage = stage
+    The prediction is the only iterative solve: the correction is exact.
+    """
+
+    def __init__(self, step_index, cause: NonConvergence):
+        super().__init__(f"prediction solve failed at step {step_index}: {cause}")
         self.step_index = step_index
         self.cause = cause
 
@@ -160,7 +160,7 @@ def update_pressure(p_old: PressureField, v_new: VelocityField,
                     params: SchemeParams) -> PressureField:
     """p_new = p_old - div(v_new)/eps, projected to zero mean."""
     div = operators.divergence(v_new)
-    p = PressureField(p_old.grid, p_old.p - div.data / params.epsilon)
+    p = PressureField(p_old.grid, p_old.p - div.p / params.epsilon)
     return p.project_mean_zero()
 
 
@@ -184,7 +184,7 @@ def step(state: FlowState, forcing_fn, obstacle, params: SchemeParams,
     try:
         v_tilde, pred_iters = predict(state, f_next, frame, params, wall_slip=slip)
     except NonConvergence as exc:
-        raise SolverFailure("prediction", state.n + 1, exc) from exc
+        raise SolverFailure(state.n + 1, exc) from exc
     v_hat = correct(v_tilde, params)
 
     v_new = v_tilde + v_hat
@@ -220,8 +220,7 @@ def run(v0: VelocityField, p0: PressureField, forcing_fn, obstacle,
             raise ValueError(f"obstacle touches the boundary (clearance {gap:.3g})")
 
     state = FlowState.initial(v0, p0)
-    initial_div = float(np.sqrt(operators.cell_inner(
-        operators.divergence(state.v), operators.divergence(state.v))))
+    initial_div = l2_norm(operators.divergence(state.v))
 
     records = []
     if snapshot_sink is not None:
@@ -230,7 +229,7 @@ def run(v0: VelocityField, p0: PressureField, forcing_fn, obstacle,
         prev = state
         state, info = step(state, forcing_fn, obstacle, params,
                            wall_slip_fn=wall_slip_fn)
-        rec = make_record(prev, state, info, params)
+        rec = make_record(prev, state, info)
         records.append(rec)
         if record_sink is not None:
             record_sink(rec)

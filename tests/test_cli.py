@@ -223,7 +223,9 @@ max_iter = 1
 prediction_rtol = 1e-12
 """)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "solver failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver failure" in err
+    assert "prediction solve failed at step 1" in err
 
 
 def test_run_verb_rejects_sweep_configs(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vppflow.grid import Grid, PressureField, ScalarCellField, VelocityField
+import vppflow
+from vppflow.grid import Grid, PressureField, VelocityField
 
 
 def test_grid_validation():
@@ -35,7 +36,7 @@ def test_field_shape_checks():
     with pytest.raises(ValueError):
         PressureField(g, np.zeros((5, 4)))
     with pytest.raises(ValueError):
-        ScalarCellField(g, np.zeros((4, 5)))
+        PressureField(g, np.zeros((4, 5)))
 
 
 def test_pressure_mean_zero_projection(rng):
@@ -54,3 +55,8 @@ def test_velocity_arithmetic(rng):
     c = a + 2.0 * b - b
     assert np.allclose(c.u, a.u + b.u)
     assert np.allclose(c.v, a.v + b.v)
+
+
+def test_package_exports_resolve():
+    # a stale name in __all__ would otherwise fail only at a user's import
+    assert [name for name in vppflow.__all__ if not hasattr(vppflow, name)] == []

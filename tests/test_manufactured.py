@@ -97,7 +97,7 @@ def test_decay_rate_of_sampled_fields():
 def test_random_solenoidal_properties(rng):
     g = Grid(24, 16, 1.5, 1.0)
     vel = random_solenoidal(g, rng, amplitude=0.7)
-    assert np.abs(operators.divergence(vel).data).max() <= 1e-12
+    assert np.abs(operators.divergence(vel).p).max() <= 1e-12
     assert max(np.abs(vel.u[0, :]).max(), np.abs(vel.u[-1, :]).max(),
                np.abs(vel.v[:, 0]).max(), np.abs(vel.v[:, -1]).max()) == 0.0
     assert vel.max_abs() == pytest.approx(0.7)

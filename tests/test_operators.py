@@ -22,13 +22,13 @@ def random_velocity(grid, rng, interior_only=False):
 def test_divergence_of_uniform_field_is_zero():
     g = Grid(6, 5)
     vel = VelocityField(g, np.ones(g.shape_u), np.ones(g.shape_v))
-    assert np.abs(operators.divergence(vel).data).max() == 0.0
+    assert np.abs(operators.divergence(vel).p).max() == 0.0
 
 
 def test_divergence_of_linear_solenoidal_field_is_zero():
     g = Grid(8, 6, 1.5, 1.1)
     vel = VelocityField.from_functions(g, lambda x, y: x, lambda x, y: -y)
-    assert np.abs(operators.divergence(vel).data).max() <= 1e-13
+    assert np.abs(operators.divergence(vel).p).max() <= 1e-13
 
 
 def test_divergence_matches_flux_balance_oracle(rng):
@@ -40,7 +40,7 @@ def test_divergence_matches_flux_balance_oracle(rng):
         for j in range(g.ny):
             flux = ((vel.u[i + 1, j] - vel.u[i, j]) * g.hy
                     + (vel.v[i, j + 1] - vel.v[i, j]) * g.hx)
-            assert div.data[i, j] == pytest.approx(flux / g.cell_area, abs=1e-13)
+            assert div.p[i, j] == pytest.approx(flux / g.cell_area, abs=1e-13)
 
 
 # ------------------------------------------------------------------ gradient
@@ -151,7 +151,7 @@ def test_curl_matches_stencil_oracle(rng):
 # ----------------------------------------------------------------- linearity
 
 @pytest.mark.parametrize("op", [
-    lambda v: operators.divergence(v).data,
+    lambda v: operators.divergence(v).p,
     lambda v: operators.curl(v),
     lambda v: strain_divergence(v, 0.3).u,
 ])

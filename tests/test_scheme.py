@@ -327,7 +327,7 @@ def test_pressure_update_formula(rng):
     v = layout.unpack(rng.standard_normal(layout.n))
     s = operators.divergence(v)  # mean zero by the divergence theorem
     p_new = scheme.update_pressure(PressureField.zeros(g), v, params)
-    assert np.allclose(p_new.p, -s.data / params.epsilon, atol=1e-9)
+    assert np.allclose(p_new.p, -s.p / params.epsilon, atol=1e-9)
 
 
 def test_pressure_gradient_form_of_update(rng):
