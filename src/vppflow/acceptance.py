@@ -168,14 +168,19 @@ def a4_splitting_limit() -> CriterionResult:
     that floor well under the 1e-5 target so the eps branch is what is
     measured. Fixed by the criterion: 8x8 grid, one step, random solenoidal
     v0, dt = 0.01, eps in {1e-4, 1e-6, 1e-8, 1e-10}.
+
+    Reported only: the Cauchy differences ||v(eps_k) - v(eps_k+1)|| /
+    ||v(eps_k+1)|| of the split step itself and their fitted order in eps,
+    which stay far above roundoff where the errors sit on the floor.
     """
     grid = Grid(8, 8)
     rng = np.random.default_rng(0)
     v0 = random_solenoidal(grid, rng, amplitude=0.01)
     p0 = PressureField.zeros(grid)
     dt = 0.01
-    errs = []
-    for eps in (1e-4, 1e-6, 1e-8, 1e-10):
+    eps_list = [1e-4, 1e-6, 1e-8, 1e-10]
+    errs, states = [], []
+    for eps in eps_list:
         params = SchemeParams(dt=dt, t_final=2 * dt, lam=eps / dt, mu=1e-3,
                               prediction_rtol=1e-13, max_iter=50000)
         state = FlowState.initial(v0, p0)
@@ -184,13 +189,19 @@ def a4_splitting_limit() -> CriterionResult:
         rel = math.sqrt(operators.inner(new.v - vc, new.v - vc)
                         / operators.inner(vc, vc))
         errs.append(rel)
+        states.append(new.v)
+    cauchy = [math.sqrt(operators.inner(a - b, a - b) / operators.inner(b, b))
+              for a, b in zip(states, states[1:])]
+    cauchy_slope, _ = fit_exponent(eps_list[:-1], cauchy)
     decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
     passed = decreasing and errs[-1] <= 1e-5
     return CriterionResult(
         "A4", passed,
         f"errors {['%.3e' % e for e in errs]}, strictly decreasing: {decreasing}, "
-        f"final {errs[-1]:.2e} (target <= 1e-5)",
-        {"eps": [1e-4, 1e-6, 1e-8, 1e-10], "errors": errs})
+        f"final {errs[-1]:.2e} (target <= 1e-5); split-step Cauchy order "
+        f"{cauchy_slope:.2f} (reported only)",
+        {"eps": eps_list, "errors": errs, "cauchy_differences": cauchy,
+         "cauchy_slope": cauchy_slope})
 
 
 ROTATING_DISK = Obstacle(radius=0.15, center=(0.5, 0.5), omega=1.0)
@@ -331,7 +342,12 @@ def a7_translation_estimator() -> CriterionResult:
 
 
 def a8_operator_algebra() -> CriterionResult:
-    """Adjointness, curl(grad), convective skewness and correction SPD."""
+    """Adjointness, curl(grad), convective skewness and correction SPD.
+
+    The correction operator (eps/dt) I + D^T D is applied matrix-free as
+    lam x - G(D x), with the D and G of the step (G = -D^T), and the
+    convection matrix through the solvers' product.
+    """
     grid = Grid(9, 7, 1.2, 0.9)
     layout = linalg.face_layout(grid)
     rng = np.random.default_rng(123)
@@ -339,7 +355,12 @@ def a8_operator_algebra() -> CriterionResult:
     spd_ok = True
 
     params = SchemeParams(dt=0.05, t_final=0.1, lam=0.8, mu=1e-2)
-    corr = linalg.assemble_correction(grid, params)
+    lam = params.epsilon / params.dt
+    div, grad = linalg.divergence_matrix(grid), linalg.gradient_matrix(grid)
+
+    def corr(x):
+        return lam * x - linalg._matvec(grad, linalg._matvec(div, x))
+
     for _ in range(100):
         p = PressureField(grid, rng.standard_normal(grid.shape_p)).project_mean_zero()
         vel = layout.unpack(rng.standard_normal(layout.n))
@@ -356,16 +377,17 @@ def a8_operator_algebra() -> CriterionResult:
         adv = layout.unpack(rng.standard_normal(layout.n))
         cmat = linalg.convection_matrix(grid, adv)
         w = rng.standard_normal(layout.n)
-        quad = abs(w @ (cmat @ w))
-        denom = np.linalg.norm(cmat @ w) * np.linalg.norm(w) + 1e-30
+        cw = linalg._matvec(cmat, w)
+        quad = abs(w @ cw)
+        denom = np.linalg.norm(cw) * np.linalg.norm(w) + 1e-30
         checks["skew"] = max(checks["skew"], quad / denom)
 
         x = rng.standard_normal(layout.n)
         y = rng.standard_normal(layout.n)
-        sym = abs(x @ (corr @ y) - y @ (corr @ x)) / (
-            np.linalg.norm(corr @ x) * np.linalg.norm(y) + 1e-30)
+        cx, cy = corr(x), corr(y)
+        sym = abs(x @ cy - y @ cx) / (np.linalg.norm(cx) * np.linalg.norm(y) + 1e-30)
         checks["spd_sym"] = max(checks["spd_sym"], sym)
-        spd_ok = spd_ok and (x @ (corr @ x) > 0)
+        spd_ok = spd_ok and (x @ cx > 0)
 
     passed = (checks["adjoint"] <= 1e-12 and checks["curl_grad"] <= 1e-12
               and checks["skew"] <= 1e-10 and checks["spd_sym"] <= 1e-12

@@ -5,8 +5,8 @@ an Obstacle (None for shape = none) and [output] an OutputSpec, each built
 once from the keys the file sets: every other field keeps its type's
 default, and the type's constructor holds the range checks. A ValueError
 it raises becomes a ConfigError naming the section and its keys. Every
-member of a [sweep] is built too, so a configuration that loads can run
-them all.
+member of a [sweep] is built too, and a disk must clear the walls over
+each member's run, so a configuration that loads can run them all.
 
 The divergence penalty is never a free input: only the ratio lambda is
 accepted and eps = lambda * dt is derived per run, also inside sweeps.
@@ -274,7 +274,12 @@ def load_config(text: str) -> RunConfig:
         forcing=SelectorSpec(forcing_kind, tuple(forcing_opts)),
         output=output, sweep=sweep, defaulted=tuple(defaulted),
     )
-    _domain("[sweep] values", cfg.sweep_configs)
+    for member in _domain("[sweep] values", cfg.sweep_configs):
+        if obstacle is not None:
+            gap = obstacle.clearance(grid, member.params.t_final)
+            if gap <= 0:
+                raise ConfigError(f"field [obstacle]: the disk touches the boundary by "
+                                  f"T = {member.params.t_final} (clearance {gap:.3g})")
     return cfg
 
 

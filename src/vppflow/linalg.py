@@ -19,27 +19,29 @@ Operator structure:
   matrix, C = (K - K^T)/2. This is a second-order discretization of the
   advective form plus half the advecting field's divergence, and it makes
   the convective quadratic form vanish exactly, not just to O(h^2).
-* S, C and the prediction operator are CSR matrices on one 9-slot layout
-  per grid, with indptr = 9 * arange(n + 1) and read-only index arrays
-  shared by all three. A u row (i, j) holds its W, S, self, N, E u
-  neighbours, then v(i-1, j), v(i-1, j+1), v(i, j), v(i, j+1); a v row
-  (i, j) holds u(i, j-1), u(i, j), u(i+1, j-1), u(i+1, j), then its W, S,
-  self, N, E v neighbours. A neighbour missing at a wall is an explicit
-  zero at the row's own column. The real entries stay in increasing column
-  order, so a matrix-vector product sums them in the order the canonical
-  matrix would, and the padding adds only exact zeros: the products, the
-  diagonal and the solver iterates are bitwise those of the canonical
-  matrix. Each step computes mu S into one fresh data array, adds the
-  convection into strided slot views of it and then the diagonal, all in
-  place.
+* every operator is a Csr, a frozen compressed-sparse-row matrix whose
+  arrays are read-only; only this module knows the format. S, C and the
+  prediction operator share one 9-slot layout per grid, with indptr =
+  9 * arange(n + 1) and the index arrays of S. A u row (i, j) holds its
+  W, S, self, N, E u neighbours, then v(i-1, j), v(i-1, j+1), v(i, j),
+  v(i, j+1); a v row (i, j) holds u(i, j-1), u(i, j), u(i+1, j-1),
+  u(i+1, j), then its W, S, self, N, E v neighbours. A neighbour missing
+  at a wall is an explicit zero at the row's own column. The real entries
+  stay in increasing column order, so a matrix-vector product sums them in
+  the order the canonical matrix would, and the padding adds only exact
+  zeros: the products, the diagonal and the solver iterates are bitwise
+  those of the canonical matrix. Each step computes mu S into one fresh
+  data array, adds the convection into strided slot views of it and then
+  the diagonal, all in place. D and G are written in closed form too, each
+  row in increasing column order, so they are the canonical matrices.
 * solve_correction solves the constant-coefficient correction exactly by
-  a DCT-II; assemble_correction keeps its matrix as the reference operator.
+  a DCT-II.
 * dirichlet_bases diagonalizes the Dirichlet -Laplace on the cell and face
   lattices by sine transforms, for the closed-form H^-1 diagnostics.
-* _matvec is the one caller of csr_matvec, scipy's private CSR kernel:
-  the same product as a @ x, bitwise, without the Python dispatch of the
-  @ operator, written into a checked output vector. Every product of the
-  solvers goes through it.
+* _matvec is the one caller of csr_matvec, a compiled CSR kernel that
+  _load_csr_matvec loads from its file alone, without importing the
+  package that ships it: the canonical CSR product, bitwise, written into
+  a checked output vector. Every product of the solvers goes through it.
 * solve runs Jacobi-preconditioned BiCGStab (van der Vorst, 1992) from an
   optional initial guess x0 and stops at ||b - A x|| <= rtol ||b||: the
   tolerance is relative to the right-hand side, not to the initial
@@ -53,15 +55,95 @@ Operator structure:
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
 from .grid import Grid, VelocityField
+
+
+def _load_csr_matvec():
+    """csr_matvec of scipy's compiled _sparsetools module, loaded from its
+    file by path: neither find_spec nor the load imports a scipy module.
+
+    The kernel is private scipy API, found at scipy/sparse/_sparsetools
+    with the interpreter's extension suffix. If a scipy release moves the
+    file, this function is what to change.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy, which ships the compiled CSR kernel, is not installed")
+    folder = os.path.join(spec.submodule_search_locations[0], "sparse")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            kernel = importlib.util.spec_from_file_location("_sparsetools", path)
+            module = importlib.util.module_from_spec(kernel)
+            kernel.loader.exec_module(module)
+            return module.csr_matvec
+    raise ImportError(f"no compiled CSR kernel {os.path.join(folder, '_sparsetools')}"
+                      f"{{{', '.join(importlib.machinery.EXTENSION_SUFFIXES)}}}")
+
+
+csr_matvec = _load_csr_matvec()
+
+
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """Compressed-sparse-row matrix: row r holds data[indptr[r]:indptr[r+1]]
+    in the columns indices[indptr[r]:indptr[r+1]]. The arrays are made
+    read-only, so operators can share index arrays and cached ones cannot
+    be edited in place. Column indices are trusted to lie in [0, shape[1]);
+    the rest of the structure is checked.
+
+    diagonal_slots, when set, are slices of data that hold each row's
+    entry on its own column, in row order, for a layout whose other entries
+    on that column are exact zeros (the 9-slot layout).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+    diagonal_slots: tuple[slice, ...] | None = None
+
+    def __post_init__(self):
+        if (self.indptr.shape != (self.shape[0] + 1,) or self.indptr[0] != 0
+                or self.indices.shape != self.data.shape
+                or self.indices.shape != (self.indptr[-1],)
+                or self.indices.dtype != self.indptr.dtype
+                or self.indptr.dtype not in (np.int32, np.int64)):
+            raise ValueError(f"inconsistent CSR arrays for shape {self.shape}")
+        for arr in (self.indptr, self.indices, self.data):
+            arr.setflags(write=False)
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix; np.add.at sums repeated entries in storage order,
+        as a dense copy of a canonical CSR matrix does."""
+        dense = np.zeros(self.shape)
+        np.add.at(dense, (self.entry_rows(), self.indices), self.data)
+        return dense
+
+    def diagonal(self) -> np.ndarray:
+        """Entry (i, i) for i < min(shape): per row, 0.0 plus each entry on
+        the row's own column in storage order, as a canonical CSR diagonal
+        is summed. Read from diagonal_slots when set: the padding zeros
+        leave a self slot unchanged unless it is -0.0, which no 9-slot
+        operator holds."""
+        if self.diagonal_slots is not None:
+            return np.concatenate([self.data[s] for s in self.diagonal_slots])
+        rows = self.entry_rows()
+        own = self.indices == rows
+        return np.bincount(rows[own], weights=self.data[own], minlength=min(self.shape))
 
 
 class NonConvergence(Exception):
@@ -131,38 +213,40 @@ def _index_grids(layout: FaceLayout):
 
 
 @lru_cache(maxsize=32)
-def divergence_matrix(grid: Grid) -> sp.csr_matrix:
-    """Cells x faces divergence over the packed interior unknowns."""
+def divergence_matrix(grid: Grid) -> Csr:
+    """Cells x faces divergence over the packed interior unknowns.
+
+    Row (i, j) holds its u-west, u-east, v-south and v-north faces with
+    -1/hx, 1/hx, -1/hy and 1/hy, which is increasing column order; a wall
+    face is not an unknown and is dropped.
+    """
     layout = face_layout(grid)
-    nx, ny = grid.nx, grid.ny
     uidx, vidx = _index_grids(layout)
     uidx, vidx = uidx[:, 1:-1], vidx[1:-1, :]
-    cell = np.arange(grid.ncells).reshape(nx, ny)
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        keep = c >= 0
-        rows.append(r[keep])
-        cols.append(c[keep])
-        vals.append(v[keep] if isinstance(v, np.ndarray) else np.full(keep.sum(), v))
-
-    add(cell.ravel(), uidx[1:, :].ravel(), np.full(grid.ncells, 1.0 / grid.hx))
-    add(cell.ravel(), uidx[:-1, :].ravel(), np.full(grid.ncells, -1.0 / grid.hx))
-    add(cell.ravel(), vidx[:, 1:].ravel(), np.full(grid.ncells, 1.0 / grid.hy))
-    add(cell.ravel(), vidx[:, :-1].ravel(), np.full(grid.ncells, -1.0 / grid.hy))
-
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.ncells, layout.n),
-    )
-    return mat.tocsr()
+    cols = np.stack([uidx[:-1, :], uidx[1:, :], vidx[:, :-1], vidx[:, 1:]],
+                    axis=-1).reshape(grid.ncells, 4)
+    vals = np.broadcast_to([-1.0 / grid.hx, 1.0 / grid.hx, -1.0 / grid.hy, 1.0 / grid.hy],
+                           cols.shape)
+    present = cols >= 0
+    indptr = np.zeros(grid.ncells + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    return Csr(indptr, cols[present].astype(np.int32), vals[present],
+               (grid.ncells, layout.n))
 
 
 @lru_cache(maxsize=32)
-def gradient_matrix(grid: Grid) -> sp.csr_matrix:
-    """Faces x cells gradient; exactly -divergence_matrix^T."""
-    return (-divergence_matrix(grid).T).tocsr()
+def gradient_matrix(grid: Grid) -> Csr:
+    """Faces x cells gradient; exactly -divergence_matrix^T.
+
+    A stable sort of D's entries by column keeps each face's cells in
+    increasing order, so every row is in increasing column order.
+    """
+    d = divergence_matrix(grid)
+    order = np.argsort(d.indices, kind="stable")
+    indptr = np.zeros(d.shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(d.indices, minlength=d.shape[1]), out=indptr[1:])
+    return Csr(indptr, d.entry_rows()[order].astype(np.int32), -d.data[order],
+               (d.shape[1], d.shape[0]))
 
 
 def _slots(grid: Grid, data: np.ndarray):
@@ -173,7 +257,7 @@ def _slots(grid: Grid, data: np.ndarray):
 
 
 @lru_cache(maxsize=32)
-def strain_energy_matrix(grid: Grid) -> sp.csr_matrix:
+def strain_energy_matrix(grid: Grid) -> Csr:
     """Positive semi-definite matrix S with x^T S x = 2|exx|^2 + 2|eyy|^2 + |gamma|^2.
 
     The viscous operator -div(2 mu D(.)) on the packed unknowns is mu * S.
@@ -182,8 +266,7 @@ def strain_energy_matrix(grid: Grid) -> sp.csr_matrix:
     and count half in the trapezoidal node quadrature, corners a quarter,
     which reproduces the matrix-free stencil of div(2 mu D(v)). Every row
     is written out in closed form on the 9-slot layout of the module
-    docstring; its index arrays are read-only because the prediction
-    operators share them.
+    docstring; the prediction operators share its index arrays.
     """
     layout = face_layout(grid)
     nx, ny = grid.nx, grid.ny
@@ -220,15 +303,13 @@ def strain_energy_matrix(grid: Grid) -> sp.csr_matrix:
     sv[..., 6] = 4.0 * b + gv
     data[~present] = 0.0
 
-    s = sp.csr_matrix((data.reshape(-1), cols.reshape(-1).astype(np.int32),
-                       9 * np.arange(layout.n + 1, dtype=np.int32)), shape=(layout.n, layout.n))
-    # the prediction operators share these index arrays (assemble_prediction)
-    s.indices.setflags(write=False)
-    s.indptr.setflags(write=False)
-    return s
+    nu = layout.nu
+    return Csr(9 * np.arange(layout.n + 1, dtype=np.int32), cols.reshape(-1).astype(np.int32),
+               data.reshape(-1), (layout.n, layout.n),
+               diagonal_slots=(slice(2, 9 * nu, 9), slice(9 * nu + 6, None, 9)))
 
 
-def convection_matrix(grid: Grid, vel_prev: VelocityField) -> sp.csr_matrix:
+def convection_matrix(grid: Grid, vel_prev: VelocityField) -> Csr:
     """Skew-symmetric linearized convection built from the previous velocity.
 
     K is the staggered divergence-form flux matrix with centered
@@ -241,9 +322,9 @@ def convection_matrix(grid: Grid, vel_prev: VelocityField) -> sp.csr_matrix:
     arrays of strain_energy_matrix(grid), with zeros elsewhere.
     """
     s = strain_energy_matrix(grid)
-    data = np.zeros(s.nnz)
+    data = np.zeros(s.data.shape)
     _add_convection(grid, vel_prev, data)
-    return sp.csr_matrix((data, s.indices, s.indptr), shape=s.shape)
+    return replace(s, data=data)
 
 
 def _add_convection(grid: Grid, vel_prev: VelocityField, data: np.ndarray):
@@ -336,7 +417,7 @@ def boundary_rhs(grid: Grid, v_prev: VelocityField, mu: float,
     return rhs
 
 
-def assemble_prediction(grid, params, v_prev: VelocityField, chi=None) -> sp.csr_matrix:
+def assemble_prediction(grid, params, v_prev: VelocityField, chi=None) -> Csr:
     """Momentum operator for the implicit velocity prediction.
 
     (1/dt) I + C(v_prev) - div(2 mu D(.)) + (1/eta) chi I on the interior
@@ -353,19 +434,10 @@ def assemble_prediction(grid, params, v_prev: VelocityField, chi=None) -> sp.csr
     diag = 1.0 / params.dt if chi is None else 1.0 / params.dt + chi / params.eta
     diag = np.broadcast_to(diag, s.shape[0])
     nu = face_layout(grid).nu
-    data[2:9 * nu:9] += diag[:nu]           # self slot of the u rows
-    data[9 * nu + 6::9] += diag[nu:]        # and of the v rows
-    return sp.csr_matrix((data, s.indices, s.indptr), shape=s.shape)
-
-
-def assemble_correction(grid, params) -> sp.csr_matrix:
-    """SPD operator (eps/dt) I - grad(div(.)) of the velocity correction."""
-    if params.epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {params.epsilon}")
-    d = divergence_matrix(grid)
-    a = (sp.diags(np.full(d.shape[1], params.epsilon / params.dt)) + d.T @ d).tocsr()
-    a.eliminate_zeros()
-    return a
+    u_self, v_self = s.diagonal_slots
+    data[u_self] += diag[:nu]
+    data[v_self] += diag[nu:]
+    return replace(s, data=data)
 
 
 # ----------------------------------------------------------------------
@@ -445,16 +517,16 @@ def dirichlet_bases(grid: Grid, which: str):
 # Krylov solver (Jacobi-preconditioned BiCGStab)
 # ----------------------------------------------------------------------
 
-def _jacobi(matrix: sp.csr_matrix) -> np.ndarray:
+def _jacobi(matrix: Csr) -> np.ndarray:
     d = matrix.diagonal()
     d = np.where(np.abs(d) > 0, d, 1.0)
     return 1.0 / d
 
 
-def _matvec(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a @ x for a float64 CSR matrix a, bitwise, into out (fresh if None).
+def _matvec(a: Csr, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The product a x for a float64 Csr a, into out (fresh if None).
 
-    scipy's kernel adds into its output and silently converts an array of
+    The kernel adds into its output and silently converts an array of
     another layout or type into a hidden copy, which is harmless for x but
     would hide the result of an out that is not a C-contiguous float64
     vector of the row count: such an out is rejected, a valid one zeroed.
@@ -473,16 +545,16 @@ def _matvec(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray | None = None) -> n
     return out
 
 
-def solve(a: sp.csr_matrix, rhs: np.ndarray, rtol: float, max_iter: int, x0=None):
+def solve(a: Csr, rhs: np.ndarray, rtol: float, max_iter: int, x0=None):
     """Solve a x = rhs by BiCGStab from x0 (zero if None); returns (x, iterations).
 
-    a must be a float64 CSR matrix. Stops once ||rhs - a x|| <= rtol
+    a must be a Csr with float64 data. Stops once ||rhs - a x|| <= rtol
     ||rhs||, whatever x0 is, and raises NonConvergence if the residual stays
     above that after max_iter iterations. rhs and x0 are not modified,
     and x is a fresh array.
     """
-    if not (sp.issparse(a) and a.format == "csr" and a.dtype == np.float64):
-        raise TypeError(f"solve needs a float64 CSR matrix, got {type(a).__name__}")
+    if not (isinstance(a, Csr) and a.data.dtype == np.float64):
+        raise TypeError(f"solve needs a float64 Csr, got {type(a).__name__}")
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match operator {a.shape}")
     return _bicgstab(a, rhs, rtol, max_iter, x0)
@@ -502,7 +574,12 @@ def _bicgstab(a, b, rtol, max_iter, x0=None):
     # Every update below is the textbook expression evaluated in place, in
     # its own operation order; w is scratch. p = r + beta (p - omega v) is
     # w = omega v; p -= w; p *= beta; p += r, which rounds the same because
-    # IEEE addition and multiplication commute.
+    # IEEE addition and multiplication commute. s = r - alpha v is formed in
+    # r's buffer and s_hat in p_hat's, as neither r nor p_hat is read again
+    # in the iteration, and x takes its alpha p_hat term before s_hat
+    # exists: five work vectors instead of seven. The fewer megabytes a step
+    # frees, the less often the C heap crosses its trim threshold, returns
+    # the memory and faults it in again on the next step.
     norm_b = _norm(b)
     if norm_b == 0.0:
         return np.zeros(b.shape[0]), 0
@@ -514,7 +591,7 @@ def _bicgstab(a, b, rtol, max_iter, x0=None):
         return x, 0
     r_hat = r.copy()
     rho = alpha = omega = 1.0
-    p, v, p_hat, s, s_hat, t, w = np.zeros((7, b.shape[0]))
+    p, v, p_hat, t, w = np.zeros((5, b.shape[0]))
     for k in range(1, max_iter + 1):
         rho_new = _dot(r_hat, r)
         if abs(rho_new) < 1e-300:
@@ -531,24 +608,21 @@ def _bicgstab(a, b, rtol, max_iter, x0=None):
             raise NonConvergence("BiCGStab breakdown (r_hat . v ~ 0)",
                                  _norm(r), k)
         alpha = rho_new / denom
-        np.multiply(v, alpha, out=s)
-        np.subtract(r, s, out=s)
-        if _norm(s) <= tol:
-            x += np.multiply(p_hat, alpha, out=w)
+        r -= np.multiply(v, alpha, out=w)                # s = r - alpha v
+        x += np.multiply(p_hat, alpha, out=w)
+        if _norm(r) <= tol:
             np.subtract(b, _matvec(a, x, r), out=r)     # the true residual
             if _norm(r) <= tol:
                 return x, k
         else:
-            np.multiply(minv, s, out=s_hat)
-            _matvec(a, s_hat, t)
+            np.multiply(minv, r, out=p_hat)              # s_hat
+            _matvec(a, p_hat, t)
             tt = _dot(t, t)
             if tt == 0.0:
-                raise NonConvergence("BiCGStab breakdown (t = 0)", _norm(s), k)
-            omega = _dot(t, s) / tt
-            x += np.multiply(p_hat, alpha, out=w)
-            x += np.multiply(s_hat, omega, out=w)
-            np.multiply(t, omega, out=r)
-            np.subtract(s, r, out=r)
+                raise NonConvergence("BiCGStab breakdown (t = 0)", _norm(r), k)
+            omega = _dot(t, r) / tt
+            x += np.multiply(p_hat, omega, out=w)
+            r -= np.multiply(t, omega, out=w)            # r = s - omega t
             if _norm(r) <= tol:
                 np.subtract(b, _matvec(a, x, r), out=r)
                 if _norm(r) <= tol:

@@ -6,9 +6,56 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from vppflow import manufactured
+from vppflow import linalg, manufactured
 from vppflow.grid import VelocityField
-from vppflow.linalg import NonConvergence
+from vppflow.linalg import Csr, NonConvergence
+
+
+# ----------------------------------------------------------------------
+# scipy views of the package's operators, and the operators it no longer builds
+# ----------------------------------------------------------------------
+
+def to_scipy(a: Csr) -> sp.csr_matrix:
+    """The same matrix as a scipy CSR matrix, on copies of the arrays."""
+    return sp.csr_matrix((a.data.copy(), a.indices.copy(), a.indptr.copy()), shape=a.shape)
+
+
+def from_scipy(m) -> Csr:
+    """The package's Csr of a scipy sparse matrix, on copies of its CSR arrays."""
+    m = sp.csr_matrix(m)
+    return Csr(m.indptr.copy(), m.indices.copy(), m.data.copy(), m.shape)
+
+
+def divergence_coo(grid) -> sp.csr_matrix:
+    """The cells x faces divergence assembled as COO triplets, one face set
+    at a time, and canonicalized by scipy: the reference for
+    linalg.divergence_matrix."""
+    layout = linalg.face_layout(grid)
+    ii, jj = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny), indexing="ij")
+    cell = (ii * grid.ny + jj).ravel()
+    ii, jj = ii.ravel(), jj.ravel()
+    rows, cols, vals = [], [], []
+    for keep, col, val in (
+            (ii + 1 <= grid.nx - 1, layout.u_index(ii + 1, jj), 1.0 / grid.hx),
+            (ii >= 1, layout.u_index(ii, jj), -1.0 / grid.hx),
+            (jj + 1 <= grid.ny - 1, layout.v_index(ii, jj + 1), 1.0 / grid.hy),
+            (jj >= 1, layout.v_index(ii, jj), -1.0 / grid.hy)):
+        rows.append(cell[keep])
+        cols.append(col[keep])
+        vals.append(np.full(keep.sum(), val))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(grid.ncells, layout.n)).tocsr()
+
+
+def assemble_correction(grid, params) -> sp.csr_matrix:
+    """SPD operator (eps/dt) I - grad(div(.)) of the velocity correction,
+    the matrix that linalg.solve_correction inverts exactly."""
+    if params.epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {params.epsilon}")
+    d = to_scipy(linalg.divergence_matrix(grid))
+    a = (sp.diags(np.full(d.shape[1], params.epsilon / params.dt)) + d.T @ d).tocsr()
+    a.eliminate_zeros()
+    return a
 
 
 def _dirichlet_lap_1d(m: int, h: float, offset: bool) -> sp.csr_matrix:

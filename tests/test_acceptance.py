@@ -29,6 +29,7 @@ def _check(name):
         assert res.elapsed <= BUDGETS[name], \
             f"{name} exceeded its runtime budget: {res.elapsed:.1f}s"
     assert res.passed, f"{res.name}: {res.summary}"
+    return res
 
 
 def test_a1_divergence_eps_scaling():
@@ -44,7 +45,10 @@ def test_a3_manufactured_convergence():
 
 
 def test_a4_splitting_limit_oracle_equivalence():
-    _check("A4")
+    res = _check("A4")
+    # the reported companion: the split step converges like eps
+    assert len(res.details["cauchy_differences"]) == 3
+    assert math.isclose(res.details["cauchy_slope"], 1.0, abs_tol=0.05)
 
 
 def test_a5_penalization_slip_scaling():

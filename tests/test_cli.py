@@ -348,7 +348,11 @@ def test_io_failure_leaves_partial_output_marker(tmp_path):
     (ZERO_RUN + "[obstacle]\nshape = disk\nradius = 0\ncenter_x = 0.5\n"
      "center_y = 0.5\n", "[obstacle] radius"),
     (ZERO_RUN.replace("nx = 8", "nx = 1"), "[grid]"),
-], ids=["chi_mode", "prediction_rtol", "radius", "nx"])
+    # the disk moves from the centre to the right wall by T = 0.5
+    (ZERO_RUN.replace("dt = 0.01", "dt = 0.1").replace("T = 0.1", "T = 0.5")
+     + "[obstacle]\nshape = disk\nradius = 0.15\ncenter_x = 0.5\ncenter_y = 0.5\n"
+     "vel_x = 1\n", "[obstacle]"),
+], ids=["chi_mode", "prediction_rtol", "radius", "nx", "wall"])
 def test_print_config_rejects_invalid_domain_values(tmp_path, capsys, text, named):
     cfg = write(tmp_path, "bad.ini", text)
     assert main(["print-config", "--config", cfg]) == 1

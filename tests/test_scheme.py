@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from oracles import assemble_correction, to_scipy
 from vppflow import diagnostics, linalg, operators, scheme
 from vppflow.experiments import fit_exponent
 from vppflow.grid import Grid, PressureField, VelocityField
@@ -69,7 +70,7 @@ def test_predict_matches_dense_solve_for_stokes_forcing(rng):
     state = FlowState.initial(VelocityField.zeros(g), PressureField.zeros(g))
     v_tilde, _ = scheme.predict(state, forcing, None, params)
     layout = face_layout(g)
-    op = linalg.assemble_prediction(g, params, state.v)
+    op = to_scipy(linalg.assemble_prediction(g, params, state.v))
     ref = np.linalg.solve(op.toarray(), layout.pack(forcing))
     assert np.abs(layout.pack(v_tilde) - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -151,8 +152,8 @@ def test_warm_started_prediction_meets_the_rhs_relative_tolerance(monkeypatch):
 
     op, rhs = prediction_system(state, obstacle, params)
     (x0,) = starts
-    r0 = np.linalg.norm(rhs - op @ x0)
-    r = np.linalg.norm(rhs - op @ layout.pack(v_tilde))
+    r0 = np.linalg.norm(rhs - to_scipy(op) @ x0)
+    r = np.linalg.norm(rhs - to_scipy(op) @ layout.pack(v_tilde))
     rtol = params.prediction_rtol
     assert r0 < 0.1 * np.linalg.norm(rhs)
     assert r <= rtol * np.linalg.norm(rhs)
@@ -270,9 +271,9 @@ def test_correct_matches_dense_solve_on_gradient_input(rng):
     v_tilde = operators.gradient(p)
     v_hat = scheme.correct(v_tilde, params)
     layout = face_layout(g)
-    op = linalg.assemble_correction(g, params)
-    d = linalg.divergence_matrix(g)
-    rhs = linalg.gradient_matrix(g) @ (d @ layout.pack(v_tilde))
+    op = assemble_correction(g, params)
+    d = to_scipy(linalg.divergence_matrix(g))
+    rhs = to_scipy(linalg.gradient_matrix(g)) @ (d @ layout.pack(v_tilde))
     ref = np.linalg.solve(op.toarray(), rhs)
     assert np.abs(layout.pack(v_hat) - ref).max() <= 1e-8 * np.abs(ref).max()
 
@@ -282,7 +283,7 @@ def test_correct_reduces_divergence_with_spectral_bound(rng):
     # grad-div eigenvalues; c = smallest positive eigenvalue of D D^T
     g = Grid(8, 8)
     params = tight_params(dt=0.05, lam=0.7)
-    d = linalg.divergence_matrix(g)
+    d = to_scipy(linalg.divergence_matrix(g))
     evals = np.linalg.eigvalsh((d @ d.T).toarray())
     c = min(e for e in evals if e > 1e-10)
     eps = params.epsilon
@@ -375,7 +376,7 @@ def test_single_step_energy_identity(nx, ny, lx, ly, seed):
     new, _ = scheme.step(state, zero_forcing, None, params)
 
     layout = face_layout(g)
-    s = linalg.strain_energy_matrix(g)
+    s = to_scipy(linalg.strain_energy_matrix(g))
     vt = layout.pack(new.v_tilde)
     dissipation = params.mu * (vt @ (s @ vt)) * g.cell_area
     eps, dt = params.epsilon, params.dt
