@@ -345,8 +345,10 @@ def a8_operator_algebra() -> CriterionResult:
     """Adjointness, curl(grad), convective skewness and correction SPD.
 
     The correction operator (eps/dt) I + D^T D is applied matrix-free as
-    lam x - G(D x), with the D and G of the step (G = -D^T), and the
-    convection matrix through the solvers' product.
+    lam x - G(D x), with the D and G of the step (G = -D^T). The skewness
+    is that of the convection inside the prediction operator the step
+    solves, A(v) - A(0) for assemble_prediction with advecting velocity v,
+    applied through the solvers' product.
     """
     grid = Grid(9, 7, 1.2, 0.9)
     layout = linalg.face_layout(grid)
@@ -360,6 +362,8 @@ def a8_operator_algebra() -> CriterionResult:
 
     def corr(x):
         return lam * x - linalg._matvec(grad, linalg._matvec(div, x))
+
+    a_rest = linalg.assemble_prediction(grid, params, VelocityField.zeros(grid))
 
     for _ in range(100):
         p = PressureField(grid, rng.standard_normal(grid.shape_p)).project_mean_zero()
@@ -375,11 +379,11 @@ def a8_operator_algebra() -> CriterionResult:
         checks["curl_grad"] = max(checks["curl_grad"], cg_val / gp_scale)
 
         adv = layout.unpack(rng.standard_normal(layout.n))
-        cmat = linalg.convection_matrix(grid, adv)
+        a_adv = linalg.assemble_prediction(grid, params, adv)
         w = rng.standard_normal(layout.n)
-        cw = linalg._matvec(cmat, w)
-        quad = abs(w @ cw)
-        denom = np.linalg.norm(cw) * np.linalg.norm(w) + 1e-30
+        aw, rw = linalg._matvec(a_adv, w), linalg._matvec(a_rest, w)
+        quad = abs(w @ aw - w @ rw)
+        denom = np.linalg.norm(aw - rw) * np.linalg.norm(w) + 1e-30
         checks["skew"] = max(checks["skew"], quad / denom)
 
         x = rng.standard_normal(layout.n)

@@ -33,19 +33,15 @@ def kinetic_energy(vel: VelocityField) -> float:
 
 
 def velocity_grad_norm(vel: VelocityField) -> float:
-    """Discrete H1 seminorm ||grad v|| with Dirichlet ghost closure."""
+    """Discrete H1 seminorm ||grad v|| with Dirichlet ghost closure: the
+    tangential ghost beyond a wall is minus the value inside."""
     g = vel.grid
-    dudx = (vel.u[1:, :] - vel.u[:-1, :]) / g.hx
-    dvdy = (vel.v[:, 1:] - vel.v[:, :-1]) / g.hy
-    gam_u = np.empty((g.nx + 1, g.ny + 1))
-    gam_u[:, 1:-1] = (vel.u[:, 1:] - vel.u[:, :-1]) / g.hy
-    gam_u[:, 0] = 2.0 * vel.u[:, 0] / g.hy
-    gam_u[:, -1] = -2.0 * vel.u[:, -1] / g.hy
-    gam_v = np.empty((g.nx + 1, g.ny + 1))
-    gam_v[1:-1, :] = (vel.v[1:, :] - vel.v[:-1, :]) / g.hx
-    gam_v[0, :] = 2.0 * vel.v[0, :] / g.hx
-    gam_v[-1, :] = -2.0 * vel.v[-1, :] / g.hx
-    s = (np.sum(dudx**2) + np.sum(dvdy**2) + np.sum(gam_u**2) + np.sum(gam_v**2))
+    u = np.concatenate([-vel.u[:, :1], vel.u, -vel.u[:, -1:]], axis=1)
+    v = np.concatenate([-vel.v[:1, :], vel.v, -vel.v[-1:, :]], axis=0)
+    s = (((vel.u[1:, :] - vel.u[:-1, :]) / g.hx) ** 2).sum()       # du/dx
+    s += (((vel.v[:, 1:] - vel.v[:, :-1]) / g.hy) ** 2).sum()      # dv/dy
+    s += (((u[:, 1:] - u[:, :-1]) / g.hy) ** 2).sum()              # du/dy
+    s += (((v[1:, :] - v[:-1, :]) / g.hx) ** 2).sum()              # dv/dx
     return math.sqrt(g.cell_area * s)
 
 
@@ -160,8 +156,8 @@ def penalization_energy(vel: VelocityField, frame) -> float:
     g = vel.grid
     wu = g.u_face_weights()
     wv = g.v_face_weights()
-    return float(np.sum(wu * frame.chi.u * (vel.u - frame.vs.u) ** 2)
-                 + np.sum(wv * frame.chi.v * (vel.v - frame.vs.v) ** 2))
+    return float((wu * frame.chi.u * (vel.u - frame.vs.u) ** 2).sum()
+                 + (wv * frame.chi.v * (vel.v - frame.vs.v) ** 2).sum())
 
 
 def slip_error(vel: VelocityField, frame) -> float:
@@ -174,12 +170,14 @@ def slip_error(vel: VelocityField, frame) -> float:
     if frame is None:
         return 0.0
     g = vel.grid
-    uc, vc = operators.velocity_at_cell_centers(vel)
     ii, jj = frame.band[:, 0], frame.band[:, 1]
+    # operators.velocity_at_cell_centers, on the band cells only
+    uc = 0.5 * (vel.u[ii + 1, jj] + vel.u[ii, jj])
+    vc = 0.5 * (vel.v[ii, jj + 1] + vel.v[ii, jj])
     usol, vsol = frame.band_vs
-    sq = (uc[ii, jj] - usol) ** 2 + (vc[ii, jj] - vsol) ** 2
+    sq = (uc - usol) ** 2 + (vc - vsol) ** 2
     width = 2.0 * math.hypot(g.hx, g.hy)
-    return float(np.sum(sq) * g.cell_area / width)
+    return float(sq.sum() * g.cell_area / width)
 
 
 # ----------------------------------------------------------------------
@@ -203,23 +201,25 @@ class DiagnosticsRecord:
     correction_iterations: int
 
     def validate(self):
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if not np.isfinite(val):
-                raise ValueError(f"diagnostic {f.name} = {val} is not finite")
+        for name in CSV_COLUMNS:
+            val = getattr(self, name)
+            if not math.isfinite(val):
+                raise ValueError(f"diagnostic {name} = {val} is not finite")
             if val < 0:
-                raise ValueError(f"diagnostic {f.name} = {val} is negative")
+                raise ValueError(f"diagnostic {name} = {val} is negative")
 
 
 CSV_COLUMNS = [f.name for f in fields(DiagnosticsRecord)]
 
 
 def make_record(prev, state, info) -> DiagnosticsRecord:
+    """The record of the step from prev to state; info is its StepInfo,
+    whose divergence and frame the step has already computed."""
     rec = DiagnosticsRecord(
         n=state.n,
         t=state.t,
         kinetic_energy=kinetic_energy(state.v),
-        div_norm=l2_norm(operators.divergence(state.v)),
+        div_norm=l2_norm(info.divergence),
         grad_norm=velocity_grad_norm(state.v_tilde),
         pressure_norm=l2_norm(state.p),
         pressure_grad_norm=pressure_grad_norm(state.p),

@@ -33,7 +33,8 @@ def fit_exponent(xs, ys):
     ValueError unless the xs are positive with at least two distinct values.
     """
     x = np.asarray(xs, dtype=float)
-    if np.any(x <= 0) or np.unique(x).size < 2:
+    # x.min() < x.max() rather than np.unique, which imports numpy.ma
+    if x.size < 2 or np.any(x <= 0) or not x.min() < x.max():
         raise ValueError(f"need at least two distinct positive abscissae, got {list(xs)}")
     lx = np.log(x)
     ly = np.log(np.asarray(ys, dtype=float))

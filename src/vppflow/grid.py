@@ -16,7 +16,8 @@ their inputs, so they are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,17 +82,27 @@ class Grid:
         return np.meshgrid(x, y, indexing="ij")
 
     def u_face_weights(self) -> np.ndarray:
-        """Quadrature weights for u faces; boundary columns count half."""
-        w = np.full(self.shape_u, self.cell_area)
-        w[0, :] *= 0.5
-        w[-1, :] *= 0.5
-        return w
+        """Quadrature weights for u faces; boundary columns count half.
+        Cached per grid and read-only."""
+        return _face_weights(self)[0]
 
     def v_face_weights(self) -> np.ndarray:
-        w = np.full(self.shape_v, self.cell_area)
-        w[:, 0] *= 0.5
-        w[:, -1] *= 0.5
-        return w
+        """Quadrature weights for v faces; boundary rows count half.
+        Cached per grid and read-only."""
+        return _face_weights(self)[1]
+
+
+@lru_cache(maxsize=32)
+def _face_weights(grid: Grid):
+    wu = np.full(grid.shape_u, grid.cell_area)
+    wu[0, :] *= 0.5
+    wu[-1, :] *= 0.5
+    wv = np.full(grid.shape_v, grid.cell_area)
+    wv[:, 0] *= 0.5
+    wv[:, -1] *= 0.5
+    wu.setflags(write=False)
+    wv.setflags(write=False)
+    return wu, wv
 
 
 def _check_shape(name, arr, shape):

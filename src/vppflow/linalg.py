@@ -15,12 +15,12 @@ Operator structure:
   the discrete strain energy 2(exx^2 + eyy^2) + gamma^2, so
   -div(2 mu D(.)) is symmetric positive semi-definite by construction and
   reproduces the matrix-free strain-divergence stencil row by row.
-* convection_matrix antisymmetrizes the staggered divergence-form flux
+* the convection antisymmetrizes the staggered divergence-form flux
   matrix, C = (K - K^T)/2. This is a second-order discretization of the
   advective form plus half the advecting field's divergence, and it makes
   the convective quadratic form vanish exactly, not just to O(h^2).
 * every operator is a Csr, a frozen compressed-sparse-row matrix whose
-  arrays are read-only; only this module knows the format. S, C and the
+  arrays are read-only; only this module knows the format. S and the
   prediction operator share one 9-slot layout per grid, with indptr =
   9 * arange(n + 1) and the index arrays of S. A u row (i, j) holds its
   W, S, self, N, E u neighbours, then v(i-1, j), v(i-1, j+1), v(i, j),
@@ -30,10 +30,11 @@ Operator structure:
   stay in increasing column order, so a matrix-vector product sums them in
   the order the canonical matrix would, and the padding adds only exact
   zeros: the products, the diagonal and the solver iterates are bitwise
-  those of the canonical matrix. Each step computes mu S into one fresh
-  data array, adds the convection into strided slot views of it and then
-  the diagonal, all in place. D and G are written in closed form too, each
-  row in increasing column order, so they are the canonical matrices.
+  those of the canonical matrix. The prediction's data lives in the
+  PredictionBuffers of a run: mu S with 1/dt + chi/eta on the self slots
+  is written when chi changes, and each step rewrites only the W, S, N
+  and E slot planes as mu S + C. D and G are written in closed form too,
+  each row in increasing column order, so they are the canonical matrices.
 * solve_correction solves the constant-coefficient correction exactly by
   a DCT-II.
 * dirichlet_bases diagonalizes the Dirichlet -Laplace on the cell and face
@@ -47,10 +48,10 @@ Operator structure:
   tolerance is relative to the right-hand side, not to the initial
   residual, so a good guess stops sooner at the same absolute tolerance.
   The prediction starts from the extrapolation in time of the last
-  tentative velocities (scheme.predict). The work vectors are allocated
-  once per solve and updated in place, in the operation order of the
-  textbook recurrences, so the iterates are those of the allocating form
-  bit for bit.
+  tentative velocities (scheme.predict). The work vectors come from the
+  run's PredictionBuffers (or are allocated once per solve) and are
+  updated in place, in the operation order of the textbook recurrences,
+  so the iterates are those of the allocating form bit for bit.
 """
 
 from __future__ import annotations
@@ -256,6 +257,13 @@ def _slots(grid: Grid, data: np.ndarray):
             data[9 * nu:].reshape(grid.nx, grid.ny - 1, 9))
 
 
+def _strain_coefficients(grid: Grid):
+    """a = (1/hx)^2, b = (1/hy)^2 and c = (1/hy)(1/hx), rounded as the
+    entries of strain_energy_matrix are."""
+    ax, ay = 1.0 / grid.hx, 1.0 / grid.hy
+    return ax * ax, ay * ay, ay * ax
+
+
 @lru_cache(maxsize=32)
 def strain_energy_matrix(grid: Grid) -> Csr:
     """Positive semi-definite matrix S with x^T S x = 2|exx|^2 + 2|eyy|^2 + |gamma|^2.
@@ -289,8 +297,7 @@ def strain_energy_matrix(grid: Grid) -> Csr:
     # wall), -b to S and N and +-c to the v's, and a v row the same with a.
     # Each entry rounds as in the product 2 Bxx^T Bxx + 2 Byy^T Byy +
     # Bgamma^T W Bgamma of the difference matrices with entries +-1/h
-    ax, ay = 1.0 / grid.hx, 1.0 / grid.hy
-    a, b, c = ax * ax, ay * ay, ay * ax
+    a, b, c = _strain_coefficients(grid)
     data = np.empty((layout.n, 9))
     su, sv = _slots(grid, data.reshape(-1))
     su[...] = [-2.0 * a, -b, 0.0, -b, -2.0 * a, -c, c, c, -c]
@@ -309,49 +316,39 @@ def strain_energy_matrix(grid: Grid) -> Csr:
                diagonal_slots=(slice(2, 9 * nu, 9), slice(9 * nu + 6, None, 9)))
 
 
-def convection_matrix(grid: Grid, vel_prev: VelocityField) -> Csr:
-    """Skew-symmetric linearized convection built from the previous velocity.
+def _write_convection(grid: Grid, vel_prev: VelocityField, mu: float, data: np.ndarray):
+    """Write mu S + C(vel_prev) into the W, S, N and E slot planes of a
+    9-slot data array, in place; the other slots are not touched.
 
-    K is the staggered divergence-form flux matrix with centered
-    interpolation; its antisymmetrization (K - K^T)/2 equals the advective
-    form plus half the advecting divergence to second order and gives
-    x^T C x = 0 in exact arithmetic. The centered fluxes make the
-    off-diagonal part of K skew already (the flux through a shared cell or
-    node enters its two faces with opposite signs) and the diagonal cancels,
-    so C is that off-diagonal part, in the W, S, N and E slots of the index
-    arrays of strain_energy_matrix(grid), with zeros elsewhere.
+    C is the skew-symmetric linearized convection of the module docstring.
+    Its centered fluxes make the off-diagonal part of K skew already (the
+    flux through a shared cell or node enters its two faces with opposite
+    signs) and the diagonal cancels, so C is that off-diagonal part: +-k
+    per face pair. Every slot of these planes that holds a neighbour takes
+    exactly one such term, and its mu S entry is the interior constant of
+    strain_energy_matrix (-2a or -b in a u row, -a or -2b in a v row, times
+    mu), so mu s + k rounds as the entrywise sum mu S + C. Slots padded at a
+    wall keep the zero they hold.
     """
-    s = strain_energy_matrix(grid)
-    data = np.zeros(s.data.shape)
-    _add_convection(grid, vel_prev, data)
-    return replace(s, data=data)
-
-
-def _add_convection(grid: Grid, vel_prev: VelocityField, data: np.ndarray):
-    """Add the entries of convection_matrix(grid, vel_prev) into the W, S, N
-    and E slots of a 9-slot data array, in place."""
-    if not (np.all(np.isfinite(vel_prev.u)) and np.all(np.isfinite(vel_prev.v))):
+    if not (np.isfinite(vel_prev.u).all() and np.isfinite(vel_prev.v).all()):
         raise ValueError("advecting velocity contains non-finite entries")
     hx, hy = grid.hx, grid.hy
     up, vp = vel_prev.u, vel_prev.v
-    uc = 0.5 * (up[:-1, :] + up[1:, :])     # advecting u at cells
-    vc = 0.5 * (vp[:, :-1] + vp[:, 1:])     # advecting v at cells
-    vn = 0.5 * (vp[:-1, :] + vp[1:, :])     # advecting v at nodes, i = 1..nx-1
-    un = 0.5 * (up[:, :-1] + up[:, 1:])     # advecting u at nodes, j = 1..ny-1
-    # wall nodes contribute no flux: the centered average of w vanishes there
+    a, b, _ = _strain_coefficients(grid)
     cu, cv = _slots(grid, data)
-    k = uc[1:-1, :] / (2 * hx)              # u east, through the cells
-    cu[:-1, :, 4] += k
-    cu[1:, :, 0] -= k
-    k = vn[:, 1:-1] / (2 * hy)              # u north, through the nodes
-    cu[:, :-1, 3] += k
-    cu[:, 1:, 1] -= k
-    k = vc[:, 1:-1] / (2 * hy)              # v north, through the cells
-    cv[:, :-1, 7] += k
-    cv[:, 1:, 5] -= k
-    k = un[1:-1, :] / (2 * hx)              # v east, through the nodes
-    cv[:-1, :, 8] += k
-    cv[1:, :, 4] -= k
+    # per coupling: the two advecting samples averaged at the shared cell or
+    # node, the spacing, the slot planes taking +k and -k, and the S entry.
+    # A wall node carries no flux: the centered average of w vanishes there
+    for left, right, h, plus, minus, s in (
+            (up[1:-2, :], up[2:-1, :], hx, cu[:-1, :, 4], cu[1:, :, 0], -2.0 * a),  # u east
+            (vp[:-1, 1:-1], vp[1:, 1:-1], hy, cu[:, :-1, 3], cu[:, 1:, 1], -b),     # u north
+            (vp[:, 1:-2], vp[:, 2:-1], hy, cv[:, :-1, 7], cv[:, 1:, 5], -2.0 * b),  # v north
+            (up[1:-1, :-1], up[1:-1, 1:], hx, cv[:-1, :, 8], cv[1:, :, 4], -a)):    # v east
+        k = np.add(left, right)
+        k *= 0.5
+        k /= 2 * h
+        np.add(k, mu * s, out=plus)
+        np.subtract(mu * s, k, out=minus)
 
 
 @dataclass(frozen=True)
@@ -417,27 +414,62 @@ def boundary_rhs(grid: Grid, v_prev: VelocityField, mu: float,
     return rhs
 
 
-def assemble_prediction(grid, params, v_prev: VelocityField, chi=None) -> Csr:
+class PredictionBuffers:
+    """The arrays that the prediction solves of one run reuse at every step.
+
+    data is the 9-slot data of the prediction operator: mu S, with
+    1/dt + chi/eta on the self slots for the face mask chi it was last
+    built for, and mu S + C of the latest assembly in the W, S, N and E
+    slot planes, and operator the Csr on S's index arrays whose data is a
+    read-only view of it. minv is the Jacobi inverse of its diagonal, and
+    work the five BiCGStab work vectors. assemble_prediction writes data
+    and minv; solve reads minv and uses work. One set serves one grid and one
+    SchemeParams, so a run keeps a single 9n array live.
+    """
+
+    def __init__(self, grid: Grid):
+        n = face_layout(grid).n
+        self.data = np.empty(9 * n)
+        self.operator = replace(strain_energy_matrix(grid), data=self.data[:])
+        self.minv = np.empty(n)
+        self.work = np.empty((5, n))
+        self.chi = None
+        self.built = False
+
+
+def assemble_prediction(grid, params, v_prev: VelocityField, chi=None,
+                        buffers: PredictionBuffers | None = None) -> Csr:
     """Momentum operator for the implicit velocity prediction.
 
     (1/dt) I + C(v_prev) - div(2 mu D(.)) + (1/eta) chi I on the interior
     faces, Dirichlet rows eliminated; chi is the packed face mask of the
     obstacle (FaceLayout.pack of ObstacleFrame.chi), None without one.
-    mu S is computed into the one fresh data array of the operator; the
-    convection (_add_convection) and then the diagonal are added to it in
-    place, so each entry rounds as C + mu S + diagonal. The operator shares
-    the read-only index arrays of strain_energy_matrix(grid).
+    The data is that of buffers (fresh ones if None): mu S and then the
+    diagonal mu S + 1/dt + chi/eta and its Jacobi inverse are written when
+    chi is another array than at the last assembly into them, and the
+    convection planes at every call (_write_convection), so each entry
+    rounds as C + mu S + diagonal. The operator is buffers.operator: it
+    shares the read-only index arrays of strain_energy_matrix(grid), and
+    its data is a read-only view of buffers.data, so it holds the latest
+    assembly into them.
     """
     s = strain_energy_matrix(grid)
-    data = params.mu * s.data
-    _add_convection(grid, v_prev, data)
-    diag = 1.0 / params.dt if chi is None else 1.0 / params.dt + chi / params.eta
-    diag = np.broadcast_to(diag, s.shape[0])
-    nu = face_layout(grid).nu
-    u_self, v_self = s.diagonal_slots
-    data[u_self] += diag[:nu]
-    data[v_self] += diag[nu:]
-    return replace(s, data=data)
+    if buffers is None:
+        buffers = PredictionBuffers(grid)
+    data = buffers.data
+    if not buffers.built or chi is not buffers.chi:
+        if not buffers.built:
+            np.multiply(s.data, params.mu, out=data)
+        d = params.mu * s.diagonal()
+        d += 1.0 / params.dt if chi is None else 1.0 / params.dt + chi / params.eta
+        nu = face_layout(grid).nu
+        u_self, v_self = s.diagonal_slots
+        data[u_self] = d[:nu]
+        data[v_self] = d[nu:]
+        buffers.minv[:] = _jacobi(d)
+        buffers.chi, buffers.built = chi, True
+    _write_convection(grid, v_prev, params.mu, data)
+    return buffers.operator
 
 
 # ----------------------------------------------------------------------
@@ -452,18 +484,28 @@ def neumann_eigenvalues(grid: Grid) -> np.ndarray:
     return kx[:, None] + ky[None, :]
 
 
+@lru_cache(maxsize=64)
+def _twiddles(n: int):
+    """The phases exp(-i pi k / 2n) of _dct and exp(i pi k / 2n) of _idct,
+    k = 0..n-1; read-only."""
+    pair = (np.exp(-0.5j * np.pi * np.arange(n) / n), np.exp(0.5j * np.pi * np.arange(n) / n))
+    for w in pair:
+        w.setflags(write=False)
+    return pair
+
+
 def _dct(a: np.ndarray) -> np.ndarray:
     """Unnormalized DCT-II along the last axis, 2 sum_n a_n cos(pi k (2n+1) / 2N),
     by an rfft of the even extension."""
     n = a.shape[-1]
     spec = np.fft.rfft(np.concatenate([a, a[..., ::-1]], axis=-1))[..., :n]
-    return (spec * np.exp(-0.5j * np.pi * np.arange(n) / n)).real
+    return (spec * _twiddles(n)[0]).real
 
 
 def _idct(a: np.ndarray) -> np.ndarray:
     """Exact inverse of _dct along the last axis, by an irfft."""
     n = a.shape[-1]
-    return np.fft.irfft(a * np.exp(0.5j * np.pi * np.arange(n) / n), 2 * n)[..., :n]
+    return np.fft.irfft(a * _twiddles(n)[1], 2 * n)[..., :n]
 
 
 def solve_correction(grid: Grid, lam: float, v_tilde: np.ndarray) -> np.ndarray:
@@ -517,10 +559,9 @@ def dirichlet_bases(grid: Grid, which: str):
 # Krylov solver (Jacobi-preconditioned BiCGStab)
 # ----------------------------------------------------------------------
 
-def _jacobi(matrix: Csr) -> np.ndarray:
-    d = matrix.diagonal()
-    d = np.where(np.abs(d) > 0, d, 1.0)
-    return 1.0 / d
+def _jacobi(diagonal: np.ndarray) -> np.ndarray:
+    """Inverse of a diagonal, with 1 in place of its zeros."""
+    return 1.0 / np.where(np.abs(diagonal) > 0, diagonal, 1.0)
 
 
 def _matvec(a: Csr, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -545,19 +586,27 @@ def _matvec(a: Csr, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def solve(a: Csr, rhs: np.ndarray, rtol: float, max_iter: int, x0=None):
+def solve(a: Csr, rhs: np.ndarray, rtol: float, max_iter: int, x0=None,
+          buffers: PredictionBuffers | None = None):
     """Solve a x = rhs by BiCGStab from x0 (zero if None); returns (x, iterations).
 
     a must be a Csr with float64 data. Stops once ||rhs - a x|| <= rtol
     ||rhs||, whatever x0 is, and raises NonConvergence if the residual stays
     above that after max_iter iterations. rhs and x0 are not modified,
-    and x is a fresh array.
+    and x is a fresh array. With buffers, a must be buffers.operator, as
+    assemble_prediction returns it; the solve then takes their Jacobi
+    inverse and work vectors instead of building its own.
     """
     if not (isinstance(a, Csr) and a.data.dtype == np.float64):
         raise TypeError(f"solve needs a float64 Csr, got {type(a).__name__}")
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match operator {a.shape}")
-    return _bicgstab(a, rhs, rtol, max_iter, x0)
+    if buffers is None:
+        return _bicgstab(a, rhs, rtol, max_iter, x0, _jacobi(a.diagonal()),
+                         np.empty((5, rhs.shape[0])))
+    if a is not buffers.operator:
+        raise ValueError("the buffers hold another operator than a")
+    return _bicgstab(a, rhs, rtol, max_iter, x0, buffers.minv, buffers.work)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -570,28 +619,28 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def _bicgstab(a, b, rtol, max_iter, x0=None):
+def _bicgstab(a, b, rtol, max_iter, x0, minv, work):
     # Every update below is the textbook expression evaluated in place, in
     # its own operation order; w is scratch. p = r + beta (p - omega v) is
     # w = omega v; p -= w; p *= beta; p += r, which rounds the same because
     # IEEE addition and multiplication commute. s = r - alpha v is formed in
     # r's buffer and s_hat in p_hat's, as neither r nor p_hat is read again
     # in the iteration, and x takes its alpha p_hat term before s_hat
-    # exists: five work vectors instead of seven. The fewer megabytes a step
-    # frees, the less often the C heap crosses its trim threshold, returns
-    # the memory and faults it in again on the next step.
+    # exists. work holds these five vectors; a run passes the same block to
+    # every solve, so no step allocates or frees them.
     norm_b = _norm(b)
     if norm_b == 0.0:
         return np.zeros(b.shape[0]), 0
     tol = rtol * norm_b
-    minv = _jacobi(a)
     x = np.zeros(b.shape[0]) if x0 is None else np.array(x0, dtype=np.float64)
     r = np.array(b, dtype=np.float64) if x0 is None else np.subtract(b, _matvec(a, x))
     if _norm(r) <= tol:
         return x, 0
     r_hat = r.copy()
+    p, v, p_hat, t, w = work
+    p.fill(0.0)
+    v.fill(0.0)
     rho = alpha = omega = 1.0
-    p, v, p_hat, t, w = np.zeros((5, b.shape[0]))
     for k in range(1, max_iter + 1):
         rho_new = _dot(r_hat, r)
         if abs(rho_new) < 1e-300:

@@ -49,12 +49,12 @@ def inner(a: VelocityField, b: VelocityField) -> float:
     g = a.grid
     wu = g.u_face_weights()
     wv = g.v_face_weights()
-    return float(np.sum(wu * a.u * b.u) + np.sum(wv * a.v * b.v))
+    return float((wu * a.u * b.u).sum() + (wv * a.v * b.v).sum())
 
 
 def cell_inner(a: PressureField, b: PressureField) -> float:
     """L2 inner product of two cell fields."""
-    return float(a.grid.cell_area * np.sum(a.p * b.p))
+    return float(a.grid.cell_area * (a.p * b.p).sum())
 
 
 def velocity_at_cell_centers(vel: VelocityField) -> tuple[np.ndarray, np.ndarray]:

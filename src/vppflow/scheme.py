@@ -13,6 +13,13 @@ Each step advances (v^n, p^n) to (v^{n+1}, p^{n+1}):
    to zero mean.
 
 The penalty weight is always slaved to the time step, eps = lambda * dt.
+
+What does not change from step to step is built once per run, in the
+StepWorkspace that run passes to every step: the obstacle frame of a disk
+that does not translate, its packed face mask, the prediction operator's
+data with its Jacobi inverse diagonal, and the solver's work vectors.
+step called without a workspace builds a one-step one, so a single step,
+a run and the reference comparisons share one code path.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 from . import linalg, operators
 from .diagnostics import l2_norm, make_record
-from .grid import PressureField, VelocityField
+from .grid import Grid, PressureField, VelocityField
 from .linalg import NonConvergence
 from .obstacle import ObstacleFrame
 
@@ -105,10 +112,47 @@ class SolverFailure(RuntimeError):
 class StepInfo:
     prediction_iterations: int = 0
     frame: ObstacleFrame | None = None   # the obstacle at t^{n+1}, if any
+    divergence: PressureField | None = None   # div v^{n+1}
+
+
+class StepWorkspace:
+    """What the steps of one run reuse instead of rebuilding.
+
+    A disk whose velocity is (0, 0) has center_at(t) == center bitwise, so
+    its ObstacleFrame is the same at every step: it is sampled at the first
+    step only. A translating disk is sampled at every step. The packed face
+    mask chi is kept for the latest frame, and prediction holds the
+    operator data, Jacobi inverse and solver vectors
+    (linalg.PredictionBuffers), whose diagonal is rebuilt only when chi is
+    another array. One workspace serves one run: one grid, one
+    SchemeParams and one obstacle (None without one).
+    """
+
+    def __init__(self, grid: Grid, params: SchemeParams, obstacle=None):
+        self.grid = grid
+        self.params = params
+        self.obstacle = obstacle
+        self.prediction = linalg.PredictionBuffers(grid)
+        self._frame = None
+        self._packed = (None, None)   # a frame and its packed chi
+
+    def frame_at(self, t: float) -> ObstacleFrame | None:
+        """The obstacle at t; None without one."""
+        if self._frame is None or self.obstacle.velocity != (0.0, 0.0):
+            self._frame = ObstacleFrame.sample(self.obstacle, t, self.grid)
+        return self._frame
+
+    def packed_chi(self, frame: ObstacleFrame | None):
+        """The face mask of frame, packed; None without an obstacle."""
+        if frame is None:
+            return None
+        if frame is not self._packed[0]:
+            self._packed = (frame, linalg.face_layout(self.grid).pack(frame.chi))
+        return self._packed[1]
 
 
 def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | None,
-            params: SchemeParams, wall_slip=None):
+            params: SchemeParams, wall_slip=None, workspace: StepWorkspace | None = None):
     """Solve the implicit momentum prediction; returns (v_tilde, iterations).
 
     frame is the obstacle sampled at t^{n+1} (ObstacleFrame.sample), None
@@ -122,16 +166,20 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     and an impulsively started body would put such a start O(1) off inside
     the body. The stopping test stays relative to the right-hand side.
     wall_slip optionally prescribes tangential wall velocities (a
-    linalg.WallSlip); the default is the homogeneous no-slip wall.
+    linalg.WallSlip); the default is the homogeneous no-slip wall. The
+    operator is assembled into the workspace's buffers, a one-step
+    workspace's if None.
     """
     grid = state.v.grid
     layout = linalg.face_layout(grid)
-    chi = None if frame is None else layout.pack(frame.chi)
-    op = linalg.assemble_prediction(grid, params, state.v, chi)
+    if workspace is None:
+        workspace = StepWorkspace(grid, params)
+    chi = workspace.packed_chi(frame)
+    op = linalg.assemble_prediction(grid, params, state.v, chi, workspace.prediction)
 
-    rhs_field = forcing + (1.0 / params.dt) * state.v
-    grad_p = linalg._matvec(linalg.gradient_matrix(grid), state.p.p.ravel())
-    rhs = layout.pack(rhs_field) - grad_p
+    rhs = layout.pack(forcing)
+    rhs += (1.0 / params.dt) * layout.pack(state.v)
+    rhs -= linalg._matvec(linalg.gradient_matrix(grid), state.p.p.ravel())
     if chi is not None:
         rhs += chi * layout.pack(frame.vs) / params.eta
     if wall_slip is not None:
@@ -144,7 +192,8 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     elif state.earlier:
         x0 *= 2.0
         x0 -= state.earlier[0]
-    x, iters = linalg.solve(op, rhs, params.prediction_rtol, params.max_iter, x0=x0)
+    x, iters = linalg.solve(op, rhs, params.prediction_rtol, params.max_iter, x0=x0,
+                            buffers=workspace.prediction)
     return layout.unpack(x), iters
 
 
@@ -156,44 +205,51 @@ def correct(v_tilde: VelocityField, params: SchemeParams):
     return layout.unpack(x)
 
 
-def update_pressure(p_old: PressureField, v_new: VelocityField,
+def update_pressure(p_old: PressureField, div: PressureField,
                     params: SchemeParams) -> PressureField:
-    """p_new = p_old - div(v_new)/eps, projected to zero mean."""
-    div = operators.divergence(v_new)
+    """p_new = p_old - div/eps, projected to zero mean; div is div(v_new)."""
     p = PressureField(p_old.grid, p_old.p - div.p / params.epsilon)
     return p.project_mean_zero()
 
 
 def step(state: FlowState, forcing_fn, obstacle, params: SchemeParams,
-         wall_slip_fn=None):
+         wall_slip_fn=None, workspace: StepWorkspace | None = None):
     """Advance one time step; returns (new_state, StepInfo).
 
     forcing_fn(t, grid) -> VelocityField, sampled at t^{n+1}; likewise
     wall_slip_fn(t) -> linalg.WallSlip when tangential wall data moves.
-    The obstacle is sampled once, at t^{n+1}; the StepInfo carries that
-    frame on to the step's diagnostics.
+    The obstacle is sampled at most once, at t^{n+1} (StepWorkspace.frame_at);
+    the StepInfo carries that frame and div v^{n+1} on to the step's
+    diagnostics. workspace must have been built for this grid, params and
+    obstacle; a one-step one is built if None.
     """
     grid = state.v.grid
     t_next = state.t + params.dt
     if t_next > params.t_final + 1e-12:
         raise ValueError(f"step past final time: t={t_next} > T={params.t_final}")
+    if workspace is None:
+        workspace = StepWorkspace(grid, params, obstacle)
+    elif (workspace.grid, workspace.params, workspace.obstacle) != (grid, params, obstacle):
+        raise ValueError("workspace was built for another grid, params or obstacle")
     f_next = forcing_fn(t_next, grid)
     slip = wall_slip_fn(t_next) if wall_slip_fn is not None else None
-    frame = ObstacleFrame.sample(obstacle, t_next, grid)
+    frame = workspace.frame_at(t_next)
 
     try:
-        v_tilde, pred_iters = predict(state, f_next, frame, params, wall_slip=slip)
+        v_tilde, pred_iters = predict(state, f_next, frame, params, wall_slip=slip,
+                                      workspace=workspace)
     except NonConvergence as exc:
         raise SolverFailure(state.n + 1, exc) from exc
     v_hat = correct(v_tilde, params)
 
     v_new = v_tilde + v_hat
-    p_new = update_pressure(state.p, v_new, params)
+    div = operators.divergence(v_new)
+    p_new = update_pressure(state.p, div, params)
     earlier = ((linalg.face_layout(grid).pack(state.v_tilde),) + state.earlier[:1]
                if state.n else ())
     new_state = FlowState(n=state.n + 1, t=t_next, v=v_new, v_tilde=v_tilde,
                           v_hat=v_hat, p=p_new, earlier=earlier)
-    return new_state, StepInfo(pred_iters, frame)
+    return new_state, StepInfo(pred_iters, frame, div)
 
 
 @dataclass
@@ -211,7 +267,7 @@ def run(v0: VelocityField, p0: PressureField, forcing_fn, obstacle,
     Per-step DiagnosticsRecord rows are collected and also streamed to
     record_sink(record) if given; snapshot_sink(state) receives every state
     including the initial one. Any initial divergence is reported in the
-    result rather than rejected.
+    result rather than rejected. The steps share one StepWorkspace.
     """
     grid = v0.grid
     if obstacle is not None:
@@ -222,13 +278,14 @@ def run(v0: VelocityField, p0: PressureField, forcing_fn, obstacle,
     state = FlowState.initial(v0, p0)
     initial_div = l2_norm(operators.divergence(state.v))
 
+    workspace = StepWorkspace(grid, params, obstacle)
     records = []
     if snapshot_sink is not None:
         snapshot_sink(state)
     for _ in range(params.n_steps):
         prev = state
         state, info = step(state, forcing_fn, obstacle, params,
-                           wall_slip_fn=wall_slip_fn)
+                           wall_slip_fn=wall_slip_fn, workspace=workspace)
         rec = make_record(prev, state, info)
         records.append(rec)
         if record_sink is not None:

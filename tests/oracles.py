@@ -1,5 +1,6 @@
 """Reference operators, fields and solvers, independent of the package's kernels."""
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -45,6 +46,37 @@ def divergence_coo(grid) -> sp.csr_matrix:
         vals.append(np.full(keep.sum(), val))
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(grid.ncells, layout.n)).tocsr()
+
+
+def convection_matrix(grid, vel_prev: VelocityField) -> Csr:
+    """The skew-symmetric linearized convection C of the prediction
+    operator, alone, on the pattern of linalg.strain_energy_matrix: +-k
+    added into a zero array, one strided slot plane at a time. The
+    prediction operator writes mu S + C into those planes instead."""
+    s = linalg.strain_energy_matrix(grid)
+    data = np.zeros(s.data.shape)
+    nu = (grid.nx - 1) * grid.ny
+    cu = data[:9 * nu].reshape(grid.nx - 1, grid.ny, 9)
+    cv = data[9 * nu:].reshape(grid.nx, grid.ny - 1, 9)
+    hx, hy = grid.hx, grid.hy
+    up, vp = vel_prev.u, vel_prev.v
+    uc = 0.5 * (up[:-1, :] + up[1:, :])     # advecting u at cells
+    vc = 0.5 * (vp[:, :-1] + vp[:, 1:])     # advecting v at cells
+    vn = 0.5 * (vp[:-1, :] + vp[1:, :])     # advecting v at nodes, i = 1..nx-1
+    un = 0.5 * (up[:, :-1] + up[:, 1:])     # advecting u at nodes, j = 1..ny-1
+    k = uc[1:-1, :] / (2 * hx)              # u east, through the cells
+    cu[:-1, :, 4] += k
+    cu[1:, :, 0] -= k
+    k = vn[:, 1:-1] / (2 * hy)              # u north, through the nodes
+    cu[:, :-1, 3] += k
+    cu[:, 1:, 1] -= k
+    k = vc[:, 1:-1] / (2 * hy)              # v north, through the cells
+    cv[:, :-1, 7] += k
+    cv[:, 1:, 5] -= k
+    k = un[1:-1, :] / (2 * hx)              # v east, through the nodes
+    cv[:-1, :, 8] += k
+    cv[1:, :, 4] -= k
+    return dataclasses.replace(s, data=data)
 
 
 def assemble_correction(grid, params) -> sp.csr_matrix:

@@ -114,3 +114,6 @@ def test_fit_exponent_rejects_degenerate_abscissae():
         fit_exponent([0.02, 0.02, 0.02], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="two distinct positive"):
         fit_exponent([0.0, 0.01], [1.0, 2.0])
+    for xs in ([0.5], []):
+        with pytest.raises(ValueError, match="two distinct positive"):
+            fit_exponent(xs, [1.0] * len(xs))

@@ -12,8 +12,8 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
 import vppflow
-from oracles import (assemble_correction, bicgstab, dirichlet_laplacian, divergence_coo,
-                     from_scipy, strain_divergence, to_scipy)
+from oracles import (assemble_correction, bicgstab, convection_matrix, dirichlet_laplacian,
+                     divergence_coo, from_scipy, strain_divergence, to_scipy)
 from vppflow import linalg, operators
 from vppflow.grid import Grid, PressureField, VelocityField
 from vppflow.linalg import NonConvergence, face_layout
@@ -57,7 +57,7 @@ def test_convection_quadratic_form_vanishes(rng):
     layout = face_layout(g)
     for _ in range(20):
         adv = layout.unpack(rng.standard_normal(layout.n))
-        c = to_scipy(linalg.convection_matrix(g, adv))
+        c = to_scipy(convection_matrix(g, adv))
         w = rng.standard_normal(layout.n)
         quad = abs(w @ (c @ w))
         assert quad <= 1e-10 * (np.linalg.norm(c @ w) * np.linalg.norm(w) + 1e-30)
@@ -135,7 +135,7 @@ def test_prediction_assembly_on_the_strain_pattern(nx, ny, lx, ly, log10_mu, log
                           mu=10.0 ** log10_mu)
     chi = rng.uniform(0.0, 1.0, layout.n)
 
-    c = to_scipy(linalg.convection_matrix(g, adv))
+    c = to_scipy(convection_matrix(g, adv))
     assert np.array_equal(c.toarray(), _slow_convection_dense(g, adv))
 
     s = linalg.strain_energy_matrix(g)
@@ -180,7 +180,7 @@ def test_nine_slot_layout(nx, ny, lx, ly, seed):
     adv = layout.unpack(rng.standard_normal(n))
     chi = rng.uniform(0.0, 1.0, n)
     s = linalg.strain_energy_matrix(g)
-    c = linalg.convection_matrix(g, adv)
+    c = convection_matrix(g, adv)
     a = linalg.assemble_prediction(g, params_for(), adv, chi)
 
     assert np.array_equal(s.indptr, 9 * np.arange(n + 1))
@@ -472,6 +472,24 @@ def test_solve_rejects_a_non_csr_operator():
     linalg.solve(from_scipy(a), b, 1e-10, 10000)
 
 
+def test_solve_with_buffers_matches_the_solve_without(rng):
+    # the run's buffers carry the Jacobi inverse and work vectors of the
+    # operator assembled into them, and of no other
+    g = Grid(7, 5, 1.1, 0.8)
+    layout = face_layout(g)
+    params = params_for()
+    adv = layout.unpack(rng.standard_normal(layout.n))
+    buffers = linalg.PredictionBuffers(g)
+    a = linalg.assemble_prediction(g, params, adv, None, buffers)
+    b = rng.standard_normal(layout.n)
+    x, iters = linalg.solve(a, b, 1e-10, 10000, buffers=buffers)
+    x_ref, iters_ref = linalg.solve(linalg.assemble_prediction(g, params, adv), b, 1e-10, 10000)
+    assert iters == iters_ref and np.array_equal(x, x_ref)
+    with pytest.raises(ValueError, match="another operator"):
+        linalg.solve(linalg.assemble_prediction(g, params, adv), b, 1e-10, 10000,
+                     buffers=buffers)
+
+
 def _matvec_operators(grid, rng):
     layout = face_layout(grid)
     params = params_for()
@@ -580,6 +598,18 @@ def test_package_import_loads_no_scipy_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_a4_loads_no_numpy_ma():
+    # fit_exponent checks its abscissae without np.unique, which imports
+    # numpy.ma (about a megabyte) on first use
+    code = ("import sys; from vppflow import acceptance; acceptance.run_criterion('A4'); "
+            "print('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(vppflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_solver_config_validation():

@@ -1,5 +1,9 @@
 import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from vppflow.experiments import fit_exponent
 from vppflow.grid import Grid, PressureField, VelocityField
 from vppflow.linalg import face_layout
 from vppflow.manufactured import (random_solenoidal, taylor_green_pressure,
-                                  taylor_green_velocity)
+                                  taylor_green_velocity, taylor_green_wall_slip)
 from vppflow.obstacle import Obstacle, ObstacleFrame
 from vppflow.scheme import FlowState, SchemeParams, SolverFailure
 
@@ -130,9 +134,9 @@ def recorded_starts(monkeypatch):
     starts = []
     solve = linalg.solve
 
-    def recording(a, rhs, rtol, max_iter, x0=None):
+    def recording(a, rhs, rtol, max_iter, x0=None, buffers=None):
         starts.append(x0.copy())
-        return solve(a, rhs, rtol, max_iter, x0)
+        return solve(a, rhs, rtol, max_iter, x0, buffers)
     monkeypatch.setattr(linalg, "solve", recording)
     return starts
 
@@ -213,7 +217,9 @@ def test_extrapolated_start_saves_prediction_iterations():
 
 def test_obstacle_is_sampled_once_per_step(monkeypatch):
     # the step samples the obstacle into one frame; the prediction and every
-    # column of the record read that frame, never the obstacle itself
+    # column of the record read that frame, never the obstacle itself. A
+    # disk that does not translate has the same frame at every step, so a
+    # run samples it once; a translating disk is sampled at every step
     calls = {"sample_chi_faces": 0, "sample_solid_velocity": 0, "boundary_band": 0}
     in_record = []
     for name, attr in list(vars(Obstacle).items()):
@@ -239,14 +245,154 @@ def test_obstacle_is_sampled_once_per_step(monkeypatch):
         return records[-1]
     monkeypatch.setattr(scheme, "make_record", recording)
     g = Grid(16, 16)
-    obstacle = Obstacle(radius=0.15, center=(0.5, 0.5), omega=1.0,
-                        chi_mode="fraction")
     params = SchemeParams(dt=1.0 / 32, t_final=0.125)
-    result = scheme.run(VelocityField.zeros(g), PressureField.zeros(g), zero_forcing,
-                        obstacle, params)
-    assert result.records == records and len(records) == 4
-    assert all(rec.penalization_energy > 0 and rec.slip_error > 0 for rec in records)
-    assert calls == {"sample_chi_faces": 4, "sample_solid_velocity": 4, "boundary_band": 4}
+    for velocity, per_run in (((0.0, 0.0), 1), ((0.4, -0.2), 4)):
+        obstacle = Obstacle(radius=0.15, center=(0.5, 0.5), velocity=velocity, omega=1.0,
+                            chi_mode="fraction")
+        records.clear()
+        calls.update(dict.fromkeys(calls, 0))
+        result = scheme.run(VelocityField.zeros(g), PressureField.zeros(g), zero_forcing,
+                            obstacle, params)
+        assert result.records == records and len(records) == 4
+        assert all(rec.penalization_energy > 0 and rec.slip_error > 0 for rec in records)
+        assert calls == dict.fromkeys(calls, per_run), velocity
+
+
+# --------------------------------------------------------------- workspace
+
+def stepped_by_hand(v0, p0, forcing_fn, obstacle, params, wall_slip_fn=None):
+    """scheme.run's loop with workspace-free steps: (states, records)."""
+    state = FlowState.initial(v0, p0)
+    states, records = [state], []
+    for _ in range(params.n_steps):
+        new, info = scheme.step(state, forcing_fn, obstacle, params,
+                                wall_slip_fn=wall_slip_fn)
+        records.append(diagnostics.make_record(state, new, info))
+        state = new
+        states.append(state)
+    return states, records
+
+
+def state_arrays(state):
+    return [state.v.u, state.v.v, state.v_tilde.u, state.v_tilde.v,
+            state.v_hat.u, state.v_hat.v, state.p.p, *state.earlier]
+
+
+def assert_same_run(states, records, other_states, other_records):
+    assert [repr(r) for r in records] == [repr(r) for r in other_records]
+    assert len(states) == len(other_states)
+    for a, b in zip(states, other_states):
+        assert (a.n, a.t) == (b.n, b.t)
+        for x, y in zip(state_arrays(a), state_arrays(b), strict=True):
+            assert x.tobytes() == y.tobytes()
+
+
+def workspace_cases():
+    g = Grid(16, 16)
+    rest = (VelocityField.zeros(g), PressureField.zeros(g), zero_forcing)
+    params = SchemeParams(dt=1.0 / 32, t_final=0.125)
+    yield rest + (Obstacle(radius=0.15, center=(0.5, 0.5), omega=1.0), params, None)
+    yield rest + (Obstacle(radius=0.15, center=(0.5, 0.5), omega=1.0,
+                           chi_mode="fraction"), params, None)
+    yield rest + (Obstacle(radius=0.15, center=(0.4, 0.5), velocity=(0.6, 0.1), omega=2.0,
+                           chi_mode="fraction"), params, None)
+    mu = 0.05
+    tg = Grid(16, 12, 1.0, 1.0)
+    yield (taylor_green_velocity(0.0, tg, mu), taylor_green_pressure(0.0, tg, mu),
+           zero_forcing, None, SchemeParams(dt=0.02, t_final=0.1, mu=mu),
+           lambda t: taylor_green_wall_slip(t, tg, mu))
+
+
+def test_run_is_bitwise_a_loop_of_workspace_free_steps():
+    # a run shares one StepWorkspace across its steps; every state array
+    # and record must be those of steps that each build their own
+    for v0, p0, forcing_fn, obstacle, params, slip_fn in workspace_cases():
+        states = []
+        result = scheme.run(v0, p0, forcing_fn, obstacle, params,
+                            snapshot_sink=states.append, wall_slip_fn=slip_fn)
+        by_hand, records = stepped_by_hand(v0, p0, forcing_fn, obstacle, params, slip_fn)
+        assert_same_run(states, result.records, by_hand, records)
+
+
+RUN_DIGEST = """
+import hashlib, sys
+sys.path.insert(0, {tests!r})
+import test_scheme
+from vppflow import scheme
+v0, p0, forcing_fn, obstacle, params, slip_fn = list(test_scheme.workspace_cases())[{case}]
+states = []
+res = scheme.run(v0, p0, forcing_fn, obstacle, params, snapshot_sink=states.append,
+                 wall_slip_fn=slip_fn)
+print(test_scheme.run_digest(states, res.records))
+"""
+
+
+def run_digest(states, records):
+    h = hashlib.sha256("".join(repr(r) for r in records).encode())
+    for state in states:
+        for arr in state_arrays(state):
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def test_interleaved_runs_give_the_bytes_of_separate_processes():
+    # a translating fraction disk and the Taylor-Green wall-slip run, on
+    # different grids and params, advanced step by step in turn with one
+    # workspace each; each must match the same run alone in a fresh process
+    cases = list(workspace_cases())
+    picked = (2, 3)
+    runs = []
+    for case in picked:
+        v0, p0, forcing_fn, obstacle, params, slip_fn = cases[case]
+        state = FlowState.initial(v0, p0)
+        runs.append({"args": (forcing_fn, obstacle, params), "slip": slip_fn,
+                     "ws": scheme.StepWorkspace(v0.grid, params, obstacle),
+                     "states": [state], "records": [], "left": params.n_steps})
+    while any(r["left"] for r in runs):
+        for r in runs:
+            if r["left"]:
+                prev = r["states"][-1]
+                new, info = scheme.step(prev, *r["args"], wall_slip_fn=r["slip"],
+                                        workspace=r["ws"])
+                r["records"].append(diagnostics.make_record(prev, new, info))
+                r["states"].append(new)
+                r["left"] -= 1
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(tests), "src"), os.environ.get("PYTHONPATH", "")]))
+    for case, r in zip(picked, runs):
+        out = subprocess.run([sys.executable, "-c", RUN_DIGEST.format(tests=tests, case=case)],
+                             capture_output=True, text=True, check=True, env=env,
+                             timeout=120)
+        assert out.stdout.strip() == run_digest(r["states"], r["records"]), case
+
+
+def test_a_run_assembles_every_prediction_into_one_buffer(monkeypatch):
+    # the operator data of consecutive steps is one array rewritten in
+    # place, not a 9n array per step
+    ops = []
+    assemble = linalg.assemble_prediction
+
+    def recording(*args, **kwargs):
+        ops.append(assemble(*args, **kwargs))
+        return ops[-1]
+    monkeypatch.setattr(linalg, "assemble_prediction", recording)
+    g, obstacle, _, _ = rotor_case()
+    params = SchemeParams(dt=1.0 / 64, t_final=3.0 / 64, mu=0.1)
+    scheme.run(VelocityField.zeros(g), PressureField.zeros(g), zero_forcing, obstacle, params)
+    assert len(ops) == 3
+    assert np.shares_memory(ops[1].data, ops[2].data)
+    assert np.shares_memory(ops[0].data, ops[1].data)
+
+
+def test_step_rejects_a_workspace_of_another_run():
+    g, obstacle, params, state = rotor_case()
+    ws = scheme.StepWorkspace(g, params, obstacle)
+    with pytest.raises(ValueError):
+        scheme.step(state, zero_forcing, None, params, workspace=ws)
+    with pytest.raises(ValueError):
+        scheme.step(state, zero_forcing, obstacle, dataclasses.replace(params, mu=0.2),
+                    workspace=ws)
 
 
 # ------------------------------------------------------------------ correct
@@ -317,7 +463,7 @@ def test_pressure_unchanged_for_solenoidal_velocity(rng):
     params = tight_params()
     p_old = PressureField(g, rng.standard_normal(g.shape_p)).project_mean_zero()
     v = random_solenoidal(g, rng)
-    p_new = scheme.update_pressure(p_old, v, params)
+    p_new = scheme.update_pressure(p_old, operators.divergence(v), params)
     assert np.abs(p_new.p - p_old.p).max() <= 1e-12
 
 
@@ -327,7 +473,7 @@ def test_pressure_update_formula(rng):
     layout = face_layout(g)
     v = layout.unpack(rng.standard_normal(layout.n))
     s = operators.divergence(v)  # mean zero by the divergence theorem
-    p_new = scheme.update_pressure(PressureField.zeros(g), v, params)
+    p_new = scheme.update_pressure(PressureField.zeros(g), s, params)
     assert np.allclose(p_new.p, -s.p / params.epsilon, atol=1e-9)
 
 
@@ -337,7 +483,7 @@ def test_pressure_gradient_form_of_update(rng):
     layout = face_layout(g)
     p_old = PressureField(g, rng.standard_normal(g.shape_p)).project_mean_zero()
     v = layout.unpack(rng.standard_normal(layout.n))
-    p_new = scheme.update_pressure(p_old, v, params)
+    p_new = scheme.update_pressure(p_old, operators.divergence(v), params)
     lhs = operators.gradient(p_new - p_old)
     rhs = operators.gradient(operators.divergence(v)) * (-1.0 / params.epsilon)
     scale = max(np.abs(rhs.u).max(), np.abs(rhs.v).max(), 1e-30)
