@@ -65,21 +65,23 @@ class Grid:
     def shape_v(self) -> tuple[int, int]:
         return (self.nx, self.ny + 1)
 
-    # Coordinate meshes (ij indexing: axis 0 is x, axis 1 is y).
-    def cell_coords(self):
+    # Coordinate meshes (ij indexing: axis 0 is x, axis 1 is y). sparse=True
+    # gives the open mesh, x of shape (m, 1) and y of shape (1, k), which
+    # broadcasts to the same values without building the full arrays.
+    def cell_coords(self, sparse=False):
         x = (np.arange(self.nx) + 0.5) * self.hx
         y = (np.arange(self.ny) + 0.5) * self.hy
-        return np.meshgrid(x, y, indexing="ij")
+        return np.meshgrid(x, y, indexing="ij", sparse=sparse)
 
-    def u_coords(self):
+    def u_coords(self, sparse=False):
         x = np.arange(self.nx + 1) * self.hx
         y = (np.arange(self.ny) + 0.5) * self.hy
-        return np.meshgrid(x, y, indexing="ij")
+        return np.meshgrid(x, y, indexing="ij", sparse=sparse)
 
-    def v_coords(self):
+    def v_coords(self, sparse=False):
         x = (np.arange(self.nx) + 0.5) * self.hx
         y = np.arange(self.ny + 1) * self.hy
-        return np.meshgrid(x, y, indexing="ij")
+        return np.meshgrid(x, y, indexing="ij", sparse=sparse)
 
     def u_face_weights(self) -> np.ndarray:
         """Quadrature weights for u faces; boundary columns count half.

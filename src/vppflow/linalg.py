@@ -21,20 +21,23 @@ Operator structure:
   the convective quadratic form vanish exactly, not just to O(h^2).
 * every operator is a Csr, a frozen compressed-sparse-row matrix whose
   arrays are read-only; only this module knows the format. S and the
-  prediction operator share one 9-slot layout per grid, with indptr =
-  9 * arange(n + 1) and the index arrays of S. A u row (i, j) holds its
-  W, S, self, N, E u neighbours, then v(i-1, j), v(i-1, j+1), v(i, j),
-  v(i, j+1); a v row (i, j) holds u(i, j-1), u(i, j), u(i+1, j-1),
-  u(i+1, j), then its W, S, self, N, E v neighbours. A neighbour missing
-  at a wall is an explicit zero at the row's own column. The real entries
-  stay in increasing column order, so a matrix-vector product sums them in
-  the order the canonical matrix would, and the padding adds only exact
-  zeros: the products, the diagonal and the solver iterates are bitwise
-  those of the canonical matrix. The prediction's data lives in the
-  PredictionBuffers of a run: mu S with 1/dt + chi/eta on the self slots
-  is written when chi changes, and each step rewrites only the W, S, N
-  and E slot planes as mu S + C. D and G are written in closed form too,
-  each row in increasing column order, so they are the canonical matrices.
+  prediction operators share one 9-slot pattern, the one part of them
+  cached per grid: indptr = 9 * arange(n + 1) and int32 indices, in
+  which a u row (i, j) holds its W, S, self, N, E u neighbours, then
+  v(i-1, j), v(i-1, j+1), v(i, j), v(i, j+1); a v row (i, j) holds
+  u(i, j-1), u(i, j), u(i+1, j-1), u(i+1, j), then its W, S, self, N, E
+  v neighbours. A neighbour missing at a wall is an explicit zero at the
+  row's own column. The real entries stay in increasing column order, so
+  a matrix-vector product sums them in the order the canonical matrix
+  would, and the padding adds only exact zeros: the products, the
+  diagonal and the solver iterates are bitwise those of the canonical
+  matrix. The prediction's data lives only in the PredictionBuffers of a
+  run: its first assembly writes S's entries there and scales them by mu
+  in place, the self slots take mu S + 1/dt + chi/eta whenever chi
+  changes, and each step rewrites only the W, S, N and E slot planes as
+  mu S + C. D and G are written in closed form too, straight into their
+  int32 index arrays, each row in increasing column order, so they are
+  the canonical matrices.
 * solve_correction solves the constant-coefficient correction exactly by
   a DCT-II.
 * dirichlet_bases diagonalizes the Dirichlet -Laplace on the cell and face
@@ -60,7 +63,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -199,59 +202,68 @@ def face_layout(grid: Grid) -> FaceLayout:
     return FaceLayout(grid)
 
 
-def _index_grids(layout: FaceLayout):
-    """Packed indices of the u faces on an (nx+1, ny+2) array and of the v
-    faces on an (nx+2, ny+1) array: u(i, j) sits at [i, j+1] and v(i, j) at
-    [i+1, j]. Boundary faces and the ring outside the walls hold -1."""
-    g = layout.grid
-    uidx = np.full((g.nx + 1, g.ny + 2), -1, dtype=np.int64)
-    ii, jj = np.meshgrid(np.arange(1, g.nx), np.arange(g.ny), indexing="ij")
-    uidx[1:-1, 1:-1] = layout.u_index(ii, jj)
-    vidx = np.full((g.nx + 2, g.ny + 1), -1, dtype=np.int64)
-    ii, jj = np.meshgrid(np.arange(g.nx), np.arange(1, g.ny), indexing="ij")
-    vidx[1:-1, 1:-1] = layout.v_index(ii, jj)
-    return uidx, vidx
-
-
 @lru_cache(maxsize=32)
 def divergence_matrix(grid: Grid) -> Csr:
     """Cells x faces divergence over the packed interior unknowns.
 
     Row (i, j) holds its u-west, u-east, v-south and v-north faces with
     -1/hx, 1/hx, -1/hy and 1/hy, which is increasing column order; a wall
-    face is not an unknown and is dropped.
+    face is not an unknown and is dropped. Written in closed form: indptr
+    from the row counts, then each face set into the next free slot of its
+    rows.
     """
     layout = face_layout(grid)
-    uidx, vidx = _index_grids(layout)
-    uidx, vidx = uidx[:, 1:-1], vidx[1:-1, :]
-    cols = np.stack([uidx[:-1, :], uidx[1:, :], vidx[:, :-1], vidx[:, 1:]],
-                    axis=-1).reshape(grid.ncells, 4)
-    vals = np.broadcast_to([-1.0 / grid.hx, 1.0 / grid.hx, -1.0 / grid.hy, 1.0 / grid.hy],
-                           cols.shape)
-    present = cols >= 0
-    indptr = np.zeros(grid.ncells + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
-    return Csr(indptr, cols[present].astype(np.int32), vals[present],
-               (grid.ncells, layout.n))
+    nx, ny = grid.nx, grid.ny
+    indptr = np.empty(grid.ncells + 1, dtype=np.int32)
+    indptr[0] = 0
+    count = indptr[1:].reshape(nx, ny)
+    count[...] = 4
+    count[[0, -1], :] -= 1
+    count[:, [0, -1]] -= 1
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    free = indptr[:-1].reshape(nx, ny).copy()
+    ru = np.arange(layout.nu, dtype=np.int32).reshape(nx - 1, ny)
+    rv = np.arange(layout.nu, layout.n, dtype=np.int32).reshape(nx, ny - 1)
+    # the cells that have the face, its packed indices and its entry
+    for cells, faces, value in ((np.s_[1:, :], ru, -1.0 / grid.hx),     # u west
+                                (np.s_[:-1, :], ru, 1.0 / grid.hx),     # u east
+                                (np.s_[:, 1:], rv, -1.0 / grid.hy),     # v south
+                                (np.s_[:, :-1], rv, 1.0 / grid.hy)):    # v north
+        slot = free[cells]
+        indices[slot] = faces
+        data[slot] = value
+        slot += 1
+    return Csr(indptr, indices, data, (grid.ncells, layout.n))
 
 
 @lru_cache(maxsize=32)
 def gradient_matrix(grid: Grid) -> Csr:
     """Faces x cells gradient; exactly -divergence_matrix^T.
 
-    A stable sort of D's entries by column keeps each face's cells in
-    increasing order, so every row is in increasing column order.
+    Every interior face lies between two cells, so each row holds two
+    entries in closed form: a u face -1/hx on its west cell and 1/hx on its
+    east one, a v face -1/hy on its south cell and 1/hy on its north one,
+    which is increasing column order.
     """
-    d = divergence_matrix(grid)
-    order = np.argsort(d.indices, kind="stable")
-    indptr = np.zeros(d.shape[1] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(d.indices, minlength=d.shape[1]), out=indptr[1:])
-    return Csr(indptr, d.entry_rows()[order].astype(np.int32), -d.data[order],
-               (d.shape[1], d.shape[0]))
+    layout = face_layout(grid)
+    nx, ny, nu = grid.nx, grid.ny, layout.nu
+    cells = np.arange(grid.ncells, dtype=np.int32).reshape(nx, ny)
+    indices = np.empty(2 * layout.n, dtype=np.int32)
+    data = np.empty(2 * layout.n)
+    iu = indices[:2 * nu].reshape(nx - 1, ny, 2)
+    iv = indices[2 * nu:].reshape(nx, ny - 1, 2)
+    iu[..., 0], iu[..., 1] = cells[:-1, :], cells[1:, :]
+    iv[..., 0], iv[..., 1] = cells[:, :-1], cells[:, 1:]
+    data[:2 * nu].reshape(nu, 2)[...] = (-1.0 / grid.hx, 1.0 / grid.hx)
+    data[2 * nu:].reshape(-1, 2)[...] = (-1.0 / grid.hy, 1.0 / grid.hy)
+    return Csr(np.arange(0, 2 * layout.n + 1, 2, dtype=np.int32), indices, data,
+               (layout.n, grid.ncells))
 
 
 def _slots(grid: Grid, data: np.ndarray):
-    """Views of a 9-slot data array as (nx-1, ny, 9) u rows and (nx, ny-1, 9) v rows."""
+    """Views of a 9-slot array as (nx-1, ny, 9) u rows and (nx, ny-1, 9) v rows."""
     nu = (grid.nx - 1) * grid.ny
     return (data[:9 * nu].reshape(grid.nx - 1, grid.ny, 9),
             data[9 * nu:].reshape(grid.nx, grid.ny - 1, 9))
@@ -265,6 +277,74 @@ def _strain_coefficients(grid: Grid):
 
 
 @lru_cache(maxsize=32)
+def _nine_slot_pattern(grid: Grid):
+    """indptr, indices and diagonal_slots of the 9-slot layout of the
+    module docstring, read-only: the pattern that strain_energy_matrix and
+    every prediction operator on grid share."""
+    layout = face_layout(grid)
+    nx, ny, nu = grid.nx, grid.ny, layout.nu
+    indices = np.empty(9 * layout.n, dtype=np.int32)
+    cu, cv = _slots(grid, indices)
+    ru = np.arange(nu, dtype=np.int32).reshape(nx - 1, ny)
+    rv = np.arange(nu, layout.n, dtype=np.int32).reshape(nx, ny - 1)
+    # every slot starts at the row's own column, the padding of a neighbour
+    # beyond a wall, and the neighbours that exist are written over it
+    cu[...] = ru[..., None]
+    cv[...] = rv[..., None]
+    # u row (i, j): W, S, N, E u, then v(i-1, j), v(i-1, j+1), v(i, j), v(i, j+1)
+    cu[1:, :, 0] = ru[:-1, :]
+    cu[:, 1:, 1] = ru[:, :-1]
+    cu[:, :-1, 3] = ru[:, 1:]
+    cu[:-1, :, 4] = ru[1:, :]
+    cu[:, 1:, 5] = cu[:, :-1, 6] = rv[:-1, :]
+    cu[:, 1:, 7] = cu[:, :-1, 8] = rv[1:, :]
+    # v row (i, j): u(i, j-1), u(i, j), u(i+1, j-1), u(i+1, j), then W, S, N, E v
+    cv[1:, :, 0] = cv[:-1, :, 2] = ru[:, :-1]
+    cv[1:, :, 1] = cv[:-1, :, 3] = ru[:, 1:]
+    cv[1:, :, 4] = rv[:-1, :]
+    cv[:, 1:, 5] = rv[:, :-1]
+    cv[:, :-1, 7] = rv[:, 1:]
+    cv[:-1, :, 8] = rv[1:, :]
+    indptr = np.arange(0, 9 * layout.n + 1, 9, dtype=np.int32)
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices, (slice(2, 9 * nu, 9), slice(9 * nu + 6, None, 9))
+
+
+def _nine_slot_csr(grid: Grid, data: np.ndarray) -> Csr:
+    """The Csr with data on grid's 9-slot pattern."""
+    indptr, indices, diagonal_slots = _nine_slot_pattern(grid)
+    n = indptr.shape[0] - 1
+    return Csr(indptr, indices, data, (n, n), diagonal_slots=diagonal_slots)
+
+
+def _write_strain(grid: Grid, data: np.ndarray):
+    """Write the entries of strain_energy_matrix into a 9-slot data array."""
+    # with a = (1/hx)^2, b = (1/hy)^2 and c = (1/hy)(1/hx): 2 exx^2 gives a u
+    # row 4a on the diagonal and -2a to W and E, 2 eyy^2 a v row 4b and -2b
+    # to S and N; gamma^2 gives a u row 2b on the diagonal (3b next to a
+    # wall), -b to S and N and +-c to the v's, and a v row the same with a.
+    # Each entry rounds as in the product 2 Bxx^T Bxx + 2 Byy^T Byy +
+    # Bgamma^T W Bgamma of the difference matrices with entries +-1/h
+    a, b, c = _strain_coefficients(grid)
+    su, sv = _slots(grid, data)
+    su[...] = [-2.0 * a, -b, 0.0, -b, -2.0 * a, -c, c, c, -c]
+    sv[...] = [-c, c, c, -c, -a, -2.0 * b, 0.0, -2.0 * b, -a]
+    gu = np.full(grid.ny, 2.0 * b)
+    gu[[0, -1]] = 3.0 * b
+    gv = np.full((grid.nx, 1), 2.0 * a)
+    gv[[0, -1]] = 3.0 * a
+    su[..., 2] = 4.0 * a + gu
+    sv[..., 6] = 4.0 * b + gv
+    # the padding slots of the rows next to a wall
+    su[0, :, 0] = su[-1, :, 4] = 0.0
+    su[:, 0, [1, 5, 7]] = 0.0
+    su[:, -1, [3, 6, 8]] = 0.0
+    sv[0, :, [0, 1, 4]] = 0.0
+    sv[-1, :, [2, 3, 8]] = 0.0
+    sv[:, 0, 5] = sv[:, -1, 7] = 0.0
+
+
 def strain_energy_matrix(grid: Grid) -> Csr:
     """Positive semi-definite matrix S with x^T S x = 2|exx|^2 + 2|eyy|^2 + |gamma|^2.
 
@@ -274,46 +354,12 @@ def strain_energy_matrix(grid: Grid) -> Csr:
     and count half in the trapezoidal node quadrature, corners a quarter,
     which reproduces the matrix-free stencil of div(2 mu D(v)). Every row
     is written out in closed form on the 9-slot layout of the module
-    docstring; the prediction operators share its index arrays.
+    docstring. Only that pattern is cached per grid, and the prediction
+    operators share it; each call writes fresh data.
     """
-    layout = face_layout(grid)
-    nx, ny = grid.nx, grid.ny
-    uidx, vidx = _index_grids(layout)
-    # the nine columns of each row in the order of the module docstring;
-    # -1 marks a neighbour beyond a wall
-    cols_u = np.stack([uidx[:-2, 1:-1], uidx[1:-1, :-2], uidx[1:-1, 1:-1],
-                       uidx[1:-1, 2:], uidx[2:, 1:-1],
-                       vidx[1:-2, :-1], vidx[1:-2, 1:], vidx[2:-1, :-1], vidx[2:-1, 1:]], axis=-1)
-    cols_v = np.stack([uidx[:-1, 1:-2], uidx[:-1, 2:-1], uidx[1:, 1:-2], uidx[1:, 2:-1],
-                       vidx[:-2, 1:-1], vidx[1:-1, :-2], vidx[1:-1, 1:-1],
-                       vidx[1:-1, 2:], vidx[2:, 1:-1]], axis=-1)
-    cols = np.concatenate([cols_u.reshape(-1, 9), cols_v.reshape(-1, 9)])
-    present = cols >= 0
-    cols = np.where(present, cols, np.arange(layout.n)[:, None])
-
-    # with a = (1/hx)^2, b = (1/hy)^2 and c = (1/hy)(1/hx): 2 exx^2 gives a u
-    # row 4a on the diagonal and -2a to W and E, 2 eyy^2 a v row 4b and -2b
-    # to S and N; gamma^2 gives a u row 2b on the diagonal (3b next to a
-    # wall), -b to S and N and +-c to the v's, and a v row the same with a.
-    # Each entry rounds as in the product 2 Bxx^T Bxx + 2 Byy^T Byy +
-    # Bgamma^T W Bgamma of the difference matrices with entries +-1/h
-    a, b, c = _strain_coefficients(grid)
-    data = np.empty((layout.n, 9))
-    su, sv = _slots(grid, data.reshape(-1))
-    su[...] = [-2.0 * a, -b, 0.0, -b, -2.0 * a, -c, c, c, -c]
-    sv[...] = [-c, c, c, -c, -a, -2.0 * b, 0.0, -2.0 * b, -a]
-    gu = np.full(ny, 2.0 * b)
-    gu[[0, -1]] = 3.0 * b
-    gv = np.full((nx, 1), 2.0 * a)
-    gv[[0, -1]] = 3.0 * a
-    su[..., 2] = 4.0 * a + gu
-    sv[..., 6] = 4.0 * b + gv
-    data[~present] = 0.0
-
-    nu = layout.nu
-    return Csr(9 * np.arange(layout.n + 1, dtype=np.int32), cols.reshape(-1).astype(np.int32),
-               data.reshape(-1), (layout.n, layout.n),
-               diagonal_slots=(slice(2, 9 * nu, 9), slice(9 * nu + 6, None, 9)))
+    data = np.empty(9 * face_layout(grid).n)
+    _write_strain(grid, data)
+    return _nine_slot_csr(grid, data)
 
 
 def _write_convection(grid: Grid, vel_prev: VelocityField, mu: float, data: np.ndarray):
@@ -417,24 +463,26 @@ def boundary_rhs(grid: Grid, v_prev: VelocityField, mu: float,
 class PredictionBuffers:
     """The arrays that the prediction solves of one run reuse at every step.
 
-    data is the 9-slot data of the prediction operator: mu S, with
-    1/dt + chi/eta on the self slots for the face mask chi it was last
-    built for, and mu S + C of the latest assembly in the W, S, N and E
-    slot planes, and operator the Csr on S's index arrays whose data is a
-    read-only view of it. minv is the Jacobi inverse of its diagonal, and
-    work the five BiCGStab work vectors. assemble_prediction writes data
-    and minv; solve reads minv and uses work. One set serves one grid and one
-    SchemeParams, so a run keeps a single 9n array live.
+    data is the 9-slot data of the prediction operator, the one 9n array
+    of a run: after the first assembly it holds mu S, with 1/dt + chi/eta
+    added on the self slots for the face mask chi it was last built for,
+    and mu S + C of the latest assembly in the W, S, N and E slot planes.
+    operator is the Csr on grid's cached 9-slot pattern whose data is a
+    read-only view of it. mu_diag is mu diag(S), kept from the first
+    assembly for the rebuilds of the self slots, minv the Jacobi inverse of
+    the operator's diagonal, and work the five BiCGStab work vectors.
+    assemble_prediction writes data, mu_diag and minv; solve reads minv
+    and uses work. One set serves one grid and one SchemeParams.
     """
 
     def __init__(self, grid: Grid):
         n = face_layout(grid).n
         self.data = np.empty(9 * n)
-        self.operator = replace(strain_energy_matrix(grid), data=self.data[:])
+        self.operator = _nine_slot_csr(grid, self.data[:])
+        self.mu_diag = None
         self.minv = np.empty(n)
         self.work = np.empty((5, n))
         self.chi = None
-        self.built = False
 
 
 def assemble_prediction(grid, params, v_prev: VelocityField, chi=None,
@@ -444,30 +492,33 @@ def assemble_prediction(grid, params, v_prev: VelocityField, chi=None,
     (1/dt) I + C(v_prev) - div(2 mu D(.)) + (1/eta) chi I on the interior
     faces, Dirichlet rows eliminated; chi is the packed face mask of the
     obstacle (FaceLayout.pack of ObstacleFrame.chi), None without one.
-    The data is that of buffers (fresh ones if None): mu S and then the
-    diagonal mu S + 1/dt + chi/eta and its Jacobi inverse are written when
-    chi is another array than at the last assembly into them, and the
-    convection planes at every call (_write_convection), so each entry
+    The data is that of buffers (fresh ones if None). The first assembly
+    into them writes the entries of S and scales them by mu in place. The
+    self slots mu S + 1/dt + chi/eta and their Jacobi inverse are written
+    then and whenever chi is another array than at the last assembly, and
+    the convection planes at every call (_write_convection), so each entry
     rounds as C + mu S + diagonal. The operator is buffers.operator: it
-    shares the read-only index arrays of strain_energy_matrix(grid), and
-    its data is a read-only view of buffers.data, so it holds the latest
+    shares the read-only pattern of strain_energy_matrix(grid), and its
+    data is a read-only view of buffers.data, so it holds the latest
     assembly into them.
     """
-    s = strain_energy_matrix(grid)
     if buffers is None:
         buffers = PredictionBuffers(grid)
     data = buffers.data
-    if not buffers.built or chi is not buffers.chi:
-        if not buffers.built:
-            np.multiply(s.data, params.mu, out=data)
-        d = params.mu * s.diagonal()
-        d += 1.0 / params.dt if chi is None else 1.0 / params.dt + chi / params.eta
+    first = buffers.mu_diag is None
+    if first:
+        _write_strain(grid, data)
+        data *= params.mu
+        buffers.mu_diag = buffers.operator.diagonal()
+    if first or chi is not buffers.chi:
+        d = buffers.mu_diag + (1.0 / params.dt if chi is None
+                               else 1.0 / params.dt + chi / params.eta)
         nu = face_layout(grid).nu
-        u_self, v_self = s.diagonal_slots
+        u_self, v_self = buffers.operator.diagonal_slots
         data[u_self] = d[:nu]
         data[v_self] = d[nu:]
         buffers.minv[:] = _jacobi(d)
-        buffers.chi, buffers.built = chi, True
+        buffers.chi = chi
     _write_convection(grid, v_prev, params.mu, data)
     return buffers.operator
 

@@ -64,7 +64,8 @@ class Obstacle:
         return inside.astype(float)
 
     def _fraction(self, t, x, y, hx, hy):
-        """Covered area fraction of cells centered at (x, y), by 4x4 subsampling.
+        """Covered area fraction of cells centered at (x, y), by 4x4 subsampling;
+        x and y may be an open mesh that broadcasts to the cells' shape.
 
         Cells fully inside/outside the disk (center more than half a cell
         diagonal from the circle) are resolved exactly; only the boundary
@@ -79,15 +80,15 @@ class Obstacle:
         if np.any(band):
             offs = (np.arange(4) + 0.5) / 4 - 0.5
             ox, oy = np.meshgrid(offs * hx, offs * hy, indexing="ij")
-            bx = x[band][:, None] + ox.ravel()[None, :]
-            by = y[band][:, None] + oy.ravel()[None, :]
+            bx = np.broadcast_to(x, band.shape)[band][:, None] + ox.ravel()[None, :]
+            by = np.broadcast_to(y, band.shape)[band][:, None] + oy.ravel()[None, :]
             sub = (bx - cx) ** 2 + (by - cy) ** 2 <= self.radius**2
             frac[band] = sub.mean(axis=1)
         return frac
 
     def sample_chi(self, t: float, grid: Grid) -> np.ndarray:
         """Indicator of the solid region at cell centers, shape (nx, ny)."""
-        x, y = grid.cell_coords()
+        x, y = grid.cell_coords(sparse=True)
         if self.chi_mode == "binary":
             return self._indicator(t, x, y)
         return self._fraction(t, x, y, grid.hx, grid.hy)
@@ -99,8 +100,8 @@ class Obstacle:
         averages the fractions of the two cells sharing the face.
         """
         if self.chi_mode == "binary":
-            xu, yu = grid.u_coords()
-            xv, yv = grid.v_coords()
+            xu, yu = grid.u_coords(sparse=True)
+            xv, yv = grid.v_coords(sparse=True)
             return self._indicator(t, xu, yu), self._indicator(t, xv, yv)
         frac = self.sample_chi(t, grid)
         chi_u = np.zeros(grid.shape_u)
@@ -126,9 +127,11 @@ class Obstacle:
 
     def sample_solid_velocity(self, t: float, grid: Grid) -> VelocityField:
         """Rigid-body velocity on all faces: us at u faces, vs at v faces."""
-        _, yu = grid.u_coords()
-        xv, _ = grid.v_coords()
-        return VelocityField(grid, *self.rigid_velocity(t, xv, yu))
+        _, yu = grid.u_coords(sparse=True)
+        xv, _ = grid.v_coords(sparse=True)
+        us, vs = self.rigid_velocity(t, xv, yu)
+        return VelocityField(grid, np.broadcast_to(us, grid.shape_u).copy(),
+                             np.broadcast_to(vs, grid.shape_v).copy())
 
     def boundary_band(self, t: float, grid: Grid) -> np.ndarray:
         """Cells whose center lies within one cell diagonal of the circle.
@@ -136,7 +139,7 @@ class Obstacle:
         Returns an (m, 2) integer array of cell indices.
         """
         cx, cy = self.center_at(t)
-        x, y = grid.cell_coords()
+        x, y = grid.cell_coords(sparse=True)
         diag = math.hypot(grid.hx, grid.hy)
         band = np.abs(np.hypot(x - cx, y - cy) - self.radius) <= diag
         return np.argwhere(band)
@@ -165,8 +168,7 @@ class ObstacleFrame:
         if obstacle is None:
             return None
         band = obstacle.boundary_band(t, grid)
-        x, y = grid.cell_coords()
-        ii, jj = band[:, 0], band[:, 1]
+        x, y = grid.cell_coords(sparse=True)
         return cls(VelocityField(grid, *obstacle.sample_chi_faces(t, grid)),
                    obstacle.sample_solid_velocity(t, grid), band,
-                   obstacle.rigid_velocity(t, x[ii, jj], y[ii, jj]))
+                   obstacle.rigid_velocity(t, x[band[:, 0], 0], y[0, band[:, 1]]))

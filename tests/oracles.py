@@ -48,6 +48,57 @@ def divergence_coo(grid) -> sp.csr_matrix:
                          shape=(grid.ncells, layout.n)).tocsr()
 
 
+def _index_grids(layout):
+    """Packed indices of the u faces on an (nx+1, ny+2) array and of the v
+    faces on an (nx+2, ny+1) array: u(i, j) sits at [i, j+1] and v(i, j) at
+    [i+1, j]. Boundary faces and the ring outside the walls hold -1."""
+    g = layout.grid
+    uidx = np.full((g.nx + 1, g.ny + 2), -1, dtype=np.int64)
+    ii, jj = np.meshgrid(np.arange(1, g.nx), np.arange(g.ny), indexing="ij")
+    uidx[1:-1, 1:-1] = layout.u_index(ii, jj)
+    vidx = np.full((g.nx + 2, g.ny + 1), -1, dtype=np.int64)
+    ii, jj = np.meshgrid(np.arange(g.nx), np.arange(1, g.ny), indexing="ij")
+    vidx[1:-1, 1:-1] = layout.v_index(ii, jj)
+    return uidx, vidx
+
+
+def strain_energy_reference(grid) -> Csr:
+    """linalg.strain_energy_matrix built from padded index grids: each row's
+    nine columns stacked from shifted int64 index arrays, a missing
+    neighbour (-1) replaced by the row's own column, and the data zeroed
+    there; the reference for the in-place build."""
+    layout = linalg.face_layout(grid)
+    nx, ny = grid.nx, grid.ny
+    uidx, vidx = _index_grids(layout)
+    cols_u = np.stack([uidx[:-2, 1:-1], uidx[1:-1, :-2], uidx[1:-1, 1:-1],
+                       uidx[1:-1, 2:], uidx[2:, 1:-1],
+                       vidx[1:-2, :-1], vidx[1:-2, 1:], vidx[2:-1, :-1], vidx[2:-1, 1:]], axis=-1)
+    cols_v = np.stack([uidx[:-1, 1:-2], uidx[:-1, 2:-1], uidx[1:, 1:-2], uidx[1:, 2:-1],
+                       vidx[:-2, 1:-1], vidx[1:-1, :-2], vidx[1:-1, 1:-1],
+                       vidx[1:-1, 2:], vidx[2:, 1:-1]], axis=-1)
+    cols = np.concatenate([cols_u.reshape(-1, 9), cols_v.reshape(-1, 9)])
+    present = cols >= 0
+    cols = np.where(present, cols, np.arange(layout.n)[:, None])
+
+    a, b, c = linalg._strain_coefficients(grid)
+    nu = layout.nu
+    data = np.empty((layout.n, 9))
+    su = data[:nu].reshape(nx - 1, ny, 9)
+    sv = data[nu:].reshape(nx, ny - 1, 9)
+    su[...] = [-2.0 * a, -b, 0.0, -b, -2.0 * a, -c, c, c, -c]
+    sv[...] = [-c, c, c, -c, -a, -2.0 * b, 0.0, -2.0 * b, -a]
+    gu = np.full(ny, 2.0 * b)
+    gu[[0, -1]] = 3.0 * b
+    gv = np.full((nx, 1), 2.0 * a)
+    gv[[0, -1]] = 3.0 * a
+    su[..., 2] = 4.0 * a + gu
+    sv[..., 6] = 4.0 * b + gv
+    data[~present] = 0.0
+    return Csr(9 * np.arange(layout.n + 1, dtype=np.int32), cols.reshape(-1).astype(np.int32),
+               data.reshape(-1), (layout.n, layout.n),
+               diagonal_slots=(slice(2, 9 * nu, 9), slice(9 * nu + 6, None, 9)))
+
+
 def convection_matrix(grid, vel_prev: VelocityField) -> Csr:
     """The skew-symmetric linearized convection C of the prediction
     operator, alone, on the pattern of linalg.strain_energy_matrix: +-k

@@ -60,3 +60,13 @@ def test_velocity_arithmetic(rng):
 def test_package_exports_resolve():
     # a stale name in __all__ would otherwise fail only at a user's import
     assert [name for name in vppflow.__all__ if not hasattr(vppflow, name)] == []
+
+
+def test_open_meshes_broadcast_to_the_full_meshes():
+    g = Grid(5, 3, 1.3, 0.7)
+    for coords, shape in ((g.cell_coords, g.shape_p), (g.u_coords, g.shape_u),
+                          (g.v_coords, g.shape_v)):
+        x, y = coords(sparse=True)
+        assert x.shape == (shape[0], 1) and y.shape == (1, shape[1])
+        for open_mesh, full in zip((x, y), coords()):
+            assert np.broadcast_to(open_mesh, shape).tobytes() == full.tobytes()

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import vppflow
 from oracles import (assemble_correction, bicgstab, convection_matrix, dirichlet_laplacian,
-                     divergence_coo, from_scipy, strain_divergence, to_scipy)
+                     divergence_coo, from_scipy, strain_divergence, strain_energy_reference,
+                     to_scipy)
 from vppflow import linalg, operators
 from vppflow.grid import Grid, PressureField, VelocityField
 from vppflow.linalg import NonConvergence, face_layout
@@ -145,7 +147,7 @@ def test_prediction_assembly_on_the_strain_pattern(nx, ny, lx, ly, log10_mu, log
     summed = c + params.mu * to_scipy(s) + sp.diags(1.0 / params.dt + chi / params.eta)
     assert np.array_equal(to_scipy(a).toarray(), summed.toarray())
 
-    # the index arrays are shared with the cached S: in-place pattern edits
+    # the index arrays are the pattern cached per grid: in-place pattern edits
     # must fail instead of corrupting every later assembly
     with pytest.raises(ValueError):
         a.indices[0] = 1
@@ -208,6 +210,43 @@ def test_nine_slot_layout(nx, ny, lx, ly, seed):
     x = rng.standard_normal(n)
     for m in (s, c, a):
         assert np.array_equal(linalg._matvec(m, x), folded(to_scipy(m)) @ x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(2, 40), ny=st.integers(2, 40),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0))
+@example(nx=2, ny=2, lx=1.0, ly=0.7)
+def test_in_place_strain_build_is_the_index_grid_build(nx, ny, lx, ly):
+    # the slot planes written from arange index grids hold the bytes of the
+    # stacked, padded int64 index grids they replace
+    assume(lx != ly)
+    g = Grid(nx, ny, lx, ly)
+    s, ref = linalg.strain_energy_matrix(g), strain_energy_reference(g)
+    assert s.shape == ref.shape
+    for field in ("indptr", "indices", "data"):
+        got, want = getattr(s, field), getattr(ref, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+    assert s.diagonal_slots == ref.diagonal_slots
+
+
+def test_operator_builds_peak_close_to_what_they_keep():
+    # S, D, G and the prediction buffers are written straight into the
+    # arrays they keep: building them needs less than a quarter of one 9n
+    # float array on top. The grid is one no other test builds
+    g = Grid(96, 96)
+    n = face_layout(g).n
+    kept, excess = [], {}
+    tracemalloc.start()
+    try:
+        for build in (linalg.strain_energy_matrix, linalg.divergence_matrix,
+                      linalg.gradient_matrix, linalg.PredictionBuffers):
+            tracemalloc.reset_peak()
+            kept.append(build(g))
+            current, peak = tracemalloc.get_traced_memory()
+            excess[build.__name__] = peak - current
+    finally:
+        tracemalloc.stop()
+    assert max(excess.values()) < 9 * n * 8 / 4, excess
 
 
 def test_prediction_matches_matrix_free_residual_oracle(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from vppflow import operators
 from vppflow.grid import Grid
-from vppflow.obstacle import Obstacle
+from vppflow.obstacle import Obstacle, ObstacleFrame
 
 
 def test_half_cell_disk_marks_exactly_one_cell():
@@ -105,3 +105,25 @@ def test_clearance_accounts_for_translation():
     # at t=1 the center is at x=0.9, so the disk pokes through the wall
     assert obs.clearance(g, 1.0) < 0
     assert obs.clearance(g, 0.5) > 0
+
+
+@pytest.mark.parametrize("mode", ["binary", "fraction"])
+def test_open_mesh_sampling_is_bitwise_the_full_mesh_sampling(mode):
+    # the samplers broadcast the 1-D coordinate vectors; per cell or face
+    # that is the arithmetic of the full meshgrids, so the bits are theirs
+    g = Grid(37, 23, 1.3, 0.8)
+    obs = Obstacle(radius=0.15, center=(0.3, 0.45), velocity=(0.6, -0.1), omega=1.3,
+                   chi_mode=mode)
+    t = 0.37
+    x, y = g.cell_coords()
+    full = (obs._indicator(t, x, y) if mode == "binary"
+            else obs._fraction(t, x, y, g.hx, g.hy))
+    assert obs.sample_chi(t, g).tobytes() == full.tobytes()
+    if mode == "binary":
+        chi_u, chi_v = obs.sample_chi_faces(t, g)
+        assert chi_u.tobytes() == obs._indicator(t, *g.u_coords()).tobytes()
+        assert chi_v.tobytes() == obs._indicator(t, *g.v_coords()).tobytes()
+    frame = ObstacleFrame.sample(obs, t, g)
+    ii, jj = frame.band[:, 0], frame.band[:, 1]
+    for got, want in zip(frame.band_vs, obs.rigid_velocity(t, x[ii, jj], y[ii, jj])):
+        assert got.tobytes() == want.tobytes()

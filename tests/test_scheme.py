@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,6 +384,27 @@ def test_a_run_assembles_every_prediction_into_one_buffer(monkeypatch):
     assert len(ops) == 3
     assert np.shares_memory(ops[1].data, ops[2].data)
     assert np.shares_memory(ops[0].data, ops[1].data)
+
+
+def test_steps_hold_one_nine_slot_data_array():
+    # the run's PredictionBuffers hold the only 9n float array of a grid:
+    # S's pattern is cached per grid, its data is not. The grid is one no
+    # other test builds, so none of its operators is cached before the trace
+    g = Grid(23, 17, 1.15, 0.85)
+    n = face_layout(g).n
+    params = SchemeParams(dt=1.0 / 32, t_final=1.0 / 16)
+    obstacle = Obstacle(radius=0.15, center=(0.4, 0.5), velocity=(0.5, 0.0), omega=1.0,
+                        chi_mode="fraction")
+    state = FlowState.initial(VelocityField.zeros(g), PressureField.zeros(g))
+    tracemalloc.start()
+    try:
+        workspace = scheme.StepWorkspace(g, params, obstacle)
+        for _ in range(2):
+            state, _ = scheme.step(state, zero_forcing, obstacle, params, workspace=workspace)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert [trace.size for trace in snapshot.traces].count(9 * n * 8) == 1
 
 
 def test_step_rejects_a_workspace_of_another_run():
