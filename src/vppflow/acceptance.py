@@ -171,7 +171,8 @@ def a4_splitting_limit() -> CriterionResult:
 
     Reported only: the Cauchy differences ||v(eps_k) - v(eps_k+1)|| /
     ||v(eps_k+1)|| of the split step itself and their fitted order in eps,
-    which stay far above roundoff where the errors sit on the floor.
+    which stay far above roundoff where the errors sit on the floor; and
+    the drops errs[k] - errs[k+1] the gate rests on, also over errs[k].
     """
     grid = Grid(8, 8)
     rng = np.random.default_rng(0)
@@ -193,15 +194,18 @@ def a4_splitting_limit() -> CriterionResult:
     cauchy = [math.sqrt(operators.inner(a - b, a - b) / operators.inner(b, b))
               for a, b in zip(states, states[1:])]
     cauchy_slope, _ = fit_exponent(eps_list[:-1], cauchy)
+    drops = [e0 - e1 for e0, e1 in zip(errs, errs[1:])]
+    relative_drops = [d / e for d, e in zip(drops, errs)]
     decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
     passed = decreasing and errs[-1] <= 1e-5
     return CriterionResult(
         "A4", passed,
-        f"errors {['%.3e' % e for e in errs]}, strictly decreasing: {decreasing}, "
-        f"final {errs[-1]:.2e} (target <= 1e-5); split-step Cauchy order "
-        f"{cauchy_slope:.2f} (reported only)",
+        f"errors {['%.3e' % e for e in errs]}, drops {['%.2e' % d for d in drops]} "
+        f"(relative {['%.1e' % r for r in relative_drops]}), strictly decreasing: "
+        f"{decreasing}, final {errs[-1]:.2e} (target <= 1e-5); split-step Cauchy "
+        f"order {cauchy_slope:.2f} (reported only)",
         {"eps": eps_list, "errors": errs, "cauchy_differences": cauchy,
-         "cauchy_slope": cauchy_slope})
+         "cauchy_slope": cauchy_slope, "error_drops": drops, "relative_drops": relative_drops})
 
 
 ROTATING_DISK = Obstacle(radius=0.15, center=(0.5, 0.5), omega=1.0)
@@ -342,26 +346,32 @@ def a7_translation_estimator() -> CriterionResult:
 
 
 def a8_operator_algebra() -> CriterionResult:
-    """Adjointness, curl(grad), convective skewness and correction SPD.
+    """Adjointness, curl(grad), skewness, correction SPD and correction map.
 
     The correction operator (eps/dt) I + D^T D is applied matrix-free as
-    lam x - G(D x), with the D and G of the step (G = -D^T). The skewness
-    is that of the convection inside the prediction operator the step
-    solves, A(v) - A(0) for assemble_prediction with advecting velocity v,
-    applied through the solvers' product.
+    lam x - G(D x), with the D and G stencils of the step (G = -D^T). The
+    skewness is that of the convection inside the prediction operator the
+    step solves, A(v) - A(0) for assemble_prediction with advecting velocity
+    v, applied through the solvers' product. The step's map K: v~ -> v^ =
+    -(lam I + D^T D)^{-1} D^T D v~ (solve_correction) must solve its equation
+    and be symmetric with -x.Kx >= 0 and ||Kx|| <= ||x||, as its eigenvalues
+    are -s/(lam + s) for the eigenvalues s >= 0 of D^T D.
     """
     grid = Grid(9, 7, 1.2, 0.9)
     layout = linalg.face_layout(grid)
     rng = np.random.default_rng(123)
-    checks = {"adjoint": 0.0, "curl_grad": 0.0, "skew": 0.0, "spd_sym": 0.0}
-    spd_ok = True
+    checks = {"adjoint": 0.0, "curl_grad": 0.0, "skew": 0.0, "spd_sym": 0.0,
+              "map_residual": 0.0, "map_sym": 0.0, "map_gain": 0.0}
+    spd_ok = map_ok = True
 
     params = SchemeParams(dt=0.05, t_final=0.1, lam=0.8, mu=1e-2)
     lam = params.epsilon / params.dt
-    div, grad = linalg.divergence_matrix(grid), linalg.gradient_matrix(grid)
+
+    def dtd(x):
+        return -linalg.apply_gradient(grid, linalg.apply_divergence(grid, x))
 
     def corr(x):
-        return lam * x - linalg._matvec(grad, linalg._matvec(div, x))
+        return lam * x + dtd(x)
 
     a_rest = linalg.assemble_prediction(grid, params, VelocityField.zeros(grid))
 
@@ -393,15 +403,26 @@ def a8_operator_algebra() -> CriterionResult:
         checks["spd_sym"] = max(checks["spd_sym"], sym)
         spd_ok = spd_ok and (x @ cx > 0)
 
+        kx, ky = linalg.solve_correction(grid, lam, x), linalg.solve_correction(grid, lam, y)
+        residual = np.linalg.norm(corr(kx) + dtd(x)) / (np.linalg.norm(dtd(x)) + 1e-30)
+        sym = abs(x @ ky - y @ kx) / (np.linalg.norm(kx) * np.linalg.norm(y) + 1e-30)
+        gain = np.linalg.norm(kx) / np.linalg.norm(x)
+        for key, val in (("map_residual", residual), ("map_sym", sym), ("map_gain", gain)):
+            checks[key] = max(checks[key], val)
+        map_ok = map_ok and -(x @ kx) >= 0
+
     passed = (checks["adjoint"] <= 1e-12 and checks["curl_grad"] <= 1e-12
               and checks["skew"] <= 1e-10 and checks["spd_sym"] <= 1e-12
-              and spd_ok)
+              and spd_ok and checks["map_residual"] <= 1e-12
+              and checks["map_sym"] <= 1e-12 and checks["map_gain"] <= 1.0 and map_ok)
     return CriterionResult(
         "A8", passed,
         f"adjoint {checks['adjoint']:.2e}, curl(grad) {checks['curl_grad']:.2e}, "
         f"skew {checks['skew']:.2e}, SPD sym {checks['spd_sym']:.2e}, "
-        f"positive: {spd_ok} (100 instances each)",
-        {**checks, "positive_definite": spd_ok})
+        f"positive: {spd_ok}; correction map residual {checks['map_residual']:.2e}, "
+        f"sym {checks['map_sym']:.2e}, max gain {checks['map_gain']:.4f}, "
+        f"negative: {map_ok} (100 instances each)",
+        {**checks, "positive_definite": spd_ok, "map_negative": map_ok})
 
 
 CRITERIA = {

@@ -9,8 +9,9 @@ products realize the discrete L2 pairing up to that constant factor.
 
 Operator structure:
 
-* divergence_matrix D maps packed faces to cells; the discrete gradient
-  satisfies G = -D^T exactly, which makes grad and div adjoint.
+* the divergence D (packed faces to cells) and the gradient G = -D^T are
+  stencils applied with no matrix (apply_divergence, apply_gradient), so
+  G = -D^T holds exactly and makes grad and div adjoint.
 * the viscous block is mu times strain_energy_matrix S, the Hessian of
   the discrete strain energy 2(exx^2 + eyy^2) + gamma^2, so
   -div(2 mu D(.)) is symmetric positive semi-definite by construction and
@@ -35,11 +36,9 @@ Operator structure:
   run: its first assembly writes S's entries there and scales them by mu
   in place, the self slots take mu S + 1/dt + chi/eta whenever chi
   changes, and each step rewrites only the W, S, N and E slot planes as
-  mu S + C. D and G are written in closed form too, straight into their
-  int32 index arrays, each row in increasing column order, so they are
-  the canonical matrices.
+  mu S + C.
 * solve_correction solves the constant-coefficient correction exactly by
-  a DCT-II.
+  a DCT-II between the two stencils D and G.
 * dirichlet_bases diagonalizes the Dirichlet -Laplace on the cell and face
   lattices by sine transforms, for the closed-form H^-1 diagnostics.
 * _matvec is the one caller of csr_matvec, a compiled CSR kernel that
@@ -170,12 +169,8 @@ class FaceLayout:
         return (self.grid.nx - 1) * self.grid.ny
 
     @property
-    def nv(self) -> int:
-        return self.grid.nx * (self.grid.ny - 1)
-
-    @property
     def n(self) -> int:
-        return self.nu + self.nv
+        return self.nu + self.grid.nx * (self.grid.ny - 1)
 
     def pack(self, vel: VelocityField) -> np.ndarray:
         return np.concatenate([vel.u[1:-1, :].ravel(), vel.v[:, 1:-1].ravel()])
@@ -188,78 +183,53 @@ class FaceLayout:
         v[:, 1:-1] = vec[self.nu :].reshape(g.nx, g.ny - 1)
         return VelocityField(g, u, v)
 
-    def u_index(self, i, j):
-        """Packed index of interior u face (i = 1..nx-1)."""
-        return (i - 1) * self.grid.ny + j
-
-    def v_index(self, i, j):
-        """Packed index of interior v face (j = 1..ny-1)."""
-        return self.nu + i * (self.grid.ny - 1) + (j - 1)
-
 
 @lru_cache(maxsize=32)
 def face_layout(grid: Grid) -> FaceLayout:
     return FaceLayout(grid)
 
 
-@lru_cache(maxsize=32)
-def divergence_matrix(grid: Grid) -> Csr:
-    """Cells x faces divergence over the packed interior unknowns.
+def apply_divergence(grid: Grid, faces: np.ndarray) -> np.ndarray:
+    """D faces for packed face vectors, batched: (..., n) -> (..., ncells).
 
-    Row (i, j) holds its u-west, u-east, v-south and v-north faces with
-    -1/hx, 1/hx, -1/hy and 1/hy, which is increasing column order; a wall
-    face is not an unknown and is dropped. Written in closed form: indptr
-    from the row counts, then each face set into the next free slot of its
-    rows.
+    Cell (i, j) sums, from a zero, -1/hx u-west, 1/hx u-east, -1/hy v-south
+    and 1/hy v-north, skipping wall faces: the canonical CSR product, bit
+    for bit, as it sums a row in increasing column order. Subtracting
+    (1/h) x rounds as adding (-1/h) x does.
     """
-    layout = face_layout(grid)
     nx, ny = grid.nx, grid.ny
-    indptr = np.empty(grid.ncells + 1, dtype=np.int32)
-    indptr[0] = 0
-    count = indptr[1:].reshape(nx, ny)
-    count[...] = 4
-    count[[0, -1], :] -= 1
-    count[:, [0, -1]] -= 1
-    np.cumsum(indptr, out=indptr)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    free = indptr[:-1].reshape(nx, ny).copy()
-    ru = np.arange(layout.nu, dtype=np.int32).reshape(nx - 1, ny)
-    rv = np.arange(layout.nu, layout.n, dtype=np.int32).reshape(nx, ny - 1)
-    # the cells that have the face, its packed indices and its entry
-    for cells, faces, value in ((np.s_[1:, :], ru, -1.0 / grid.hx),     # u west
-                                (np.s_[:-1, :], ru, 1.0 / grid.hx),     # u east
-                                (np.s_[:, 1:], rv, -1.0 / grid.hy),     # v south
-                                (np.s_[:, :-1], rv, 1.0 / grid.hy)):    # v north
-        slot = free[cells]
-        indices[slot] = faces
-        data[slot] = value
-        slot += 1
-    return Csr(indptr, indices, data, (grid.ncells, layout.n))
+    nu = (nx - 1) * ny
+    batch = faces.shape[:-1]
+    out = np.zeros(batch + (nx, ny))
+    flux = faces[..., :nu].reshape(batch + (nx - 1, ny)) * (1.0 / grid.hx)
+    out[..., 1:, :] -= flux      # u west
+    out[..., :-1, :] += flux     # u east
+    flux = faces[..., nu:].reshape(batch + (nx, ny - 1)) * (1.0 / grid.hy)
+    out[..., :, 1:] -= flux      # v south
+    out[..., :, :-1] += flux     # v north
+    return out.reshape(batch + (nx * ny,))
 
 
-@lru_cache(maxsize=32)
-def gradient_matrix(grid: Grid) -> Csr:
-    """Faces x cells gradient; exactly -divergence_matrix^T.
+def apply_gradient(grid: Grid, cells: np.ndarray) -> np.ndarray:
+    """G cells = -D^T cells for cell vectors, batched: (..., ncells) -> (..., n).
 
-    Every interior face lies between two cells, so each row holds two
-    entries in closed form: a u face -1/hx on its west cell and 1/hx on its
-    east one, a v face -1/hy on its south cell and 1/hy on its north one,
-    which is increasing column order.
+    A u face sums, from a zero, -1/hx west cell and 1/hx east cell, a v
+    face -1/hy south and 1/hy north: the canonical CSR product, bit for bit.
     """
-    layout = face_layout(grid)
-    nx, ny, nu = grid.nx, grid.ny, layout.nu
-    cells = np.arange(grid.ncells, dtype=np.int32).reshape(nx, ny)
-    indices = np.empty(2 * layout.n, dtype=np.int32)
-    data = np.empty(2 * layout.n)
-    iu = indices[:2 * nu].reshape(nx - 1, ny, 2)
-    iv = indices[2 * nu:].reshape(nx, ny - 1, 2)
-    iu[..., 0], iu[..., 1] = cells[:-1, :], cells[1:, :]
-    iv[..., 0], iv[..., 1] = cells[:, :-1], cells[:, 1:]
-    data[:2 * nu].reshape(nu, 2)[...] = (-1.0 / grid.hx, 1.0 / grid.hx)
-    data[2 * nu:].reshape(-1, 2)[...] = (-1.0 / grid.hy, 1.0 / grid.hy)
-    return Csr(np.arange(0, 2 * layout.n + 1, 2, dtype=np.int32), indices, data,
-               (layout.n, grid.ncells))
+    nx, ny = grid.nx, grid.ny
+    nu = (nx - 1) * ny
+    batch = cells.shape[:-1]
+    p = cells.reshape(batch + (nx, ny))
+    out = np.zeros(batch + (nu + nx * (ny - 1),))
+    gu = out[..., :nu].reshape(batch + (nx - 1, ny))
+    gv = out[..., nu:].reshape(batch + (nx, ny - 1))
+    scaled = p * (1.0 / grid.hx)
+    gu -= scaled[..., :-1, :]    # west cell
+    gu += scaled[..., 1:, :]     # east cell
+    scaled = p * (1.0 / grid.hy)
+    gv -= scaled[..., :, :-1]    # south cell
+    gv += scaled[..., :, 1:]     # north cell
+    return out
 
 
 def _slots(grid: Grid, data: np.ndarray):
@@ -432,31 +402,31 @@ def boundary_rhs(grid: Grid, v_prev: VelocityField, mu: float,
     because the advecting normal velocity is zero on the wall).
     """
     layout = face_layout(grid)
-    nx, ny = grid.nx, grid.ny
     hx, hy = grid.hx, grid.hy
     up, vp = v_prev.u, v_prev.v
     rhs = np.zeros(layout.n)
+    # the packed u and v parts as (nx-1, ny) and (nx, ny-1) views
+    ru = rhs[:layout.nu].reshape(grid.nx - 1, grid.ny)
+    rv = rhs[layout.nu:].reshape(grid.nx, grid.ny - 1)
 
-    iu = np.arange(1, nx)
     # advecting v averaged to the first interior u row / last interior u row
-    v_node1 = 0.5 * (vp[iu - 1, 1] + vp[iu, 1])
-    v_node_top = 0.5 * (vp[iu - 1, ny - 1] + vp[iu, ny - 1])
+    v_node1 = 0.5 * (vp[:-1, 1] + vp[1:, 1])
+    v_node_top = 0.5 * (vp[:-1, -2] + vp[1:, -2])
     vface_b = 0.5 * v_node1
     vface_t = 0.5 * v_node_top
-    rhs[layout.u_index(iu, 0)] += (2.0 * mu / hy**2) * slip.u_bottom[iu] \
-        + 0.5 * vface_b * slip.u_bottom[iu] / hy
-    rhs[layout.u_index(iu, ny - 1)] += (2.0 * mu / hy**2) * slip.u_top[iu] \
-        - 0.5 * vface_t * slip.u_top[iu] / hy
+    ru[:, 0] += (2.0 * mu / hy**2) * slip.u_bottom[1:-1] \
+        + 0.5 * vface_b * slip.u_bottom[1:-1] / hy
+    ru[:, -1] += (2.0 * mu / hy**2) * slip.u_top[1:-1] \
+        - 0.5 * vface_t * slip.u_top[1:-1] / hy
 
-    jv = np.arange(1, ny)
-    u_node1 = 0.5 * (up[1, jv - 1] + up[1, jv])
-    u_node_right = 0.5 * (up[nx - 1, jv - 1] + up[nx - 1, jv])
+    u_node1 = 0.5 * (up[1, :-1] + up[1, 1:])
+    u_node_right = 0.5 * (up[-2, :-1] + up[-2, 1:])
     uface_l = 0.5 * u_node1
     uface_r = 0.5 * u_node_right
-    rhs[layout.v_index(0, jv)] += (2.0 * mu / hx**2) * slip.v_left[jv] \
-        + 0.5 * uface_l * slip.v_left[jv] / hx
-    rhs[layout.v_index(nx - 1, jv)] += (2.0 * mu / hx**2) * slip.v_right[jv] \
-        - 0.5 * uface_r * slip.v_right[jv] / hx
+    rv[0, :] += (2.0 * mu / hx**2) * slip.v_left[1:-1] \
+        + 0.5 * uface_l * slip.v_left[1:-1] / hx
+    rv[-1, :] += (2.0 * mu / hx**2) * slip.v_right[1:-1] \
+        - 0.5 * uface_r * slip.v_right[1:-1] / hx
     return rhs
 
 
@@ -470,7 +440,7 @@ class PredictionBuffers:
     operator is the Csr on grid's cached 9-slot pattern whose data is a
     read-only view of it. mu_diag is mu diag(S), kept from the first
     assembly for the rebuilds of the self slots, minv the Jacobi inverse of
-    the operator's diagonal, and work the five BiCGStab work vectors.
+    the operator's diagonal, and work the four BiCGStab work vectors.
     assemble_prediction writes data, mu_diag and minv; solve reads minv
     and uses work. One set serves one grid and one SchemeParams.
     """
@@ -481,7 +451,7 @@ class PredictionBuffers:
         self.operator = _nine_slot_csr(grid, self.data[:])
         self.mu_diag = None
         self.minv = np.empty(n)
-        self.work = np.empty((5, n))
+        self.work = np.empty((4, n))
         self.chi = None
 
 
@@ -570,11 +540,11 @@ def solve_correction(grid: Grid, lam: float, v_tilde: np.ndarray) -> np.ndarray:
     """
     if lam <= 0:
         raise ValueError(f"lambda = eps/dt must be positive, got {lam}")
-    div = _matvec(divergence_matrix(grid), v_tilde).reshape(grid.nx, grid.ny)
+    div = apply_divergence(grid, v_tilde).reshape(grid.nx, grid.ny)
     phi = _dct(_dct(div).T).T / (lam + neumann_eigenvalues(grid))
     phi[0, 0] = 0.0
     phi = _idct(_idct(phi.T).T)
-    return _matvec(gradient_matrix(grid), phi.ravel())
+    return apply_gradient(grid, phi.ravel())
 
 
 # ----------------------------------------------------------------------
@@ -654,7 +624,7 @@ def solve(a: Csr, rhs: np.ndarray, rtol: float, max_iter: int, x0=None,
         raise ValueError(f"rhs length {rhs.shape[0]} does not match operator {a.shape}")
     if buffers is None:
         return _bicgstab(a, rhs, rtol, max_iter, x0, _jacobi(a.diagonal()),
-                         np.empty((5, rhs.shape[0])))
+                         np.empty((4, rhs.shape[0])))
     if a is not buffers.operator:
         raise ValueError("the buffers hold another operator than a")
     return _bicgstab(a, rhs, rtol, max_iter, x0, buffers.minv, buffers.work)
@@ -672,13 +642,13 @@ def _norm(a: np.ndarray) -> float:
 
 def _bicgstab(a, b, rtol, max_iter, x0, minv, work):
     # Every update below is the textbook expression evaluated in place, in
-    # its own operation order; w is scratch. p = r + beta (p - omega v) is
-    # w = omega v; p -= w; p *= beta; p += r, which rounds the same because
-    # IEEE addition and multiplication commute. s = r - alpha v is formed in
-    # r's buffer and s_hat in p_hat's, as neither r nor p_hat is read again
-    # in the iteration, and x takes its alpha p_hat term before s_hat
-    # exists. work holds these five vectors; a run passes the same block to
-    # every solve, so no step allocates or frees them.
+    # its own operation order; t is scratch until it takes A s_hat. p = r +
+    # beta (p - omega v) is t = omega v; p -= t; p *= beta; p += r, which
+    # rounds the same because IEEE addition and multiplication commute. s =
+    # r - alpha v is formed in r's buffer and s_hat in p_hat's, as neither is
+    # read again in the iteration, and x takes alpha p_hat before s_hat
+    # exists; omega s_hat and omega t are formed in their own buffers. A run
+    # passes the same four-vector work block to every solve.
     norm_b = _norm(b)
     if norm_b == 0.0:
         return np.zeros(b.shape[0]), 0
@@ -688,7 +658,7 @@ def _bicgstab(a, b, rtol, max_iter, x0, minv, work):
     if _norm(r) <= tol:
         return x, 0
     r_hat = r.copy()
-    p, v, p_hat, t, w = work
+    p, v, p_hat, t = work
     p.fill(0.0)
     v.fill(0.0)
     rho = alpha = omega = 1.0
@@ -697,8 +667,8 @@ def _bicgstab(a, b, rtol, max_iter, x0, minv, work):
         if abs(rho_new) < 1e-300:
             raise NonConvergence("BiCGStab breakdown (rho ~ 0)", _norm(r), k)
         beta = (rho_new / rho) * (alpha / omega)
-        np.multiply(v, omega, out=w)
-        p -= w
+        np.multiply(v, omega, out=t)
+        p -= t
         p *= beta
         p += r
         np.multiply(minv, p, out=p_hat)
@@ -708,8 +678,8 @@ def _bicgstab(a, b, rtol, max_iter, x0, minv, work):
             raise NonConvergence("BiCGStab breakdown (r_hat . v ~ 0)",
                                  _norm(r), k)
         alpha = rho_new / denom
-        r -= np.multiply(v, alpha, out=w)                # s = r - alpha v
-        x += np.multiply(p_hat, alpha, out=w)
+        r -= np.multiply(v, alpha, out=t)                # s = r - alpha v
+        x += np.multiply(p_hat, alpha, out=t)
         if _norm(r) <= tol:
             np.subtract(b, _matvec(a, x, r), out=r)     # the true residual
             if _norm(r) <= tol:
@@ -721,12 +691,14 @@ def _bicgstab(a, b, rtol, max_iter, x0, minv, work):
             if tt == 0.0:
                 raise NonConvergence("BiCGStab breakdown (t = 0)", _norm(r), k)
             omega = _dot(t, r) / tt
-            x += np.multiply(p_hat, omega, out=w)
-            r -= np.multiply(t, omega, out=w)            # r = s - omega t
+            p_hat *= omega
+            x += p_hat
+            t *= omega
+            r -= t                                       # r = s - omega t
             if _norm(r) <= tol:
                 np.subtract(b, _matvec(a, x, r), out=r)
                 if _norm(r) <= tol:
                     return x, k
         rho = rho_new
     raise NonConvergence("BiCGStab did not converge",
-                         _norm(np.subtract(b, _matvec(a, x, w), out=w)), max_iter)
+                         _norm(np.subtract(b, _matvec(a, x, t), out=t)), max_iter)

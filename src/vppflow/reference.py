@@ -66,14 +66,13 @@ def coupled_step(v_prev: VelocityField, forcing: VelocityField, obstacle, params
     frame = ObstacleFrame.sample(obstacle, params.dt, grid)
     chi = None if frame is None else layout.pack(frame.chi)
     a = linalg.assemble_prediction(grid, params, v_prev, chi)
-    g = linalg.gradient_matrix(grid)
-    d = linalg.divergence_matrix(grid)
 
     size = n + nc + 1
     mat = np.zeros((size, size))
     mat[:n, :n] = a.toarray()
-    mat[:n, n:n + nc] = g.toarray()
-    mat[n:n + nc, :n] = d.toarray()
+    # row k of a stencil applied to an identity block is its column k
+    mat[:n, n:n + nc] = linalg.apply_gradient(grid, np.eye(nc)).T
+    mat[n:n + nc, :n] = linalg.apply_divergence(grid, np.eye(n)).T
     mat[n:n + nc, -1] = 1.0
     mat[-1, n:n + nc] = grid.cell_area
 

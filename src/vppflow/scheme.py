@@ -179,7 +179,7 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
 
     rhs = layout.pack(forcing)
     rhs += (1.0 / params.dt) * layout.pack(state.v)
-    rhs -= linalg._matvec(linalg.gradient_matrix(grid), state.p.p.ravel())
+    rhs -= linalg.apply_gradient(grid, state.p.p.ravel())
     if chi is not None:
         rhs += chi * layout.pack(frame.vs) / params.eta
     if wall_slip is not None:

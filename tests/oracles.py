@@ -27,25 +27,97 @@ def from_scipy(m) -> Csr:
     return Csr(m.indptr.copy(), m.indices.copy(), m.data.copy(), m.shape)
 
 
+def u_index(layout, i, j):
+    """Packed index of interior u face (i = 1..nx-1)."""
+    return (i - 1) * layout.grid.ny + j
+
+
+def v_index(layout, i, j):
+    """Packed index of interior v face (j = 1..ny-1)."""
+    return layout.nu + i * (layout.grid.ny - 1) + (j - 1)
+
+
 def divergence_coo(grid) -> sp.csr_matrix:
     """The cells x faces divergence assembled as COO triplets, one face set
     at a time, and canonicalized by scipy: the reference for
-    linalg.divergence_matrix."""
+    divergence_matrix."""
     layout = linalg.face_layout(grid)
     ii, jj = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny), indexing="ij")
     cell = (ii * grid.ny + jj).ravel()
     ii, jj = ii.ravel(), jj.ravel()
     rows, cols, vals = [], [], []
     for keep, col, val in (
-            (ii + 1 <= grid.nx - 1, layout.u_index(ii + 1, jj), 1.0 / grid.hx),
-            (ii >= 1, layout.u_index(ii, jj), -1.0 / grid.hx),
-            (jj + 1 <= grid.ny - 1, layout.v_index(ii, jj + 1), 1.0 / grid.hy),
-            (jj >= 1, layout.v_index(ii, jj), -1.0 / grid.hy)):
+            (ii + 1 <= grid.nx - 1, u_index(layout, ii + 1, jj), 1.0 / grid.hx),
+            (ii >= 1, u_index(layout, ii, jj), -1.0 / grid.hx),
+            (jj + 1 <= grid.ny - 1, v_index(layout, ii, jj + 1), 1.0 / grid.hy),
+            (jj >= 1, v_index(layout, ii, jj), -1.0 / grid.hy)):
         rows.append(cell[keep])
         cols.append(col[keep])
         vals.append(np.full(keep.sum(), val))
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(grid.ncells, layout.n)).tocsr()
+
+
+@lru_cache(maxsize=32)
+def divergence_matrix(grid) -> Csr:
+    """Cells x faces divergence over the packed interior unknowns, as a
+    Csr: the reference for linalg.apply_divergence.
+
+    Row (i, j) holds its u-west, u-east, v-south and v-north faces with
+    -1/hx, 1/hx, -1/hy and 1/hy, which is increasing column order; a wall
+    face is not an unknown and is dropped. Written in closed form: indptr
+    from the row counts, then each face set into the next free slot of its
+    rows.
+    """
+    layout = linalg.face_layout(grid)
+    nx, ny = grid.nx, grid.ny
+    indptr = np.empty(grid.ncells + 1, dtype=np.int32)
+    indptr[0] = 0
+    count = indptr[1:].reshape(nx, ny)
+    count[...] = 4
+    count[[0, -1], :] -= 1
+    count[:, [0, -1]] -= 1
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    free = indptr[:-1].reshape(nx, ny).copy()
+    ru = np.arange(layout.nu, dtype=np.int32).reshape(nx - 1, ny)
+    rv = np.arange(layout.nu, layout.n, dtype=np.int32).reshape(nx, ny - 1)
+    # the cells that have the face, its packed indices and its entry
+    for cells, faces, value in ((np.s_[1:, :], ru, -1.0 / grid.hx),     # u west
+                                (np.s_[:-1, :], ru, 1.0 / grid.hx),     # u east
+                                (np.s_[:, 1:], rv, -1.0 / grid.hy),     # v south
+                                (np.s_[:, :-1], rv, 1.0 / grid.hy)):    # v north
+        slot = free[cells]
+        indices[slot] = faces
+        data[slot] = value
+        slot += 1
+    return Csr(indptr, indices, data, (grid.ncells, layout.n))
+
+
+@lru_cache(maxsize=32)
+def gradient_matrix(grid) -> Csr:
+    """Faces x cells gradient, exactly -divergence_matrix^T, as a Csr: the
+    reference for linalg.apply_gradient.
+
+    Every interior face lies between two cells, so each row holds two
+    entries in closed form: a u face -1/hx on its west cell and 1/hx on its
+    east one, a v face -1/hy on its south cell and 1/hy on its north one,
+    which is increasing column order.
+    """
+    layout = linalg.face_layout(grid)
+    nx, ny, nu = grid.nx, grid.ny, layout.nu
+    cells = np.arange(grid.ncells, dtype=np.int32).reshape(nx, ny)
+    indices = np.empty(2 * layout.n, dtype=np.int32)
+    data = np.empty(2 * layout.n)
+    iu = indices[:2 * nu].reshape(nx - 1, ny, 2)
+    iv = indices[2 * nu:].reshape(nx, ny - 1, 2)
+    iu[..., 0], iu[..., 1] = cells[:-1, :], cells[1:, :]
+    iv[..., 0], iv[..., 1] = cells[:, :-1], cells[:, 1:]
+    data[:2 * nu].reshape(nu, 2)[...] = (-1.0 / grid.hx, 1.0 / grid.hx)
+    data[2 * nu:].reshape(-1, 2)[...] = (-1.0 / grid.hy, 1.0 / grid.hy)
+    return Csr(np.arange(0, 2 * layout.n + 1, 2, dtype=np.int32), indices, data,
+               (layout.n, grid.ncells))
 
 
 def _index_grids(layout):
@@ -55,10 +127,10 @@ def _index_grids(layout):
     g = layout.grid
     uidx = np.full((g.nx + 1, g.ny + 2), -1, dtype=np.int64)
     ii, jj = np.meshgrid(np.arange(1, g.nx), np.arange(g.ny), indexing="ij")
-    uidx[1:-1, 1:-1] = layout.u_index(ii, jj)
+    uidx[1:-1, 1:-1] = u_index(layout, ii, jj)
     vidx = np.full((g.nx + 2, g.ny + 1), -1, dtype=np.int64)
     ii, jj = np.meshgrid(np.arange(g.nx), np.arange(1, g.ny), indexing="ij")
-    vidx[1:-1, 1:-1] = layout.v_index(ii, jj)
+    vidx[1:-1, 1:-1] = v_index(layout, ii, jj)
     return uidx, vidx
 
 
@@ -135,7 +207,7 @@ def assemble_correction(grid, params) -> sp.csr_matrix:
     the matrix that linalg.solve_correction inverts exactly."""
     if params.epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {params.epsilon}")
-    d = to_scipy(linalg.divergence_matrix(grid))
+    d = to_scipy(divergence_matrix(grid))
     a = (sp.diags(np.full(d.shape[1], params.epsilon / params.dt)) + d.T @ d).tocsr()
     a.eliminate_zeros()
     return a

@@ -14,9 +14,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import vppflow
 from oracles import (assemble_correction, bicgstab, convection_matrix, dirichlet_laplacian,
-                     divergence_coo, from_scipy, strain_divergence, strain_energy_reference,
-                     to_scipy)
-from vppflow import linalg, operators
+                     divergence_coo, divergence_matrix, from_scipy, gradient_matrix,
+                     strain_divergence, strain_energy_reference, to_scipy, u_index,
+                     v_index)
+from vppflow import linalg, operators, reference
 from vppflow.grid import Grid, PressureField, VelocityField
 from vppflow.linalg import NonConvergence, face_layout
 from vppflow.obstacle import Obstacle
@@ -77,14 +78,14 @@ def _slow_convection_dense(grid, vel_prev):
     k = np.zeros((layout.n, layout.n))
 
     def uidx(i, j):
-        return layout.u_index(i, j) if 1 <= i <= nx - 1 else None
+        return u_index(layout, i, j) if 1 <= i <= nx - 1 else None
 
     def vidx(i, j):
-        return layout.v_index(i, j) if 1 <= j <= ny - 1 else None
+        return v_index(layout, i, j) if 1 <= j <= ny - 1 else None
 
     for i in range(1, nx):
         for j in range(ny):
-            row = layout.u_index(i, j)
+            row = u_index(layout, i, j)
             uc_e = 0.5 * (up[i, j] + up[i + 1, j])
             uc_w = 0.5 * (up[i - 1, j] + up[i, j])
             for col, val in ((uidx(i, j), (uc_e - uc_w) / (2 * hx)),
@@ -94,15 +95,15 @@ def _slow_convection_dense(grid, vel_prev):
                     k[row, col] += val
             if j + 1 < ny:
                 vn = 0.5 * (vp[i - 1, j + 1] + vp[i, j + 1])
-                k[row, layout.u_index(i, j)] += vn / (2 * hy)
-                k[row, layout.u_index(i, j + 1)] += vn / (2 * hy)
+                k[row, u_index(layout, i, j)] += vn / (2 * hy)
+                k[row, u_index(layout, i, j + 1)] += vn / (2 * hy)
             if j > 0:
                 vs = 0.5 * (vp[i - 1, j] + vp[i, j])
-                k[row, layout.u_index(i, j)] -= vs / (2 * hy)
-                k[row, layout.u_index(i, j - 1)] -= vs / (2 * hy)
+                k[row, u_index(layout, i, j)] -= vs / (2 * hy)
+                k[row, u_index(layout, i, j - 1)] -= vs / (2 * hy)
     for i in range(nx):
         for j in range(1, ny):
-            row = layout.v_index(i, j)
+            row = v_index(layout, i, j)
             vc_n = 0.5 * (vp[i, j] + vp[i, j + 1])
             vc_s = 0.5 * (vp[i, j - 1] + vp[i, j])
             for col, val in ((vidx(i, j), (vc_n - vc_s) / (2 * hy)),
@@ -112,12 +113,12 @@ def _slow_convection_dense(grid, vel_prev):
                     k[row, col] += val
             if i + 1 < nx:
                 ue = 0.5 * (up[i + 1, j - 1] + up[i + 1, j])
-                k[row, layout.v_index(i, j)] += ue / (2 * hx)
-                k[row, layout.v_index(i + 1, j)] += ue / (2 * hx)
+                k[row, v_index(layout, i, j)] += ue / (2 * hx)
+                k[row, v_index(layout, i + 1, j)] += ue / (2 * hx)
             if i > 0:
                 uw = 0.5 * (up[i, j - 1] + up[i, j])
-                k[row, layout.v_index(i, j)] -= uw / (2 * hx)
-                k[row, layout.v_index(i - 1, j)] -= uw / (2 * hx)
+                k[row, v_index(layout, i, j)] -= uw / (2 * hx)
+                k[row, v_index(layout, i - 1, j)] -= uw / (2 * hx)
     return 0.5 * (k - k.T)
 
 
@@ -230,16 +231,15 @@ def test_in_place_strain_build_is_the_index_grid_build(nx, ny, lx, ly):
 
 
 def test_operator_builds_peak_close_to_what_they_keep():
-    # S, D, G and the prediction buffers are written straight into the
-    # arrays they keep: building them needs less than a quarter of one 9n
-    # float array on top. The grid is one no other test builds
+    # S and the prediction buffers are written straight into the arrays
+    # they keep: building them needs less than a quarter of one 9n float
+    # array on top. The grid is one no other test builds
     g = Grid(96, 96)
     n = face_layout(g).n
     kept, excess = [], {}
     tracemalloc.start()
     try:
-        for build in (linalg.strain_energy_matrix, linalg.divergence_matrix,
-                      linalg.gradient_matrix, linalg.PredictionBuffers):
+        for build in (linalg.strain_energy_matrix, linalg.PredictionBuffers):
             tracemalloc.reset_peak()
             kept.append(build(g))
             current, peak = tracemalloc.get_traced_memory()
@@ -347,7 +347,7 @@ def test_solve_correction_is_exact_on_every_grid(nx, ny, lx, ly, log10_lam, seed
     v_hat = linalg.solve_correction(g, lam, v_tilde)
 
     a = assemble_correction(g, params)
-    d = to_scipy(linalg.divergence_matrix(g))
+    d = to_scipy(divergence_matrix(g))
     dtd = d.T @ (d @ v_tilde)
     assert np.linalg.norm(a @ v_hat + dtd) <= 1e-12 * np.linalg.norm(dtd)
 
@@ -537,8 +537,8 @@ def _matvec_operators(grid, rng):
         "S": linalg.strain_energy_matrix(grid),
         "prediction": linalg.assemble_prediction(grid, params, adv,
                                                  rng.uniform(0.0, 1.0, layout.n)),
-        "D": linalg.divergence_matrix(grid),
-        "G": linalg.gradient_matrix(grid),
+        "D": divergence_matrix(grid),
+        "G": gradient_matrix(grid),
         "correction": from_scipy(assemble_correction(grid, params)),
         "identity": from_scipy(sp.identity(layout.n, format="csr")),
     }
@@ -589,7 +589,7 @@ def test_matvec_rejects_outputs_it_would_not_write():
 def test_csr_rejects_arrays_the_kernel_would_misread():
     # the kernel checks no structure: a short indptr or index array, or
     # index arrays of two integer types, must fail at construction
-    a = linalg.divergence_matrix(Grid(3, 2))
+    a = divergence_matrix(Grid(3, 2))
     for indptr, indices, data, shape in (
             (a.indptr[:-1], a.indices, a.data, a.shape),
             (a.indptr, a.indices[:-1], a.data[:-1], a.shape),
@@ -684,8 +684,8 @@ def test_viscous_matrix_matches_stencil_and_is_symmetric(rng):
 def test_gradient_is_exactly_minus_divergence_transpose(nx, ny, lx, ly):
     assume(lx != ly)
     g = Grid(nx, ny, lx, ly)
-    grad = to_scipy(linalg.gradient_matrix(g))
-    d = to_scipy(linalg.divergence_matrix(g))
+    grad = to_scipy(gradient_matrix(g))
+    d = to_scipy(divergence_matrix(g))
     assert grad.shape == d.T.shape
     assert (grad != -d.T).nnz == 0
 
@@ -702,13 +702,60 @@ def test_closed_form_divergence_and_gradient_are_the_canonical_csr(nx, ny, lx, l
     d_ref = divergence_coo(g)
     g_ref = (-d_ref.T).tocsr()
     rng = np.random.default_rng(seed)
-    for a, ref in ((linalg.divergence_matrix(g), d_ref), (linalg.gradient_matrix(g), g_ref)):
+    for a, ref in ((divergence_matrix(g), d_ref), (gradient_matrix(g), g_ref)):
         assert a.shape == ref.shape
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(a, field), getattr(ref, field)), field
         assert a.data.tobytes() == ref.data.tobytes()
         x = rng.standard_normal(a.shape[1])
         assert np.array_equal(linalg._matvec(a, x), ref @ x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(2, 40), ny=st.integers(2, 40),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0), seed=st.integers(0, 2**32 - 1))
+@example(nx=2, ny=2, lx=1.0, ly=0.7, seed=0)
+def test_stencils_are_bitwise_the_oracle_csr_products(nx, ny, lx, ly, seed):
+    # apply_divergence and apply_gradient sum each row from a zero in the
+    # storage order of the canonical CSR row, so they give the oracle
+    # matrices' products byte for byte, the sign of a zero included, one
+    # vector or a batch at a time
+    assume(lx != ly)
+    g = Grid(nx, ny, lx, ly)
+    rng = np.random.default_rng(seed)
+    for apply, a in ((linalg.apply_divergence, divergence_matrix(g)),
+                     (linalg.apply_gradient, gradient_matrix(g))):
+        batch = rng.standard_normal((3, 2, a.shape[1]))
+        batch[0, 0] = 0.0
+        batch[0, 1] = -0.0
+        batch[1, 0] = np.where(rng.random(a.shape[1]) < 0.5, 0.0, -0.0)
+        batch[1, 1] = 1.0      # terms that cancel exactly
+        got = apply(g, batch)
+        assert got.shape == batch.shape[:-1] + (a.shape[0],)
+        for x, y in zip(batch.reshape(-1, a.shape[1]), got.reshape(-1, a.shape[0])):
+            assert y.tobytes() == linalg._matvec(a, x).tobytes()
+            assert apply(g, x).tobytes() == y.tobytes()
+
+    # the dense D and G of identity blocks, as reference.coupled_step takes
+    # them, on the grids it accepts
+    if g.ncells <= reference.MAX_CELLS:
+        n = face_layout(g).n
+        d = linalg.apply_divergence(g, np.eye(n)).T
+        grad = linalg.apply_gradient(g, np.eye(g.ncells)).T
+        assert d.tobytes() == divergence_matrix(g).toarray().tobytes()
+        assert grad.tobytes() == gradient_matrix(g).toarray().tobytes()
+        assert np.array_equal(grad, -d.T)
+
+
+def test_stencils_reject_vectors_of_another_grid():
+    g = Grid(4, 3)
+    n = face_layout(g).n
+    for bad in (np.ones(n - 1), np.ones((2, n + 1))):
+        with pytest.raises(ValueError):
+            linalg.apply_divergence(g, bad)
+    for bad in (np.ones(g.ncells + 1), np.ones((2, n))):
+        with pytest.raises(ValueError):
+            linalg.apply_gradient(g, bad)
 
 
 @settings(max_examples=100, deadline=None)
@@ -728,7 +775,7 @@ def test_strain_matrix_is_dirichlet_laplacian_plus_grad_div(nx, ny, lx, ly, dyad
     assume(lx != ly)
     g = Grid(nx, ny, lx, ly)
     s = to_scipy(linalg.strain_energy_matrix(g))
-    d = to_scipy(linalg.divergence_matrix(g))
+    d = to_scipy(divergence_matrix(g))
     ref = (sp.block_diag([dirichlet_laplacian(g, "u"),
                           dirichlet_laplacian(g, "v")]) + d.T @ d).tocsr()
     ref.sort_indices()

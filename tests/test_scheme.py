@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import assemble_correction, to_scipy
+from oracles import assemble_correction, divergence_matrix, gradient_matrix, to_scipy
 from vppflow import diagnostics, linalg, operators, scheme
 from vppflow.experiments import fit_exponent
 from vppflow.grid import Grid, PressureField, VelocityField
@@ -407,6 +407,27 @@ def test_steps_hold_one_nine_slot_data_array():
     assert [trace.size for trace in snapshot.traces].count(9 * n * 8) == 1
 
 
+def test_steps_hold_no_divergence_or_gradient_matrix():
+    # D and G are applied as stencils: after two steps no live allocation
+    # has the size of their 2n-entry float data, which a cached CSR D or G
+    # would keep. The grid is one no other test builds, so nothing of it is
+    # cached before the trace
+    g = Grid(19, 14, 1.1, 0.9)
+    n = face_layout(g).n
+    params = SchemeParams(dt=1.0 / 32, t_final=1.0 / 16)
+    obstacle = Obstacle(radius=0.15, center=(0.5, 0.5), omega=1.0)
+    state = FlowState.initial(VelocityField.zeros(g), PressureField.zeros(g))
+    tracemalloc.start()
+    try:
+        workspace = scheme.StepWorkspace(g, params, obstacle)
+        for _ in range(2):
+            state, _ = scheme.step(state, zero_forcing, obstacle, params, workspace=workspace)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert 2 * n * 8 not in [trace.size for trace in snapshot.traces]
+
+
 def test_step_rejects_a_workspace_of_another_run():
     g, obstacle, params, state = rotor_case()
     ws = scheme.StepWorkspace(g, params, obstacle)
@@ -440,8 +461,8 @@ def test_correct_matches_dense_solve_on_gradient_input(rng):
     v_hat = scheme.correct(v_tilde, params)
     layout = face_layout(g)
     op = assemble_correction(g, params)
-    d = to_scipy(linalg.divergence_matrix(g))
-    rhs = to_scipy(linalg.gradient_matrix(g)) @ (d @ layout.pack(v_tilde))
+    d = to_scipy(divergence_matrix(g))
+    rhs = to_scipy(gradient_matrix(g)) @ (d @ layout.pack(v_tilde))
     ref = np.linalg.solve(op.toarray(), rhs)
     assert np.abs(layout.pack(v_hat) - ref).max() <= 1e-8 * np.abs(ref).max()
 
@@ -451,7 +472,7 @@ def test_correct_reduces_divergence_with_spectral_bound(rng):
     # grad-div eigenvalues; c = smallest positive eigenvalue of D D^T
     g = Grid(8, 8)
     params = tight_params(dt=0.05, lam=0.7)
-    d = to_scipy(linalg.divergence_matrix(g))
+    d = to_scipy(divergence_matrix(g))
     evals = np.linalg.eigvalsh((d @ d.T).toarray())
     c = min(e for e in evals if e > 1e-10)
     eps = params.epsilon
