@@ -51,9 +51,9 @@ Operator structure:
   residual, so a good guess stops sooner at the same absolute tolerance.
   The prediction starts from the extrapolation in time of the last
   tentative velocities (scheme.predict). The work vectors come from the
-  run's PredictionBuffers (or are allocated once per solve) and are
-  updated in place, in the operation order of the textbook recurrences,
-  so the iterates are those of the allocating form bit for bit.
+  run's PredictionBuffers and are updated in place, in the operation
+  order of the textbook recurrences, so the iterates are those of the
+  allocating form bit for bit.
 """
 
 from __future__ import annotations
@@ -137,16 +137,12 @@ class Csr:
         return dense
 
     def diagonal(self) -> np.ndarray:
-        """Entry (i, i) for i < min(shape): per row, 0.0 plus each entry on
-        the row's own column in storage order, as a canonical CSR diagonal
-        is summed. Read from diagonal_slots when set: the padding zeros
-        leave a self slot unchanged unless it is -0.0, which no 9-slot
-        operator holds."""
-        if self.diagonal_slots is not None:
-            return np.concatenate([self.data[s] for s in self.diagonal_slots])
-        rows = self.entry_rows()
-        own = self.indices == rows
-        return np.bincount(rows[own], weights=self.data[own], minlength=min(self.shape))
+        """The diagonal, read from diagonal_slots: as a canonical CSR
+        diagonal is summed, since the padding zeros leave a self slot
+        unchanged unless it is -0.0, which no 9-slot operator holds."""
+        if self.diagonal_slots is None:
+            raise ValueError("only a Csr with diagonal_slots has a diagonal")
+        return np.concatenate([self.data[s] for s in self.diagonal_slots])
 
 
 class NonConvergence(Exception):
@@ -607,26 +603,20 @@ def _matvec(a: Csr, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def solve(a: Csr, rhs: np.ndarray, rtol: float, max_iter: int, x0=None,
-          buffers: PredictionBuffers | None = None):
+def solve(a: Csr, rhs: np.ndarray, rtol: float, max_iter: int, x0=None, *,
+          buffers: PredictionBuffers):
     """Solve a x = rhs by BiCGStab from x0 (zero if None); returns (x, iterations).
 
-    a must be a Csr with float64 data. Stops once ||rhs - a x|| <= rtol
-    ||rhs||, whatever x0 is, and raises NonConvergence if the residual stays
-    above that after max_iter iterations. rhs and x0 are not modified,
-    and x is a fresh array. With buffers, a must be buffers.operator, as
-    assemble_prediction returns it; the solve then takes their Jacobi
-    inverse and work vectors instead of building its own.
+    a must be buffers.operator, as assemble_prediction returns it; the
+    solve takes their Jacobi inverse and work vectors. Stops once
+    ||rhs - a x|| <= rtol ||rhs||, whatever x0 is, and raises
+    NonConvergence if the residual stays above that after max_iter
+    iterations. rhs and x0 are not modified, and x is a fresh array.
     """
-    if not (isinstance(a, Csr) and a.data.dtype == np.float64):
-        raise TypeError(f"solve needs a float64 Csr, got {type(a).__name__}")
-    if rhs.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs length {rhs.shape[0]} does not match operator {a.shape}")
-    if buffers is None:
-        return _bicgstab(a, rhs, rtol, max_iter, x0, _jacobi(a.diagonal()),
-                         np.empty((4, rhs.shape[0])))
     if a is not buffers.operator:
         raise ValueError("the buffers hold another operator than a")
+    if rhs.shape[0] != a.shape[0]:
+        raise ValueError(f"rhs length {rhs.shape[0]} does not match operator {a.shape}")
     return _bicgstab(a, rhs, rtol, max_iter, x0, buffers.minv, buffers.work)
 
 

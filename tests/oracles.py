@@ -325,6 +325,14 @@ def _norm(a):
     return math.sqrt(_dot(a, a))
 
 
+def jacobi_bicgstab(a, b, rtol, max_iter, x0=None):
+    """linalg._bicgstab on any float64 Csr a, with the Jacobi inverse of a's
+    diagonal and a work block of its own: the solve of a system that no
+    linalg.PredictionBuffers hold. Returns (x, iterations)."""
+    minv = linalg._jacobi(to_scipy(a).diagonal())
+    return linalg._bicgstab(a, b, rtol, max_iter, x0, minv, np.empty((4, b.shape[0])))
+
+
 def bicgstab(a, b, rtol, max_iter, x0=None, events=None):
     """Jacobi-preconditioned BiCGStab with fresh vectors on every update,
     the reference for linalg.solve; returns (x, iterations). If events is a

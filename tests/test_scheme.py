@@ -108,24 +108,27 @@ def rotor_case():
 
 
 def prediction_system(state, obstacle, params):
-    """Prediction operator and right-hand side without forcing, assembled here."""
+    """Prediction operator, its buffers and the right-hand side without
+    forcing, assembled here."""
     g = state.v.grid
     layout = face_layout(g)
     t_next = state.t + params.dt
     chi = layout.pack(VelocityField(g, *obstacle.sample_chi_faces(t_next, g)))
-    op = linalg.assemble_prediction(g, params, state.v, chi)
+    buffers = linalg.PredictionBuffers(g)
+    op = linalg.assemble_prediction(g, params, state.v, chi, buffers)
     vs = layout.pack(obstacle.sample_solid_velocity(t_next, g))
     rhs = (layout.pack(state.v) / params.dt + chi * vs / params.eta
            - layout.pack(operators.gradient(state.p)))
-    return op, rhs
+    return op, buffers, rhs
 
 
 def test_first_prediction_from_rest_is_the_cold_solve():
     g, obstacle, params, state = rotor_case()
     frame = ObstacleFrame.sample(obstacle, params.dt, g)
     v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), frame, params)
-    op, rhs = prediction_system(state, obstacle, params)
-    x_cold, iters_cold = linalg.solve(op, rhs, params.prediction_rtol, params.max_iter)
+    op, buffers, rhs = prediction_system(state, obstacle, params)
+    x_cold, iters_cold = linalg.solve(op, rhs, params.prediction_rtol, params.max_iter,
+                                      buffers=buffers)
     assert iters == iters_cold > 0
     assert np.array_equal(face_layout(g).pack(v_tilde), x_cold)
 
@@ -135,9 +138,9 @@ def recorded_starts(monkeypatch):
     starts = []
     solve = linalg.solve
 
-    def recording(a, rhs, rtol, max_iter, x0=None, buffers=None):
+    def recording(a, rhs, rtol, max_iter, x0=None, *, buffers):
         starts.append(x0.copy())
-        return solve(a, rhs, rtol, max_iter, x0, buffers)
+        return solve(a, rhs, rtol, max_iter, x0, buffers=buffers)
     monkeypatch.setattr(linalg, "solve", recording)
     return starts
 
@@ -155,7 +158,7 @@ def test_warm_started_prediction_meets_the_rhs_relative_tolerance(monkeypatch):
     v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), frame, params)
     monkeypatch.undo()
 
-    op, rhs = prediction_system(state, obstacle, params)
+    op, buffers, rhs = prediction_system(state, obstacle, params)
     (x0,) = starts
     r0 = np.linalg.norm(rhs - to_scipy(op) @ x0)
     r = np.linalg.norm(rhs - to_scipy(op) @ layout.pack(v_tilde))
@@ -164,7 +167,8 @@ def test_warm_started_prediction_meets_the_rhs_relative_tolerance(monkeypatch):
     assert r <= rtol * np.linalg.norm(rhs)
     assert r > rtol * r0
 
-    _, iters_cold = linalg.solve(op, rhs, params.prediction_rtol, params.max_iter)
+    _, iters_cold = linalg.solve(op, rhs, params.prediction_rtol, params.max_iter,
+                                 buffers=buffers)
     assert 0 < iters < iters_cold
 
 
