@@ -3,12 +3,11 @@
 All quantitative output goes through CSV with %.17g formatting, so a rerun
 of the same configuration is byte-identical. Optional field dumps use the
 legacy VTK STRUCTURED_POINTS ASCII layout documented in the README; their
-fields are printed as %.17g by a vectorized kernel (_format_g17).
+fields are printed as %.17g by a vectorized kernel (g17).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -147,12 +146,20 @@ def _csv_line(values) -> str:
     return ",".join(_FMT % v if isinstance(v, float) else str(v) for v in values) + "\n"
 
 
+def write_records_csv(path, records):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(diagnostics.CSV_COLUMNS) + "\n")
+        for rec in records:
+            fh.write(_csv_line(getattr(rec, c) for c in diagnostics.CSV_COLUMNS))
+
+
 def write_vtk(path, state):
     """Legacy VTK STRUCTURED_POINTS ASCII dump of cell-centered fields.
 
     Each value is printed as _FMT prints it, in grid rows j with x fastest;
-    the fields are formatted by _write_g17 a chunk at a time.
+    the fields are formatted by g17.write a chunk at a time.
     """
+    from . import g17     # loaded at the first dump, not by runs that dump nothing
     grid = state.v.grid
     uc, vc = operators.velocity_at_cell_centers(state.v)
     header = (
@@ -167,198 +174,9 @@ def write_vtk(path, state):
         "SCALARS pressure double 1\nLOOKUP_TABLE default\n")
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        _write_g17(fh, state.p.p.T.ravel(), (b"\n",))
+        g17.write(fh, state.p.p.T.ravel(), (b"\n",))
         fh.write(b"VECTORS velocity double\n")
-        _write_g17(fh, np.stack((uc.T, vc.T), axis=-1).ravel(), (b" ", b" 0\n"))
-
-
-# ----------------------------------------------------------------------
-# %.17g of a float vector, vectorized
-# ----------------------------------------------------------------------
-#
-# The 17 significant digits of x are the integer D = round(|x| 10^(16-X)),
-# X its decimal exponent, rounded half-even on the exact binary value as
-# Python's dtoa does. |x| 10^k is taken in double-double arithmetic: 10^k
-# = hi + lo, each rounded from the exact Python integers, and Dekker's
-# (1971) two-product splits |x| hi exactly into p + err. For |x| in
-# [1e-250, 1e250] and the right X, p >= 10^16 > 2^53 is an integer and
-# t = err + |x| lo is within 2^-46 of |x| 10^k - p, so D = p + floor(t) +
-# (frac(t) > 1/2). Printed by _FMT itself instead: a value whose rounding
-# that bound leaves open (|frac(t) - 1/2| < 2^-30, exact ties included),
-# whose estimate X = floor(log10 |x|) was one off, that is not finite or
-# outside [1e-250, 1e250] (zeros aside), or an integer >= 10 whose last
-# digit is a zero (the fixed notation prints the trailing zeros of its
-# integer part, which the digit tables strip).
-
-_G17_CHUNK = 2048               # values per kernel call; even, so that
-                                # (u, v) pairs never straddle two calls
-_G17_KMIN, _G17_KMAX = -235, 267    # k = 16 - X over the kernel's range
-_G17_XMAX = 252                 # largest |X| of the exponent tables
-_DEKKER = 134217729.0           # 2^27 + 1
-
-
-@functools.cache
-def _g17_tables():
-    """The kernel's read-only lookup tables, built at its first call.
-
-    pow10[:, k - KMIN] holds hi, the Dekker halves of hi, and lo of 10^k.
-    quads[g] is the four digits of g (< 10^4) as bytes, and quads[10^4 + g]
-    the same with g's trailing zeros as NUL. heads[X + XMAX] is word 0 of a
-    record (_format_g17) without sign and first digit, heads[2 XMAX + 1]
-    that of a zero, and heads[n + r], n = heads.size / 2, the same with the
-    point after the first digit where the notation puts it. tails[X + XMAX]
-    is "e%+03d" % X where _FMT uses the exponent notation, else NUL. The
-    words are int64: no character they hold exceeds 0x7f, so none is
-    negative, and the kernel's integer work stays in one type.
-    """
-    his, los = [], []
-    for k in range(_G17_KMIN, _G17_KMAX + 1):
-        if k >= 0:
-            exact = 10 ** k
-            hi = float(exact)
-            lo = float(exact - int(hi))
-        else:
-            den = 10 ** -k
-            hi = 1 / den
-            a, b = hi.as_integer_ratio()
-            lo = (b - a * den) / (b * den)
-        his.append(hi)
-        los.append(lo)
-    hi = np.array(his)
-    c = _DEKKER * hi
-    hi_hi = c - (c - hi)
-    pow10 = np.stack((hi, hi_hi, hi - hi_hi, np.array(los)))
-
-    g = np.arange(10000)
-    quads = np.empty(20000, np.int64)
-    full = quads[:10000]
-    full[:] = 48 + g // 1000
-    for bits, div in ((8, 100), (16, 10), (24, 1)):
-        full |= (48 + g // div % 10) << bits
-    kept = np.full(10000, 0xFFFFFFFF)
-    for i in (1, 2, 3, 4):
-        kept[g % 10 ** i == 0] >>= 8
-    np.bitwise_and(full, kept, out=quads[10000:])
-
-    head, point, tail = [], [], []
-    for x in range(-_G17_XMAX, _G17_XMAX + 1):
-        fixed = -4 <= x < 17
-        head.append(b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"")
-        point.append(x == 0 or not fixed)
-        tail.append(b"" if fixed else b"e%+03d" % x)
-    head.append(b"0")
-    point.append(False)
-    tail.append(b"")
-    heads = np.frombuffer(b"".join(b"\0" + h.ljust(7, b"\0") for h in head), "<i8")
-    heads = np.concatenate((heads, heads | np.array(point) * (46 << 56)))
-    tails = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in tail), "<i8")
-
-    # record bytes 7..23 for 1 <= X <= 16: digits 1..X, then the point slot
-    shift = np.zeros((17, 17), np.intp)
-    for x in range(1, 17):
-        shift[x] = np.r_[8:8 + x, 7, 8 + x:24]
-    tables = (pow10, quads, heads, tails, shift)
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables
-
-
-def _write_g17(fh, values, seps):
-    """Write _FMT % v + seps[i % len(seps)] for the i-th of values, a float
-    vector whose length is a multiple of len(seps), to the binary file fh."""
-    words = np.array([int.from_bytes(s, "little") << 8 * (8 - len(s)) for s in seps])
-    for start in range(0, values.size, _G17_CHUNK):
-        fh.write(_format_g17(values[start:start + _G17_CHUNK], words))
-
-
-def _g17_digits(x):
-    """(D, X, fallback) for each value of x: D its 17 significant digits as
-    an int64, X its decimal exponent, and fallback where the rounding is
-    left to _FMT (zeros included), with D = 10^16 there."""
-    pow10 = _g17_tables()[0]
-    a = np.abs(x)
-    ok = (a >= 1e-250) & (a <= 1e250)
-    a[~ok] = 1.0
-    e = np.floor(np.log10(a)).astype(np.int64)
-    hi, hi_hi, hi_lo, lo = np.take(pow10, (16 - _G17_KMIN) - e, axis=1)
-    p = a * hi
-    c = _DEKKER * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    t = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo
-    t += a * lo
-    floor_t = np.floor(t)
-    t -= floor_t
-    f = p.astype(np.int64) + floor_t.astype(np.int64)
-    d = f + (t > 0.5)
-    fallback = ~ok | (np.abs(t - 0.5) < 2.0 ** -30) | (f < 10 ** 16) | (d > 10 ** 17)
-    carry = d == 10 ** 17
-    d[carry] = 10 ** 16
-    e += carry
-    d[fallback] = 10 ** 16
-    return d, e, fallback
-
-
-def _format_g17(x, seps):
-    """_FMT % v followed by its separator, for each v of x, as one bytes.
-
-    seps holds the separators as words (_write_g17). Each value becomes a
-    32-byte record of four little-endian words, NUL where no character
-    goes: the sign, the "0.000" prefix of -4 <= X < 0 (or the "0" of a
-    zero), the first digit and the point after it (word 0); digits 1 to
-    16, with the trailing zeros of D as NUL (words 1 and 2); the exponent
-    and the separator (word 3). For 1 <= X <= 16 the point moves after
-    digit X. The records are joined with their NULs deleted.
-    """
-    quads, heads, tails, shift = _g17_tables()[1:]
-    d, e, fallback = _g17_digits(x)
-    zero = x == 0.0
-    d[zero] = 0
-    row = e + _G17_XMAX
-    row[zero] = 2 * _G17_XMAX + 1
-
-    upper = d // 10 ** 8
-    lower = d - upper * 10 ** 8
-    top = upper // 10 ** 4
-    g2 = upper - top * 10 ** 4
-    d0 = top // 10 ** 4
-    g1 = top - d0 * 10 ** 4
-    g3 = lower // 10 ** 4
-    g4 = lower - g3 * 10 ** 4
-    rec = np.empty((x.size, 4), "<i8")
-    below = g4 == 0                 # digits 13..16 are all zeros, then 9..16, ...
-    w = quads[g3 + below * 10 ** 4]
-    w |= quads[g4 + 10 ** 4] << 32
-    rec[:, 2] = w
-    below &= g3 == 0
-    w = quads[g1 + (below & (g2 == 0)) * 10 ** 4]
-    w |= quads[g2 + below * 10 ** 4] << 32
-    rec[:, 1] = w
-    w = heads[row + ((w & 0xFF) != 0) * (heads.size // 2)]   # a point only before digit 1
-    w |= (d0 + 48) * (d0 > 0) << 48
-    w |= np.signbit(x) * 45
-    rec[:, 0] = w
-    w = tails[row]
-    w.reshape(-1, seps.size)[...] |= seps
-    rec[:, 3] = w
-
-    moved = (e >= 1) & (e <= 16) & ~fallback
-    if moved.any():
-        rows = np.flatnonzero(moved)
-        xs = e[rows]
-        k = np.arange(rows.size)
-        byte = rec.view(np.uint8)
-        old = byte[rows]
-        new = np.take_along_axis(old, shift[xs], axis=1)
-        new[k, xs] = (old[k, 8 + xs] != 0) * np.uint8(46)
-        byte[rows, 7:24] = new
-        fallback[rows[old[k, 7 + xs] == 0]] = True
-    fallback &= ~zero
-    if fallback.any():
-        text = np.array([_FMT % v for v in x[fallback].tolist()], dtype="S24")
-        rec[fallback, :3] = text.view("<i8").reshape(-1, 3)
-        rec[fallback, 3] &= -1 << 40       # keep the separator
-    return rec.tobytes().translate(None, b"\0")
+        g17.write(fh, np.stack((uc.T, vc.T), axis=-1).ravel(), (b" ", b" 0\n"))
 
 
 # ----------------------------------------------------------------------
@@ -401,25 +219,21 @@ def run_single(cfg: RunConfig, out_dir: str, tag: str = "",
         for s in sinks:
             s(state)
 
-    # each step's row is written, and flushed, as the step ends, so a run
-    # that stops early keeps the rows of the steps it finished
+    finished = []       # the records of the steps done, kept if a solve fails
     try:
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as csv_file:
-            csv_file.write(",".join(diagnostics.CSV_COLUMNS) + "\n")
-
-            def record_sink(rec):
-                csv_file.write(_csv_line(getattr(rec, c) for c in diagnostics.CSV_COLUMNS))
-                csv_file.flush()
-
-            result = run(v0, p0, forcing, cfg.obstacle, cfg.params, record_sink=record_sink,
+        try:
+            result = run(v0, p0, forcing, cfg.obstacle, cfg.params,
+                         record_sink=finished.append,
                          snapshot_sink=snapshot_fanout if sinks else None,
                          wall_slip_fn=wall_slip)
+        except SolverFailure as exc:
+            write_records_csv(csv_path, finished)
+            _mark_partial_output(out_dir, f"run stopped by a solver failure: {exc}")
+            raise
+        write_records_csv(csv_path, result.records)
     except OSError as exc:
         _mark_partial_output(out_dir, f"experiment aborted mid-output: {exc}")
         raise OutputError(f"I/O failure while writing results: {exc}") from exc
-    except SolverFailure as exc:
-        _mark_partial_output(out_dir, f"run stopped by a solver failure: {exc}")
-        raise
     if not quiet:
         print(f"wrote {csv_path} ({len(result.records)} steps, "
               f"initial divergence {result.initial_divergence:.3e})")

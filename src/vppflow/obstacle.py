@@ -6,13 +6,6 @@ one rigid-body formula. The indicator can be sampled binary (1 where the
 cell center is inside) or as the exact covered area fraction of each
 cell; both modes are also offered at velocity faces for the penalization
 term, where the fraction mode averages the two adjacent cell fractions.
-The indicator samplers and boundary_band compute only on the index box
-of the points within radius + two cell diagonals of the center at t:
-every test they make has a margin of at most one diagonal, so a point
-outside the box is exactly 0 and outside the band, and the other
-diagonal of slack absorbs the rounding of the box edges. Inside the box
-each point has the arithmetic of the full grid, so the bits are those
-of sampling every point.
 An ObstacleFrame holds every obstacle sample of one step (face indicator,
 solid velocity, boundary band and the rigid velocity on it), taken once,
 for the prediction and all of that step's diagnostics.
@@ -26,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, VelocityField
-from .linalg import face_layout
 
 
 @dataclass(frozen=True)
@@ -86,37 +78,20 @@ class Obstacle:
         frac[dist <= self.radius - half_diag] = 1.0
         band = np.abs(dist - self.radius) < half_diag
         if np.any(band):
-            # the 4x4 sub-points, x offset slowest: the ravelled ij meshgrid
             offs = (np.arange(4) + 0.5) / 4 - 0.5
-            ox, oy = np.repeat(offs * hx, 4), np.tile(offs * hy, 4)
-            bx = np.broadcast_to(x, band.shape)[band][:, None] + ox[None, :]
-            by = np.broadcast_to(y, band.shape)[band][:, None] + oy[None, :]
+            ox, oy = np.meshgrid(offs * hx, offs * hy, indexing="ij")
+            bx = np.broadcast_to(x, band.shape)[band][:, None] + ox.ravel()[None, :]
+            by = np.broadcast_to(y, band.shape)[band][:, None] + oy.ravel()[None, :]
             sub = (bx - cx) ** 2 + (by - cy) ** 2 <= self.radius**2
             frac[band] = sub.mean(axis=1)
         return frac
 
-    def _box(self, t, grid: Grid, x, y):
-        """Index slices of the open mesh (x, y) that cover every point within
-        radius + two cell diagonals of the center at t."""
-        cx, cy = self.center_at(t)
-        reach = self.radius + 2.0 * math.hypot(grid.hx, grid.hy)
-        x, y = x[:, 0], y[0]
-        return (slice(np.searchsorted(x, cx - reach), np.searchsorted(x, cx + reach, "right")),
-                slice(np.searchsorted(y, cy - reach), np.searchsorted(y, cy + reach, "right")))
-
-    def _sample_on_box(self, t, grid: Grid, x, y):
-        """The indicator on the open mesh (x, y), computed on its box only."""
-        box = self._box(t, grid, x, y)
-        out = np.zeros((x.shape[0], y.shape[1]))
-        if self.chi_mode == "binary":
-            out[box] = self._indicator(t, x[box[0]], y[:, box[1]])
-        else:
-            out[box] = self._fraction(t, x[box[0]], y[:, box[1]], grid.hx, grid.hy)
-        return out
-
     def sample_chi(self, t: float, grid: Grid) -> np.ndarray:
         """Indicator of the solid region at cell centers, shape (nx, ny)."""
-        return self._sample_on_box(t, grid, *grid.cell_coords(sparse=True))
+        x, y = grid.cell_coords(sparse=True)
+        if self.chi_mode == "binary":
+            return self._indicator(t, x, y)
+        return self._fraction(t, x, y, grid.hx, grid.hy)
 
     def sample_chi_faces(self, t: float, grid: Grid):
         """Indicator at u and v face centers, for the penalization diagonal.
@@ -125,8 +100,9 @@ class Obstacle:
         averages the fractions of the two cells sharing the face.
         """
         if self.chi_mode == "binary":
-            return (self._sample_on_box(t, grid, *grid.u_coords(sparse=True)),
-                    self._sample_on_box(t, grid, *grid.v_coords(sparse=True)))
+            xu, yu = grid.u_coords(sparse=True)
+            xv, yv = grid.v_coords(sparse=True)
+            return self._indicator(t, xu, yu), self._indicator(t, xv, yv)
         frac = self.sample_chi(t, grid)
         chi_u = np.zeros(grid.shape_u)
         chi_v = np.zeros(grid.shape_v)
@@ -164,22 +140,19 @@ class Obstacle:
         """
         cx, cy = self.center_at(t)
         x, y = grid.cell_coords(sparse=True)
-        bx, by = self._box(t, grid, x, y)
         diag = math.hypot(grid.hx, grid.hy)
-        band = np.abs(np.hypot(x[bx] - cx, y[:, by] - cy) - self.radius) <= diag
-        return np.argwhere(band) + (bx.start, by.start)
+        band = np.abs(np.hypot(x - cx, y - cy) - self.radius) <= diag
+        return np.argwhere(band)
 
 
 @dataclass(frozen=True)
 class ObstacleFrame:
     """Every obstacle sample of one step, all taken at one time t.
 
-    chi is the face indicator and vs the solid velocity on the faces, and
-    packed_chi and packed_vs the same on the interior faces in the packed
-    order of linalg.FaceLayout, as the prediction reads them; band holds
-    the boundary_band cells, an (m, 2) index array, and band_vs the rigid
-    velocity (us, vs) at their centers. One frame per step, at t^{n+1},
-    serves the prediction's penalization and the step's
+    chi is the face indicator and vs the solid velocity on the faces; band
+    holds the boundary_band cells, an (m, 2) index array, and band_vs the
+    rigid velocity (us, vs) at their centers. One frame per step, at
+    t^{n+1}, serves the prediction's penalization and the step's
     penalization_energy and slip_error diagnostics, so all of them see the
     same obstacle and the same v_s.
     """
@@ -188,8 +161,6 @@ class ObstacleFrame:
     vs: VelocityField
     band: np.ndarray
     band_vs: tuple
-    packed_chi: np.ndarray
-    packed_vs: np.ndarray
 
     @classmethod
     def sample(cls, obstacle, t: float, grid: Grid) -> "ObstacleFrame | None":
@@ -198,9 +169,6 @@ class ObstacleFrame:
             return None
         band = obstacle.boundary_band(t, grid)
         x, y = grid.cell_coords(sparse=True)
-        chi = VelocityField(grid, *obstacle.sample_chi_faces(t, grid))
-        vs = obstacle.sample_solid_velocity(t, grid)
-        layout = face_layout(grid)
-        return cls(chi, vs, band,
-                   obstacle.rigid_velocity(t, x[band[:, 0], 0], y[0, band[:, 1]]),
-                   layout.pack(chi), layout.pack(vs))
+        return cls(VelocityField(grid, *obstacle.sample_chi_faces(t, grid)),
+                   obstacle.sample_solid_velocity(t, grid), band,
+                   obstacle.rigid_velocity(t, x[band[:, 0], 0], y[0, band[:, 1]]))

@@ -64,7 +64,7 @@ def coupled_step(v_prev: VelocityField, forcing: VelocityField, obstacle, params
     nc = grid.ncells
 
     frame = ObstacleFrame.sample(obstacle, params.dt, grid)
-    chi = None if frame is None else frame.packed_chi
+    chi = None if frame is None else layout.pack(frame.chi)
     a = linalg.assemble_prediction(grid, params, v_prev, chi)
 
     size = n + nc + 1
@@ -80,7 +80,7 @@ def coupled_step(v_prev: VelocityField, forcing: VelocityField, obstacle, params
     rhs = np.zeros(size)
     rhs[:n] = layout.pack(rhs_field)
     if chi is not None:
-        rhs[:n] += chi * frame.packed_vs / params.eta
+        rhs[:n] += chi * layout.pack(frame.vs) / params.eta
 
     sol = solve_dense(mat, rhs)
     v_new = layout.unpack(sol[:n])

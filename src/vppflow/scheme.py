@@ -16,8 +16,8 @@ The penalty weight is always slaved to the time step, eps = lambda * dt.
 
 What does not change from step to step is built once per run, in the
 StepWorkspace that run passes to every step: the obstacle frame of a disk
-that does not translate, the prediction operator's data with its Jacobi
-inverse diagonal, and the solver's work vectors.
+that does not translate, its packed face mask, the prediction operator's
+data with its Jacobi inverse diagonal, and the solver's work vectors.
 step called without a workspace builds a one-step one, so a single step,
 a run and the reference comparisons share one code path.
 """
@@ -120,11 +120,12 @@ class StepWorkspace:
 
     A disk whose velocity is (0, 0) has center_at(t) == center bitwise, so
     its ObstacleFrame is the same at every step: it is sampled at the first
-    step only. A translating disk is sampled at every step. prediction holds
-    the operator data, Jacobi inverse and solver vectors
-    (linalg.PredictionBuffers), whose diagonal is rebuilt only when the
-    frame's packed chi is another array. One workspace serves one run: one
-    grid, one SchemeParams and one obstacle (None without one).
+    step only. A translating disk is sampled at every step. The packed face
+    mask chi is kept for the latest frame, and prediction holds the
+    operator data, Jacobi inverse and solver vectors
+    (linalg.PredictionBuffers), whose diagonal is rebuilt only when chi is
+    another array. One workspace serves one run: one grid, one
+    SchemeParams and one obstacle (None without one).
     """
 
     def __init__(self, grid: Grid, params: SchemeParams, obstacle=None):
@@ -133,6 +134,7 @@ class StepWorkspace:
         self.obstacle = obstacle
         self.prediction = linalg.PredictionBuffers(grid)
         self._frame = None
+        self._packed = (None, None)   # a frame and its packed chi
 
     def frame_at(self, t: float) -> ObstacleFrame | None:
         """The obstacle at t; None without one."""
@@ -140,13 +142,21 @@ class StepWorkspace:
             self._frame = ObstacleFrame.sample(self.obstacle, t, self.grid)
         return self._frame
 
+    def packed_chi(self, frame: ObstacleFrame | None):
+        """The face mask of frame, packed; None without an obstacle."""
+        if frame is None:
+            return None
+        if frame is not self._packed[0]:
+            self._packed = (frame, linalg.face_layout(self.grid).pack(frame.chi))
+        return self._packed[1]
+
 
 def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | None,
             params: SchemeParams, wall_slip=None, workspace: StepWorkspace | None = None):
     """Solve the implicit momentum prediction; returns (v_tilde, iterations).
 
     frame is the obstacle sampled at t^{n+1} (ObstacleFrame.sample), None
-    without one; its packed face indicator and solid velocity enter the
+    without one; its face indicator and solid velocity are packed into the
     penalization diagonal and right-hand side. The solve starts from the
     extrapolation in time of the tentative velocities v~^n = state.v_tilde
     and v~^{n-1}, v~^{n-2} = state.earlier: 3(v~^n - v~^{n-1}) + v~^{n-2}
@@ -164,14 +174,14 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     layout = linalg.face_layout(grid)
     if workspace is None:
         workspace = StepWorkspace(grid, params)
-    chi = None if frame is None else frame.packed_chi
+    chi = workspace.packed_chi(frame)
     op = linalg.assemble_prediction(grid, params, state.v, chi, workspace.prediction)
 
     rhs = layout.pack(forcing)
     rhs += (1.0 / params.dt) * layout.pack(state.v)
     rhs -= linalg.apply_gradient(grid, state.p.p.ravel())
     if chi is not None:
-        rhs += chi * frame.packed_vs / params.eta
+        rhs += chi * layout.pack(frame.vs) / params.eta
     if wall_slip is not None:
         rhs += linalg.boundary_rhs(grid, state.v, params.mu, wall_slip)
     x0 = layout.pack(state.v_tilde)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
 
 from vppflow import operators
 from vppflow.grid import Grid
@@ -128,48 +127,3 @@ def test_open_mesh_sampling_is_bitwise_the_full_mesh_sampling(mode):
     ii, jj = frame.band[:, 0], frame.band[:, 1]
     for got, want in zip(frame.band_vs, obs.rigid_velocity(t, x[ii, jj], y[ii, jj])):
         assert got.tobytes() == want.tobytes()
-
-
-def full_grid_samples(obs, t, g):
-    """Face indicator and boundary band computed at every point of the grid."""
-    if obs.chi_mode == "binary":
-        chi_u = obs._indicator(t, *g.u_coords())
-        chi_v = obs._indicator(t, *g.v_coords())
-    else:
-        frac = obs._fraction(t, *g.cell_coords(), g.hx, g.hy)
-        chi_u, chi_v = np.zeros(g.shape_u), np.zeros(g.shape_v)
-        chi_u[1:-1, :] = 0.5 * (frac[1:, :] + frac[:-1, :])
-        chi_u[0, :], chi_u[-1, :] = frac[0, :], frac[-1, :]
-        chi_v[:, 1:-1] = 0.5 * (frac[:, 1:] + frac[:, :-1])
-        chi_v[:, 0], chi_v[:, -1] = frac[:, 0], frac[:, -1]
-    cx, cy = obs.center_at(t)
-    x, y = g.cell_coords()
-    band = np.abs(np.hypot(x - cx, y - cy) - obs.radius) <= math.hypot(g.hx, g.hy)
-    return chi_u, chi_v, np.argwhere(band)
-
-
-@pytest.mark.parametrize("mode", ["binary", "fraction"])
-@settings(max_examples=150, deadline=None)
-@given(nx=st.integers(2, 48), ny=st.integers(2, 48), lx=st.floats(0.3, 3.0),
-       ly=st.floats(0.3, 3.0), fx=st.floats(0.0, 1.0), fy=st.floats(0.0, 1.0),
-       fr=st.floats(0.0, 1.0), t=st.floats(0.0, 2.0))
-@example(nx=16, ny=12, lx=1.0, ly=0.75, fx=0.0, fy=0.5, fr=1.0, t=0.0)    # at the west wall
-@example(nx=16, ny=12, lx=1.0, ly=0.75, fx=1.0, fy=1.0, fr=1.0, t=0.5)    # north-east corner
-@example(nx=2, ny=2, lx=1.0, ly=1.0, fx=0.5, fy=0.5, fr=0.0, t=0.0)       # a tiny disk
-def test_box_sampling_is_bitwise_the_full_grid_sampling(mode, nx, ny, lx, ly, fx, fy, fr, t):
-    # the samplers compute on a box around the disk; outside it the full
-    # grid holds exact zeros and no band cell, inside the same arithmetic,
-    # also for a disk within rounding of a wall (clearance > 0)
-    g = Grid(nx, ny, lx, ly)
-    r = 1e-3 + fr * (0.5 * min(lx, ly) - 2e-3)
-    velocity = (0.3, -0.2)
-    cx = velocity[0] * -t + r + 1e-9 + fx * (lx - 2 * r - 2e-9)
-    cy = velocity[1] * -t + r + 1e-9 + fy * (ly - 2 * r - 2e-9)
-    obs = Obstacle(radius=r, center=(cx, cy), velocity=velocity, omega=0.7, chi_mode=mode)
-    assume(obs.clearance(g, t) > 0)
-    chi_u, chi_v, band = full_grid_samples(obs, t, g)
-    got_u, got_v = obs.sample_chi_faces(t, g)
-    assert got_u.tobytes() == chi_u.tobytes()
-    assert got_v.tobytes() == chi_v.tobytes()
-    got_band = obs.boundary_band(t, g)
-    assert got_band.dtype == band.dtype and np.array_equal(got_band, band)

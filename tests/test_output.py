@@ -1,10 +1,10 @@
-"""The %.17g kernel of the VTK writer, the streamed CSV rows, and what a
-dumping run imports.
+"""The %.17g kernel of the VTK writer, the CSV rows of a failed run, and
+what a dumping run imports.
 
-experiments._write_g17 must print every float exactly as _FMT % float(x)
-does: the tests compare the bytes against that, value by value, on
-normals, a wide exponent range, random bit patterns, exact ties and the
-edges of the kernel's range, where it hands values back to _FMT.
+g17.write must print every float exactly as _FMT % float(x) does: the
+tests compare the bytes against that, value by value, on normals, a wide
+exponent range, random bit patterns, exact ties and the edges of the
+kernel's range, where it hands values back to _FMT.
 """
 
 import io
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import vppflow
-from vppflow import experiments, linalg
+from vppflow import g17, linalg
 from vppflow.cli import main
 from vppflow.experiments import _FMT
 from vppflow.linalg import NonConvergence
@@ -26,7 +26,7 @@ from vppflow.linalg import NonConvergence
 
 def kernel_bytes(values, seps=(b"\n",)):
     buf = io.BytesIO()
-    experiments._write_g17(buf, np.asarray(values, dtype=np.float64), seps)
+    g17.write(buf, np.asarray(values, dtype=np.float64), seps)
     return buf.getvalue()
 
 
@@ -93,7 +93,7 @@ def test_edges_of_the_kernel_range_match_percent_formatting():
 
 def test_separators_are_joined_in_order(rng):
     # the VTK vector rows: "u v 0", the pairs split across chunk boundaries
-    values = rng.standard_normal(2 * experiments._G17_CHUNK + 6)
+    values = rng.standard_normal(2 * g17.CHUNK + 6)
     assert_formats_like_percent(values, (b" ", b" 0\n"))
 
 
@@ -103,7 +103,7 @@ def test_any_float_array_matches_percent_formatting(values):
     assert_formats_like_percent(values)
 
 
-# ------------------------------------------------------------ streamed rows
+# ------------------------------------------------------------ failed runs
 
 SOLVER_RUN = """
 [grid]
@@ -164,21 +164,36 @@ dump_every = 2
 """
 
 
-def test_a_dumping_run_imports_no_heavy_module(tmp_path):
-    # the kernel's tables come from Python ints, not fractions or decimal,
-    # and the run calls nothing that loads numpy.ma or numpy.random; each
-    # costs a run milliseconds at its first use
+def loaded_after_run(tmp_path, ini_text, names):
+    """The modules of names that a fresh interpreter has loaded after a
+    `vppflow run` of ini_text, and the run's output directory."""
     cfg = tmp_path / "run.ini"
-    cfg.write_text(MOVER_RUN)
+    cfg.write_text(ini_text)
     out = tmp_path / "out"
     code = ("import sys; from vppflow.cli import main; "
             f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(out)!r}, '--quiet']) == 0; "
-            "print(sorted(m for m in ('fractions', 'decimal', 'numpy.ma', 'numpy.random') "
-            "if m in sys.modules))")
+            f"print(sorted(m for m in {names!r} if m in sys.modules))")
     src = os.path.dirname(os.path.dirname(vppflow.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip(), out
+
+
+def test_a_dumping_run_imports_no_heavy_module(tmp_path):
+    # the kernel's tables come from Python ints, not fractions or decimal,
+    # and the run calls nothing that loads numpy.ma or numpy.random; each
+    # costs a run milliseconds at its first use
+    loaded, out = loaded_after_run(tmp_path, MOVER_RUN,
+                                   ("fractions", "decimal", "numpy.ma", "numpy.random"))
+    assert loaded == "[]"
     assert sorted(os.listdir(out)) == ["diagnostics.csv", "fields_000000.vtk",
                                        "fields_000002.vtk", "fields_000004.vtk"]
+
+
+def test_a_run_without_dumps_does_not_load_the_kernel(tmp_path):
+    # loading g17, and compiling it where no bytecode is cached, costs a
+    # run that writes only its CSV memory and time for nothing
+    loaded, out = loaded_after_run(tmp_path, SOLVER_RUN, ("vppflow.g17",))
+    assert loaded == "[]"
+    assert os.listdir(out) == ["rows.csv"]

@@ -2,11 +2,10 @@
 
 bench/tracing.py skips a target it cannot find, so its per-layer metric
 would read 0 without any error; this test makes a renamed or removed
-target fail instead. Three targets name functions that have left src/ on
-purpose: linalg.assemble_correction (now tests/oracles.py),
+target fail instead. Two targets name functions that have left src/ on
+purpose: linalg.assemble_correction (now tests/oracles.py) and
 linalg.convection_matrix (now tests/oracles.py; the step writes the
-convection into the prediction operator) and experiments.write_records_csv
-(run_single writes each CSV row as its step ends).
+convection into the prediction operator).
 """
 
 import importlib
@@ -40,6 +39,6 @@ def test_trace_target_resolves(module, attr, span):
 def test_names_wrapped_in_install_resolve():
     # Tracer.install wraps these by name beside TARGETS
     from vppflow import acceptance, experiments, linalg
-    for fn in (linalg.solve, experiments.write_vtk, acceptance.run_criterion):
+    for fn in (linalg.solve, experiments.write_vtk, experiments.write_records_csv,
+               acceptance.run_criterion):
         assert callable(fn)
-    assert not hasattr(experiments, "write_records_csv"), "it is back: wrap it again"
