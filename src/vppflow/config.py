@@ -247,7 +247,8 @@ def load_config(text: str) -> RunConfig:
         if "vel_x" in disk or "vel_y" in disk:
             disk["velocity"] = (disk.pop("vel_x", Obstacle.velocity[0]),
                                 disk.pop("vel_y", Obstacle.velocity[1]))
-        obstacle = _domain("[obstacle] radius/chi_mode", Obstacle, **disk)
+        obstacle = _domain("[obstacle] radius/chi_mode/center_x/center_y/vel_x/vel_y/omega",
+                           Obstacle, **disk)
 
     output = _domain("[output] dump_every", OutputSpec,
                      **given("output", {"csv": str, "dump_every": int}))

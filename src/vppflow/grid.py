@@ -22,6 +22,15 @@ from functools import lru_cache
 import numpy as np
 
 
+def require_finite(values: dict):
+    """Raise a ValueError naming the first value (a float or a tuple of
+    floats) that is nan or infinite; a range check such as x <= 0 is false
+    for nan, so it lets nan through."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform rectangular MAC grid with nx-by-ny cells."""
@@ -32,6 +41,7 @@ class Grid:
     ly: float = 1.0
 
     def __post_init__(self):
+        require_finite({"lx": self.lx, "ly": self.ly})
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid needs nx, ny >= 2, got {self.nx}x{self.ny}")
         if self.lx <= 0 or self.ly <= 0:

@@ -15,6 +15,7 @@ the analytic expressions.
 from __future__ import annotations
 
 import math
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -81,9 +82,33 @@ class SpaceTimeError:
         return math.sqrt(self.err2)
 
 
-def random_solenoidal(grid: Grid, rng: np.random.Generator,
-                      amplitude: float = 1.0) -> VelocityField:
+class NormalStream:
+    """Seeded standard normals drawn from the stdlib random.Random(seed).
+
+    standard_normal(shape=()) takes the shape of numpy's
+    Generator.standard_normal: () gives a float, an int or a tuple an array
+    filled in C order. The interpreter has random loaded already, while
+    numpy.random loads secrets, hashlib and OpenSSL's libcrypto (some 6 MB
+    resident) on first use. Each stream owns its generator, so equal seeds
+    give equal draws whatever else runs in the process.
+    """
+
+    def __init__(self, seed: int):
+        self._gauss = random.Random(seed).gauss
+
+    def standard_normal(self, shape=()):
+        if shape == ():
+            return self._gauss(0.0, 1.0)
+        gauss = self._gauss
+        values = [gauss(0.0, 1.0) for _ in range(np.prod(shape, dtype=int))]
+        return np.array(values).reshape(shape)
+
+
+def random_solenoidal(grid: Grid, rng, amplitude: float = 1.0) -> VelocityField:
     """Exactly discretely divergence-free random field with v.n = 0 on walls.
+
+    rng is any object with a standard_normal() that returns a float, such
+    as a NormalStream or a numpy Generator; the field takes nine draws.
 
     Built from a random stream function of the lowest 3 x 3 sine modes,
     sampled at grid nodes: u = d(psi)/dy, v = -d(psi)/dx by node

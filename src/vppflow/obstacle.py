@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, VelocityField
+from .grid import Grid, VelocityField, require_finite
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,8 @@ class Obstacle:
     chi_mode: str = "binary"            # "binary" or "fraction"
 
     def __post_init__(self):
+        require_finite({"radius": self.radius, "center": self.center,
+                        "velocity": self.velocity, "omega": self.omega})
         if self.radius <= 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.chi_mode not in ("binary", "fraction"):

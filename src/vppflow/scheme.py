@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import linalg, operators
 from .diagnostics import l2_norm, make_record
-from .grid import Grid, PressureField, VelocityField
+from .grid import Grid, PressureField, VelocityField, require_finite
 from .linalg import NonConvergence
 from .obstacle import ObstacleFrame
 
@@ -47,6 +47,8 @@ class SchemeParams:
     max_iter: int = 20000
 
     def __post_init__(self):
+        require_finite({"dt": self.dt, "T": self.t_final, "lambda": self.lam,
+                        "eta": self.eta, "mu": self.mu})
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.lam <= 0:

@@ -9,9 +9,13 @@ the gates must reject.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import vppflow
 from vppflow.acceptance import a1_passes, a5_passes, run_criterion
 from vppflow.experiments import fit_exponent, observed_order
 
@@ -65,6 +69,34 @@ def test_a7_translation_estimator():
 
 def test_a8_operator_algebra():
     _check("A8")
+
+
+# ------------------------------------------------------- random instances
+
+RANDOM_CRITERIA = ("A4", "A7", "A8")
+
+
+def test_random_criteria_are_reproducible_in_one_process():
+    # each criterion seeds its own stream, so neither a second run nor the
+    # order of the runs changes a number
+    first = {name: run_criterion(name) for name in RANDOM_CRITERIA}
+    for name in reversed(RANDOM_CRITERIA):
+        again = run_criterion(name)
+        assert again.summary == first[name].summary
+        assert again.details == first[name].details
+
+
+def test_random_criteria_load_no_numpy_random():
+    # numpy.random brings secrets, hashlib and OpenSSL's libcrypto (some
+    # 6 MB resident) on first use; the criteria draw from NormalStream
+    code = ("import sys; from vppflow import acceptance; "
+            f"[acceptance.run_criterion(n) for n in {RANDOM_CRITERIA!r}]; "
+            "print('numpy.random' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(vppflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------ gate rules

@@ -122,6 +122,33 @@ omega = 1.0
     assert "obstacle.chi_mode" in cfg.defaulted
 
 
+DISK = MINIMAL + """
+[obstacle]
+shape = disk
+radius = 0.15
+center_x = 0.5
+center_y = 0.5
+"""
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    ("dt = 0.01", "dt = nan", r"\[scheme\] dt/.*: dt must be finite"),
+    ("T = 0.1", "T = inf", r"\[scheme\] dt/T/.*: T must be finite"),
+    ("T = 0.1", "T = 0.1\neta = nan", r"\[scheme\] .*eta.*: eta must be finite"),
+    ("T = 0.1", "T = 0.1\nmu = nan", r"\[scheme\] .*mu.*: mu must be finite"),
+    ("T = 0.1", "T = 0.1\nmu = inf", r"\[scheme\] .*mu.*: mu must be finite"),
+    ("T = 0.1", "T = 0.1\nlambda = nan", r"\[scheme\] .*lambda.*: lambda must be finite"),
+    ("ny = 16", "ny = 16\nlx = nan", r"\[grid\] .*lx.*: lx must be finite"),
+    ("radius = 0.15", "radius = nan", r"\[obstacle\] radius.*: radius must be finite"),
+    ("center_x = 0.5", "center_x = nan", r"\[obstacle\] .*center_x.*: center must be finite"),
+], ids=["dt-nan", "T-inf", "eta-nan", "mu-nan", "mu-inf", "lambda-nan", "lx-nan",
+        "radius-nan", "center_x-nan"])
+def test_non_finite_values_rejected(line, bad, message):
+    # x <= 0 is false for nan, so the range checks alone let it through
+    with pytest.raises(ConfigError, match=message):
+        load_config(DISK.replace(line, bad))
+
+
 def test_obstacle_requires_radius():
     with pytest.raises(ConfigError, match="radius"):
         load_config(MINIMAL + "\n[obstacle]\nshape = disk\ncenter_x=0.5\ncenter_y=0.5\n")

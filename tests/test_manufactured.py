@@ -6,7 +6,7 @@ import pytest
 from oracles import taylor_green, taylor_green_forcing
 from vppflow import diagnostics, operators
 from vppflow.grid import Grid
-from vppflow.manufactured import random_solenoidal, taylor_green_velocity
+from vppflow.manufactured import NormalStream, random_solenoidal, taylor_green_velocity
 
 
 def test_initial_field_is_discretely_divergence_free():
@@ -101,3 +101,21 @@ def test_random_solenoidal_properties(rng):
     assert max(np.abs(vel.u[0, :]).max(), np.abs(vel.u[-1, :]).max(),
                np.abs(vel.v[:, 0]).max(), np.abs(vel.v[:, -1]).max()) == 0.0
     assert vel.max_abs() == pytest.approx(0.7)
+
+
+def test_normal_stream_shapes_and_seeding():
+    scalar = NormalStream(7).standard_normal()
+    assert type(scalar) is float
+    # an array continues the stream in C order, whatever its shape
+    flat = NormalStream(7).standard_normal(7)
+    grid = NormalStream(7).standard_normal((2, 3))
+    assert flat.shape == (7,) and grid.shape == (2, 3)
+    assert flat[0] == scalar
+    assert np.array_equal(grid.ravel(), flat[:6])
+    assert not np.array_equal(NormalStream(8).standard_normal(7), flat)
+
+
+def test_normal_stream_moments():
+    draws = NormalStream(0).standard_normal(40000)
+    assert abs(draws.mean()) <= 0.02
+    assert draws.std() == pytest.approx(1.0, abs=0.02)

@@ -106,13 +106,12 @@ def test_dense_solve_rejects_singular_matrices(mat):
 
 ORACLE_SCRIPT = """
 import sys
-import numpy as np
 from vppflow import reference
 from vppflow.grid import Grid, VelocityField
-from vppflow.manufactured import random_solenoidal
+from vppflow.manufactured import NormalStream, random_solenoidal
 from vppflow.scheme import SchemeParams
 g = Grid(8, 8)
-v0 = random_solenoidal(g, np.random.default_rng(0), amplitude=0.01)
+v0 = random_solenoidal(g, NormalStream(0), amplitude=0.01)
 params = SchemeParams(dt=0.01, t_final=0.02, lam=1e-8, mu=1e-3)
 v, p = reference.coupled_step(v0, VelocityField.zeros(g), None, params)
 sys.stdout.buffer.write(v.u.tobytes() + v.v.tobytes() + p.p.tobytes())
