@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics, linalg, operators, reference, scheme
-from .diagnostics import FieldSeries, nikolskii_translation
-from .experiments import fit_exponent, observed_order
+from .diagnostics import FieldSeries, fit_exponent, nikolskii_translation, observed_order
 from .grid import Grid, PressureField, VelocityField
 from .manufactured import (NormalStream, SpaceTimeError, random_solenoidal,
                            taylor_green_pressure, taylor_green_velocity,
@@ -223,7 +222,7 @@ def a5_passes(slip_order, penalization_slope) -> bool:
     """A5 verdict from the slip's observed order and the penalization slope.
 
     slip_order is None when the accumulated slip does not fall strictly
-    with eta (see experiments.observed_order); that fails the criterion.
+    with eta (see diagnostics.observed_order); that fails the criterion.
     """
     return (slip_order is not None
             and slip_order >= A5_SLIP_WINDOW[0]

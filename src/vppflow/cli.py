@@ -14,10 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, load_config_file
-from .experiments import OutputError, run_single, run_sweep
-from .scheme import SolverFailure
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
@@ -58,6 +54,13 @@ def main(argv=None) -> int:
             return EXIT_VALIDATION
         print(f"all {len(results)} criteria passed")
         return EXIT_OK
+
+    # imported after verify, which needs none of them: compiling configparser
+    # and the run drivers costs resident memory and, without cached bytecode,
+    # time
+    from .config import ConfigError, load_config_file
+    from .experiments import OutputError, run_single, run_sweep
+    from .scheme import SolverFailure
 
     try:
         cfg = load_config_file(args.config)

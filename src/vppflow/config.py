@@ -22,7 +22,7 @@ import configparser
 import io
 from dataclasses import dataclass, replace
 
-from .grid import Grid
+from .grid import Grid, require_finite
 from .obstacle import Obstacle
 from .scheme import SchemeParams
 
@@ -228,6 +228,7 @@ def load_config(text: str) -> RunConfig:
     if forcing_kind == "constant":
         forcing_opts += [("fx", num("forcing", "fx", default=0.0)),
                          ("fy", num("forcing", "fy", default=0.0))]
+        _domain("[forcing] fx/fy", require_finite, dict(forcing_opts))
     if forcing_kind == "file":
         forcing_opts.append(("path", get("forcing", "path", required=True)))
 

@@ -1,4 +1,5 @@
-"""Measured quantities: norms, energy ledger, translation estimator, slip error.
+"""Measured quantities: norms, energy ledger, translation estimator, slip
+error, and the log-log rates fitted to them.
 
 The discrete H^-1 norm is realized through the homogeneous-Dirichlet
 Poisson inverse: ||f||_{H^-1}^2 = (f, phi) with -Lap(phi) = f, per
@@ -139,6 +140,48 @@ def nikolskii_translation(series: FieldSeries, h: float) -> float:
         val = diff_norm(series.value_index(mid + h), series.value_index(mid))
         total += (right - left) * val
     return total
+
+
+# ----------------------------------------------------------------------
+# Log-log rates
+# ----------------------------------------------------------------------
+
+def fit_exponent(xs, ys):
+    """Least-squares slope of log(y) vs log(x); returns (slope, residual).
+
+    The residual is the RMS misfit of the fitted line in log space. Raises
+    ValueError unless the xs are positive with at least two distinct values.
+    The line is the closed form slope = sum(dx dy) / sum(dx^2) on the
+    centered logs, in ufuncs and reductions: no LAPACK routine runs.
+    """
+    x = np.asarray(xs, dtype=float)
+    # x.min() < x.max() rather than np.unique, which imports numpy.ma
+    if x.size < 2 or np.any(x <= 0) or not x.min() < x.max():
+        raise ValueError(f"need at least two distinct positive abscissae, got {list(xs)}")
+    dy = np.log(np.asarray(ys, dtype=float))
+    if dy.shape != x.shape:
+        raise ValueError(f"need one ordinate per abscissa, got {dy.size} for {x.size}")
+    dy -= dy.mean()
+    dx = np.log(x)
+    dx -= dx.mean()
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    misfit = dy - slope * dx
+    return slope, math.sqrt(np.mean(misfit * misfit))
+
+
+def observed_order(xs, ys):
+    """Observed order of y(x) -> y(0) when the limit y(0) is unknown.
+
+    Fits the log-log slope of the successive differences y_k - y_{k+1}
+    against x_k, for xs ordered towards the limit (decreasing). For
+    y = a x^s + c on a geometric xs the slope is s exactly, whatever c.
+    Returns None when any difference is <= 0: the series then does not
+    decrease monotonically towards its limit and has no order to report.
+    """
+    diffs = [a - b for a, b in zip(ys, ys[1:])]
+    if any(d <= 0 for d in diffs):
+        return None
+    return fit_exponent(xs[:-1], diffs)[0]
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import diagnostics, operators
 from .config import RunConfig
+from .diagnostics import fit_exponent
 from .grid import Grid, PressureField, VelocityField
 from .manufactured import SpaceTimeError, taylor_green_pressure, taylor_green_velocity
 from .scheme import RunResult, SolverFailure, run
@@ -25,39 +26,6 @@ _FMT = "%.17g"
 
 class OutputError(OSError):
     """Raised after writing the partial-output marker on I/O failure."""
-
-
-def fit_exponent(xs, ys):
-    """Least-squares slope of log(y) vs log(x); returns (slope, residual).
-
-    The residual is the RMS misfit of the fitted line in log space. Raises
-    ValueError unless the xs are positive with at least two distinct values.
-    """
-    x = np.asarray(xs, dtype=float)
-    # x.min() < x.max() rather than np.unique, which imports numpy.ma
-    if x.size < 2 or np.any(x <= 0) or not x.min() < x.max():
-        raise ValueError(f"need at least two distinct positive abscissae, got {list(xs)}")
-    lx = np.log(x)
-    ly = np.log(np.asarray(ys, dtype=float))
-    coeffs = np.polyfit(lx, ly, 1)
-    fit = np.polyval(coeffs, lx)
-    residual = float(np.sqrt(np.mean((ly - fit) ** 2)))
-    return float(coeffs[0]), residual
-
-
-def observed_order(xs, ys):
-    """Observed order of y(x) -> y(0) when the limit y(0) is unknown.
-
-    Fits the log-log slope of the successive differences y_k - y_{k+1}
-    against x_k, for xs ordered towards the limit (decreasing). For
-    y = a x^s + c on a geometric xs the slope is s exactly, whatever c.
-    Returns None when any difference is <= 0: the series then does not
-    decrease monotonically towards its limit and has no order to report.
-    """
-    diffs = [a - b for a, b in zip(ys, ys[1:])]
-    if any(d <= 0 for d in diffs):
-        return None
-    return fit_exponent(xs[:-1], diffs)[0]
 
 
 # ----------------------------------------------------------------------

@@ -630,6 +630,11 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
+def _require_finite_residual(norm_r: float, iterations: int):
+    if not math.isfinite(norm_r):
+        raise NonConvergence("BiCGStab residual is not finite", norm_r, iterations)
+
+
 def _bicgstab(a, b, rtol, max_iter, x0, minv, work):
     # Every update below is the textbook expression evaluated in place, in
     # its own operation order; t is scratch until it takes A s_hat. p = r +
@@ -638,10 +643,13 @@ def _bicgstab(a, b, rtol, max_iter, x0, minv, work):
     # r - alpha v is formed in r's buffer and s_hat in p_hat's, as neither is
     # read again in the iteration, and x takes alpha p_hat before s_hat
     # exists; omega s_hat and omega t are formed in their own buffers. A run
-    # passes the same four-vector work block to every solve.
+    # passes the same four-vector work block to every solve. A residual
+    # norm that is not finite stops the solve at once: nan compares false
+    # with the tolerance, so the loop would run on to max_iter.
     norm_b = _norm(b)
     if norm_b == 0.0:
         return np.zeros(b.shape[0]), 0
+    _require_finite_residual(norm_b, 0)
     tol = rtol * norm_b
     x = np.zeros(b.shape[0]) if x0 is None else np.array(x0, dtype=np.float64)
     r = np.array(b, dtype=np.float64) if x0 is None else np.subtract(b, _matvec(a, x))
@@ -670,11 +678,13 @@ def _bicgstab(a, b, rtol, max_iter, x0, minv, work):
         alpha = rho_new / denom
         r -= np.multiply(v, alpha, out=t)                # s = r - alpha v
         x += np.multiply(p_hat, alpha, out=t)
-        if _norm(r) <= tol:
+        norm_r = _norm(r)
+        if norm_r <= tol:
             np.subtract(b, _matvec(a, x, r), out=r)     # the true residual
             if _norm(r) <= tol:
                 return x, k
         else:
+            _require_finite_residual(norm_r, k)
             np.multiply(minv, r, out=p_hat)              # s_hat
             _matvec(a, p_hat, t)
             tt = _dot(t, t)
@@ -685,10 +695,13 @@ def _bicgstab(a, b, rtol, max_iter, x0, minv, work):
             x += p_hat
             t *= omega
             r -= t                                       # r = s - omega t
-            if _norm(r) <= tol:
+            norm_r = _norm(r)
+            if norm_r <= tol:
                 np.subtract(b, _matvec(a, x, r), out=r)
                 if _norm(r) <= tol:
                     return x, k
+            else:
+                _require_finite_residual(norm_r, k)
         rho = rho_new
     raise NonConvergence("BiCGStab did not converge",
                          _norm(np.subtract(b, _matvec(a, x, t), out=t)), max_iter)

@@ -333,16 +333,23 @@ def jacobi_bicgstab(a, b, rtol, max_iter, x0=None):
     return linalg._bicgstab(a, b, rtol, max_iter, x0, minv, np.empty((4, b.shape[0])))
 
 
+def _require_finite(norm_r, iterations):
+    if not math.isfinite(norm_r):
+        raise NonConvergence("BiCGStab residual is not finite", norm_r, iterations)
+
+
 def bicgstab(a, b, rtol, max_iter, x0=None, events=None):
     """Jacobi-preconditioned BiCGStab with fresh vectors on every update,
     the reference for linalg.solve; returns (x, iterations). If events is a
     list, "s_exit" is appended each time the half-step residual s meets the
     tolerance and "restart" each time the recursive residual met it but the
-    true residual did not."""
+    true residual did not. A residual norm that is not finite raises
+    NonConvergence at once."""
     events = [] if events is None else events
     norm_b = _norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b), 0
+    _require_finite(norm_b, 0)
     tol = rtol * norm_b
     d = a.diagonal()
     minv = 1.0 / np.where(np.abs(d) > 0, d, 1.0)
@@ -368,6 +375,7 @@ def bicgstab(a, b, rtol, max_iter, x0=None, events=None):
                                  _norm(r), k)
         alpha = rho_new / denom
         s = r - alpha * v
+        _require_finite(_norm(s), k)
         if _norm(s) <= tol:
             events.append("s_exit")
             x = x + alpha * p_hat
@@ -385,6 +393,7 @@ def bicgstab(a, b, rtol, max_iter, x0=None, events=None):
             omega = _dot(t, s) / tt
             x = x + alpha * p_hat + omega * s_hat
             r = s - omega * t
+            _require_finite(_norm(r), k)
             if _norm(r) <= tol:
                 r_true = b - a @ x
                 if _norm(r_true) <= tol:

@@ -17,7 +17,7 @@ import pytest
 
 import vppflow
 from vppflow.acceptance import a1_passes, a5_passes, run_criterion
-from vppflow.experiments import fit_exponent, observed_order
+from vppflow.diagnostics import fit_exponent, observed_order
 
 # stated wall-clock budgets (seconds)
 BUDGETS = {"A1": 120.0, "A4": 5.0, "A5": 600.0, "A8": 10.0}
@@ -74,6 +74,7 @@ def test_a8_operator_algebra():
 # ------------------------------------------------------- random instances
 
 RANDOM_CRITERIA = ("A4", "A7", "A8")
+RUN_CONFIGURATION_MODULES = ("configparser", "vppflow.config", "vppflow.experiments")
 
 
 def test_random_criteria_are_reproducible_in_one_process():
@@ -97,6 +98,19 @@ def test_random_criteria_load_no_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_rate_criteria_load_no_run_configuration_code():
+    # the fits of A1, A3 and A5 live in diagnostics, so the criteria compile
+    # neither the INI parser nor the run drivers
+    code = ("import sys; from vppflow import acceptance; "
+            "[acceptance.run_criterion(n) for n in ('A1', 'A3', 'A5')]; "
+            f"print([m for m in {RUN_CONFIGURATION_MODULES!r} if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(vppflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------ gate rules

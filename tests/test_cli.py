@@ -239,6 +239,19 @@ def test_verify_subset_prints_pass_lines(tmp_path, capsys):
     assert "[PASS] A8" in out
 
 
+def test_verify_verb_loads_no_run_configuration_code():
+    # main imports config and experiments only for the verbs that read a file
+    modules = ("configparser", "vppflow.config", "vppflow.experiments")
+    code = ("import sys; from vppflow.cli import main; "
+            "rc = main(['verify', '--criteria', 'A1']); "
+            f"print(rc, [m for m in {modules!r} if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(vppflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
 def test_vtk_dump_layout(tmp_path):
     cfg = write(tmp_path, "dump.ini", """
 [grid]
@@ -352,7 +365,8 @@ def test_io_failure_leaves_partial_output_marker(tmp_path):
     (ZERO_RUN.replace("dt = 0.01", "dt = 0.1").replace("T = 0.1", "T = 0.5")
      + "[obstacle]\nshape = disk\nradius = 0.15\ncenter_x = 0.5\ncenter_y = 0.5\n"
      "vel_x = 1\n", "[obstacle]"),
-], ids=["chi_mode", "prediction_rtol", "radius", "nx", "wall"])
+    (ZERO_RUN + "[forcing]\ntype = constant\nfx = nan\n", "[forcing] fx"),
+], ids=["chi_mode", "prediction_rtol", "radius", "nx", "wall", "forcing-nan"])
 def test_print_config_rejects_invalid_domain_values(tmp_path, capsys, text, named):
     cfg = write(tmp_path, "bad.ini", text)
     assert main(["print-config", "--config", cfg]) == 1

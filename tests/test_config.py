@@ -141,8 +141,12 @@ center_y = 0.5
     ("ny = 16", "ny = 16\nlx = nan", r"\[grid\] .*lx.*: lx must be finite"),
     ("radius = 0.15", "radius = nan", r"\[obstacle\] radius.*: radius must be finite"),
     ("center_x = 0.5", "center_x = nan", r"\[obstacle\] .*center_x.*: center must be finite"),
+    ("center_y = 0.5", "center_y = 0.5\n[forcing]\ntype = constant\nfx = nan",
+     r"\[forcing\] fx/fy: fx must be finite"),
+    ("center_y = 0.5", "center_y = 0.5\n[forcing]\ntype = constant\nfx = 1\nfy = -inf",
+     r"\[forcing\] fx/fy: fy must be finite"),
 ], ids=["dt-nan", "T-inf", "eta-nan", "mu-nan", "mu-inf", "lambda-nan", "lx-nan",
-        "radius-nan", "center_x-nan"])
+        "radius-nan", "center_x-nan", "fx-nan", "fy-inf"])
 def test_non_finite_values_rejected(line, bad, message):
     # x <= 0 is false for nan, so the range checks alone let it through
     with pytest.raises(ConfigError, match=message):

@@ -180,6 +180,67 @@ def test_translation_rejects_offsets_outside_range():
         nikolskii_translation(series, 0.0)
 
 
+# ------------------------------------------------------------ log-log rates
+
+def _polyfit_line(xs, ys):
+    """Slope and RMS log misfit of numpy's least-squares line, the
+    reference for the closed form in fit_exponent."""
+    lx, ly = np.log(xs), np.log(ys)
+    coeffs = np.polyfit(lx, ly, 1)
+    return coeffs[0], float(np.sqrt(np.mean((ly - np.polyval(coeffs, lx)) ** 2)))
+
+
+# The tolerance is measured: over 2e4 examples of this strategy, the
+# residuals differed from polyfit's by at most 2.4 e and the slopes by at
+# most 3.5 e / sd, where e = eps (1 + my + |s| mx)(1 + mx / sd), mx and my
+# are the largest |log x| and |log y|, s is the slope and sd the root sum
+# of squares of the centered log x. The test allows 16 for both.
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=6, unique=True),
+       ys=st.lists(st.floats(1e-12, 1e12), min_size=6, max_size=6))
+def test_fit_exponent_agrees_with_polyfit(xs, ys):
+    lx = np.log(xs)
+    assume(np.ptp(lx) >= 1e-2)
+    ys = ys[:len(xs)]
+    slope, residual = diagnostics.fit_exponent(xs, ys)
+    ref_slope, ref_residual = _polyfit_line(xs, ys)
+    mx, my = np.abs(lx).max(), np.abs(np.log(ys)).max()
+    sd = math.sqrt(np.sum((lx - lx.mean()) ** 2))
+    e = np.finfo(float).eps * (1.0 + my + abs(ref_slope) * mx) * (1.0 + mx / sd)
+    assert abs(slope - ref_slope) <= 16.0 * e / sd
+    assert abs(residual - ref_residual) <= 16.0 * e
+
+
+def test_fits_run_no_lapack_routine(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a log-log fit called a least-squares routine")
+
+    for name in ("polyfit", "polyval"):
+        monkeypatch.setattr(np, name, forbidden)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    slope, residual = diagnostics.fit_exponent([1e-2, 1e-3, 1e-4], [4e-4, 4e-6, 4e-8])
+    assert math.isclose(slope, 2.0, rel_tol=1e-14)
+    assert residual <= 1e-14
+    etas = [1e-2, 1e-3, 1e-4, 1e-5]
+    order = diagnostics.observed_order(etas, [3.0 * eta**1.5 + 6.5e-4 for eta in etas])
+    assert math.isclose(order, 1.5, abs_tol=1e-12)
+
+
+def test_fit_exponent_of_non_positive_ordinates_is_nan():
+    # the logs of y <= 0 are -inf or nan, and so is the line through them
+    for ys in ([1.0, 0.0, 2.0], [1.0, -1.0, 2.0]):
+        with pytest.warns(RuntimeWarning):
+            slope, residual = diagnostics.fit_exponent([1.0, 2.0, 3.0], ys)
+        assert math.isnan(slope) and math.isnan(residual)
+
+
+def test_fit_exponent_needs_one_ordinate_per_abscissa():
+    # a single y would broadcast against every x to a flat line
+    for ys in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="one ordinate per abscissa"):
+            diagnostics.fit_exponent([0.1, 0.2], ys)
+
+
 # ----------------------------------------------------------------- slip
 
 ROTOR = Obstacle(radius=0.2, center=(0.5, 0.5), omega=1.0)

@@ -418,6 +418,29 @@ def test_solve_reports_residual_on_nonconvergence(rng):
     assert excinfo.value.iterations == 2
 
 
+@pytest.mark.parametrize("case", ["rhs-nan", "rhs-inf", "x0-nan"])
+def test_solve_stops_at_a_non_finite_residual(rng, case):
+    # nan compares false with the tolerance, so without the finiteness test
+    # a nan rhs ran all max_iter iterations before reporting it
+    g = Grid(8, 8)
+    buffers = linalg.PredictionBuffers(g)
+    a = linalg.assemble_prediction(g, params_for(), VelocityField.zeros(g), buffers=buffers)
+    b = random_packed(g, rng)
+    x0 = None
+    if case == "x0-nan":
+        x0 = random_packed(g, rng)
+        x0[5] = np.nan
+    else:
+        b[5] = np.nan if case == "rhs-nan" else np.inf
+    with pytest.raises(NonConvergence, match="not finite") as excinfo:
+        linalg.solve(a, b, 1e-10, 20000, x0, buffers=buffers)
+    assert not np.isfinite(excinfo.value.residual)
+    assert excinfo.value.iterations <= 1
+    with pytest.raises(NonConvergence) as oracle_info:
+        bicgstab(to_scipy(a), b, 1e-10, 20000, x0)
+    assert oracle_info.value.iterations == excinfo.value.iterations
+
+
 def _solver_case(nx, ny, lx, ly, log10_dt, log10_eta, log10_rtol, binary, warm, seed):
     """A prediction system on a random grid with a fraction or binary chi,
     started cold or from a random x0, and the buffers it is assembled in."""

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import assemble_correction, divergence_matrix, gradient_matrix, to_scipy
 from vppflow import diagnostics, linalg, operators, scheme
-from vppflow.experiments import fit_exponent
+from vppflow.diagnostics import fit_exponent
 from vppflow.grid import Grid, PressureField, VelocityField
 from vppflow.linalg import face_layout
 from vppflow.manufactured import (random_solenoidal, taylor_green_pressure,
@@ -655,6 +655,21 @@ def test_solver_failure_carries_step_index(rng):
     with pytest.raises(SolverFailure) as excinfo:
         scheme.run(v0, PressureField.zeros(g), zero_forcing, None, params)
     assert excinfo.value.step_index == 1
+
+
+def test_non_finite_forcing_fails_the_step_at_once():
+    g = Grid(16, 16)
+    params = SchemeParams(dt=0.01, t_final=0.1, max_iter=20000)
+
+    def nan_forcing(t, grid):
+        f = VelocityField.zeros(grid)
+        f.u[3, 3] = np.nan
+        return f
+
+    with pytest.raises(SolverFailure, match="step 1: .*not finite") as excinfo:
+        scheme.run(VelocityField.zeros(g), PressureField.zeros(g), nan_forcing, None, params)
+    assert excinfo.value.step_index == 1
+    assert excinfo.value.cause.iterations == 0
 
 
 def test_translating_obstacle_drags_fluid():
