@@ -42,7 +42,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.verb == "verify":
-        from .acceptance import run_all
+        from .acceptance import CRITERIA, run_all
+        unknown = [name for name in args.criteria or () if name not in CRITERIA]
+        if unknown:
+            print(f"unknown criteria {' '.join(unknown)}; known: {' '.join(sorted(CRITERIA))}",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
         results = run_all(args.criteria)
         failed = 0
         for res in results:

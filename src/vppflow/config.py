@@ -5,12 +5,14 @@ an Obstacle (None for shape = none) and [output] an OutputSpec, each built
 once from the keys the file sets: every other field keeps its type's
 default, and the type's constructor holds the range checks. A ValueError
 it raises becomes a ConfigError naming the section and its keys. Every
-member of a [sweep] is built too, and a disk must clear the walls over
-each member's run, so a configuration that loads can run them all.
+member of a [sweep] is built too, a disk must clear the walls over each
+member's run, and a taylor-green initial state or forcing needs the unit
+square, so a configuration that loads can run them all.
 
 The divergence penalty is never a free input: only the ratio lambda is
 accepted and eps = lambda * dt is derived per run, also inside sweeps.
-Unknown sections and keys are rejected. [solver] correction_rtol is still
+Unknown sections and keys are rejected, and so is a key that its
+section's type or shape does not read. [solver] correction_rtol is still
 accepted and range-checked so existing files keep loading, but no solver
 reads it: the correction is solved exactly. The echo shows every
 effective value and names the keys that took a default.
@@ -23,6 +25,7 @@ import io
 from dataclasses import dataclass, replace
 
 from .grid import Grid, require_finite
+from .manufactured import require_unit_square
 from .obstacle import Obstacle
 from .scheme import SchemeParams
 
@@ -67,6 +70,8 @@ class OutputSpec:
     dump_every: int = 0       # a VTK snapshot every k steps; 0 = never
 
     def __post_init__(self):
+        if not self.csv:
+            raise ValueError("csv must name a file")
         if self.dump_every < 0:
             raise ValueError(f"dump_every must be >= 0, got {self.dump_every}")
 
@@ -184,6 +189,12 @@ def load_config(text: str) -> RunConfig:
         raw = get(section, key)
         return default if raw is None else _value(float, section, key, raw)
 
+    def unread(section, selector, kind, read=()):
+        """Reject a key of section that neither selects nor is read by kind."""
+        for key in _KEYS[section]:
+            if key != selector and key not in read and parser.has_option(section, key):
+                raise ConfigError(f"field [{section}] {key} is set, but {selector} = {kind}")
+
     def given(section, spec, required=()):
         """Constructor keywords from the keys of section the file sets; spec
         maps each key to its conversion. A key left out keeps its type's
@@ -219,6 +230,7 @@ def load_config(text: str) -> RunConfig:
     init_opts = []
     if init_kind == "file":
         init_opts.append(("path", get("initial", "path", required=True)))
+    unread("initial", "type", init_kind, dict(init_opts))
 
     forcing_kind = get("forcing", "type")
     if forcing_kind not in ("zero", "constant", "taylor-green", "file"):
@@ -231,15 +243,17 @@ def load_config(text: str) -> RunConfig:
         _domain("[forcing] fx/fy", require_finite, dict(forcing_opts))
     if forcing_kind == "file":
         forcing_opts.append(("path", get("forcing", "path", required=True)))
+    unread("forcing", "type", forcing_kind, dict(forcing_opts))
+    for section, kind in (("initial", init_kind), ("forcing", forcing_kind)):
+        if kind == "taylor-green":
+            _domain(f"[{section}] type = taylor-green", require_unit_square, grid)
 
     shape = get("obstacle", "shape")
     if shape not in ("none", "disk"):
         raise ConfigError(f"field [obstacle] shape = {shape!r} must be none or disk")
     obstacle = None
     if shape == "none":
-        for key in _KEYS["obstacle"]:
-            if key != "shape" and parser.has_option("obstacle", key):
-                raise ConfigError(f"field [obstacle] {key} is set, but shape = none")
+        unread("obstacle", "shape", shape)
     else:
         disk = given("obstacle", dict.fromkeys(
             ("radius", "center_x", "center_y", "vel_x", "vel_y", "omega"), float)
@@ -251,7 +265,7 @@ def load_config(text: str) -> RunConfig:
         obstacle = _domain("[obstacle] radius/chi_mode/center_x/center_y/vel_x/vel_y/omega",
                            Obstacle, **disk)
 
-    output = _domain("[output] dump_every", OutputSpec,
+    output = _domain("[output] dump_every/csv", OutputSpec,
                      **given("output", {"csv": str, "dump_every": int}))
 
     sweep = None

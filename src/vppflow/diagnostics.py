@@ -1,12 +1,9 @@
 """Measured quantities: norms, energy ledger, translation estimator, slip
 error, and the log-log rates fitted to them.
 
-The discrete H^-1 norm is realized through the homogeneous-Dirichlet
-Poisson inverse: ||f||_{H^-1}^2 = (f, phi) with -Lap(phi) = f, per
-component on the lattice carrying f, in closed form in the lattice's sine
-eigenbasis (linalg.dirichlet_bases). Boundary integrals over the immersed
-circle are approximated by a one-cell-diagonal band of cells, each
-weighted by cell area over band width.
+Boundary integrals over the immersed circle are approximated by a
+one-cell-diagonal band of cells, each weighted by cell area over band
+width.
 """
 
 from __future__ import annotations
@@ -16,8 +13,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import linalg, operators
-from .grid import Grid, PressureField, VelocityField
+from . import operators
+from .grid import PressureField, VelocityField
 
 
 def l2_norm(f) -> float:
@@ -48,33 +45,6 @@ def velocity_grad_norm(vel: VelocityField) -> float:
 
 def pressure_grad_norm(p: PressureField) -> float:
     return l2_norm(operators.gradient(p))
-
-
-def h_minus1_norm(f) -> float:
-    """Dual norm via the Dirichlet Poisson inverse, componentwise for vectors.
-
-    In the sine basis of each lattice the Laplacian L is diagonal, so
-    f^T L^{-1} f is a transform, a divide and a sum (Schumann & Sweet, 1976).
-    """
-    if isinstance(f, PressureField):
-        parts = [("cell", f.p)]
-    elif isinstance(f, VelocityField):
-        parts = [("u", f.u[1:-1, :]), ("v", f.v[:, 1:-1])]
-    else:
-        raise TypeError(f"cannot take the H^-1 norm of {type(f).__name__}")
-    total = 0.0
-    for which, arr in parts:
-        (qx, lam_x), (qy, lam_y) = linalg.dirichlet_bases(f.grid, which)
-        c = qx.T @ arr @ qy
-        total += np.sum(c * c / (lam_x[:, None] + lam_y[None, :]))
-    return math.sqrt(f.grid.cell_area * total)
-
-
-def poincare_constant(grid: Grid, which: str = "cell") -> float:
-    """Constant C = 1/sqrt(lam_min) with ||f||_{H^-1} <= C ||f||_{L2} on
-    this lattice; lam_min is the sum of the two axes' lowest modes."""
-    (_, lam_x), (_, lam_y) = linalg.dirichlet_bases(grid, which)
-    return 1.0 / math.sqrt(lam_x[0] + lam_y[0])
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,9 @@ FMT = "%.17g"
 # (frac(t) > 1/2). Printed by FMT itself instead: a value whose rounding
 # that bound leaves open (|frac(t) - 1/2| < 2^-30, exact ties included),
 # whose estimate X = floor(log10 |x|) was one off, that is not finite or
-# outside [1e-250, 1e250] (zeros aside), or an integer >= 10 whose last
-# digit is a zero (the fixed notation prints the trailing zeros of its
-# integer part, which the digit tables strip).
+# outside [1e-250, 1e250] (zeros aside), or with 10 <= |x| < 10^17 (1 <=
+# X <= 16: the fixed notation puts digits before the point, which the
+# records do not lay out).
 
 CHUNK = 2048                # values per kernel call; even, so that
                             # (u, v) pairs never straddle two calls
@@ -86,12 +86,7 @@ def _tables():
     heads = np.frombuffer(b"".join(b"\0" + h.ljust(7, b"\0") for h in head), "<i8")
     heads = np.concatenate((heads, heads | np.array(point) * (46 << 56)))
     tails = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in tail), "<i8")
-
-    # record bytes 7..23 for 1 <= X <= 16: digits 1..X, then the point slot
-    shift = np.zeros((17, 17), np.intp)
-    for x in range(1, 17):
-        shift[x] = np.r_[8:8 + x, 7, 8 + x:24]
-    tables = (pow10, quads, heads, tails, shift)
+    tables = (pow10, quads, heads, tails)
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -141,10 +136,10 @@ def _format(x, seps):
     goes: the sign, the "0.000" prefix of -4 <= X < 0 (or the "0" of a
     zero), the first digit and the point after it (word 0); digits 1 to
     16, with the trailing zeros of D as NUL (words 1 and 2); the exponent
-    and the separator (word 3). For 1 <= X <= 16 the point moves after
-    digit X. The records are joined with their NULs deleted.
+    and the separator (word 3). The records are joined with their NULs
+    deleted.
     """
-    quads, heads, tails, shift = _tables()[1:]
+    quads, heads, tails = _tables()[1:]
     d, e, fallback = _digits(x)
     zero = x == 0.0
     d[zero] = 0
@@ -176,17 +171,7 @@ def _format(x, seps):
     w.reshape(-1, seps.size)[...] |= seps
     rec[:, 3] = w
 
-    moved = (e >= 1) & (e <= 16) & ~fallback
-    if moved.any():
-        rows = np.flatnonzero(moved)
-        xs = e[rows]
-        k = np.arange(rows.size)
-        byte = rec.view(np.uint8)
-        old = byte[rows]
-        new = np.take_along_axis(old, shift[xs], axis=1)
-        new[k, xs] = (old[k, 8 + xs] != 0) * np.uint8(46)
-        byte[rows, 7:24] = new
-        fallback[rows[old[k, 7 + xs] == 0]] = True
+    fallback |= (e >= 1) & (e <= 16)
     fallback &= ~zero
     if fallback.any():
         text = np.array([FMT % v for v in x[fallback].tolist()], dtype="S24")

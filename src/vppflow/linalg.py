@@ -39,8 +39,6 @@ Operator structure:
   mu S + C.
 * solve_correction solves the constant-coefficient correction exactly by
   a DCT-II between the two stencils D and G.
-* dirichlet_bases diagonalizes the Dirichlet -Laplace on the cell and face
-  lattices by sine transforms, for the closed-form H^-1 diagnostics.
 * _matvec is the one caller of csr_matvec, a compiled CSR kernel that
   _load_csr_matvec loads from its file alone, without importing the
   package that ships it: the canonical CSR product, bitwise, written into
@@ -541,35 +539,6 @@ def solve_correction(grid: Grid, lam: float, v_tilde: np.ndarray) -> np.ndarray:
     phi[0, 0] = 0.0
     phi = _idct(_idct(phi.T).T)
     return apply_gradient(grid, phi.ravel())
-
-
-# ----------------------------------------------------------------------
-# Dirichlet -Laplace on the cell and face lattices (sine transforms)
-# ----------------------------------------------------------------------
-
-@lru_cache(maxsize=64)
-def dirichlet_basis(m: int, h: float, offset: bool):
-    """Orthonormal eigenvectors (columns) and eigenvalues of the 1D Dirichlet
-    -d2/dx2 on m samples of spacing h: at (j + 1/2) h if offset (cell
-    centres; DST-II, n = m), else at (j + 1) h (faces; DST-I, n = m + 1).
-    Mode k = 1..m has eigenvalue (2/h sin(pi k / 2n))^2, increasing in k.
-    """
-    n = m if offset else m + 1
-    k = np.arange(1, m + 1)
-    q = np.sin(np.pi / n * np.outer(np.arange(m) + (0.5 if offset else 1.0), k))
-    q /= np.linalg.norm(q, axis=0)
-    lam = (2.0 / h * np.sin(np.pi * k / (2 * n))) ** 2
-    q.setflags(write=False)
-    lam.setflags(write=False)
-    return q, lam
-
-
-def dirichlet_bases(grid: Grid, which: str):
-    """((qx, lam_x), (qy, lam_y)), the per-axis dirichlet_basis of the "cell"
-    (nx x ny), "u" (interior u faces, (nx-1) x ny) or "v" (nx x (ny-1)) lattice."""
-    x_off, y_off = {"cell": (True, True), "u": (False, True), "v": (True, False)}[which]
-    return (dirichlet_basis(grid.nx if x_off else grid.nx - 1, grid.hx, x_off),
-            dirichlet_basis(grid.ny if y_off else grid.ny - 1, grid.hy, y_off))
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from . import operators
 from .grid import Grid, PressureField, VelocityField
 
 
-def _require_unit_square(grid: Grid):
+def require_unit_square(grid: Grid):
     if not (abs(grid.lx - 1.0) < 1e-14 and abs(grid.ly - 1.0) < 1e-14):
         raise ValueError("the manufactured vortex is defined on the unit square")
 
@@ -40,13 +40,13 @@ def _taylor_green_shape(grid: Grid) -> VelocityField:
 
 
 def taylor_green_velocity(t: float, grid: Grid, mu: float) -> VelocityField:
-    _require_unit_square(grid)
+    require_unit_square(grid)
     # (sin cos) decay rounds as the unfactored sin cos decay
     return _taylor_green_shape(grid) * np.exp(-2.0 * np.pi**2 * mu * t)
 
 
 def taylor_green_pressure(t: float, grid: Grid, mu: float) -> PressureField:
-    _require_unit_square(grid)
+    require_unit_square(grid)
     decay = np.exp(-4.0 * np.pi**2 * mu * t)
     x, y = grid.cell_coords()
     p = 0.25 * (np.cos(2 * np.pi * x) + np.cos(2 * np.pi * y)) * decay
@@ -56,7 +56,7 @@ def taylor_green_pressure(t: float, grid: Grid, mu: float) -> PressureField:
 def taylor_green_wall_slip(t: float, grid: Grid, mu: float):
     """Tangential wall trace of the vortex (its normal trace vanishes)."""
     from .linalg import WallSlip
-    _require_unit_square(grid)
+    require_unit_square(grid)
     decay = np.exp(-2.0 * np.pi**2 * mu * t)
     return WallSlip.from_functions(
         grid,

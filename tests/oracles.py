@@ -309,7 +309,7 @@ def taylor_green(t: float, grid, mu: float):
 
 def taylor_green_forcing(t: float, grid, mu: float) -> VelocityField:
     """Forcing that makes the vortex an exact solution: zero everywhere."""
-    manufactured._require_unit_square(grid)
+    manufactured.require_unit_square(grid)
     return VelocityField.zeros(grid)
 
 

@@ -239,6 +239,14 @@ def test_verify_subset_prints_pass_lines(tmp_path, capsys):
     assert "[PASS] A8" in out
 
 
+def test_verify_rejects_unknown_criteria_before_running_any(capsys):
+    assert main(["verify", "--criteria", "A8", "A9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown criteria A9" in captured.err
+    assert "A1 A2 A3 A4 A5 A6 A7 A8" in captured.err
+
+
 def test_verify_verb_loads_no_run_configuration_code():
     # main imports config and experiments only for the verbs that read a file
     modules = ("configparser", "vppflow.config", "vppflow.experiments")

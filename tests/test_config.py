@@ -100,6 +100,24 @@ def test_validation_errors_name_the_field():
         load_config(MINIMAL.replace("T = 0.1", "T = 0.001"))
     with pytest.raises(ConfigError, match="missing required"):
         load_config("[grid]\nnx = 8\nny = 8\n[scheme]\ndt = 0.01\n")
+    # the manufactured vortex is defined on the unit square only
+    with pytest.raises(ConfigError, match=r"\[initial\] type = taylor-green"):
+        load_config(MINIMAL.replace("ny = 16", "ny = 16\nlx = 2")
+                    + "[initial]\ntype = taylor-green\n")
+    with pytest.raises(ConfigError, match=r"\[forcing\] type = taylor-green"):
+        load_config(MINIMAL.replace("ny = 16", "ny = 16\nly = 0.5")
+                    + "[forcing]\ntype = taylor-green\n")
+    # a key its section's type does not read
+    with pytest.raises(ConfigError, match=r"\[initial\] path is set, but type = zero"):
+        load_config(MINIMAL + "[initial]\npath = state.npz\n")
+    with pytest.raises(ConfigError, match=r"\[forcing\] fx is set, but type = zero"):
+        load_config(MINIMAL + "[forcing]\nfx = 3\n")
+    with pytest.raises(ConfigError, match=r"\[forcing\] path is set, but type = constant"):
+        load_config(MINIMAL + "[forcing]\ntype = constant\npath = f.npz\n")
+    with pytest.raises(ConfigError, match=r"\[forcing\] fy is set, but type = file"):
+        load_config(MINIMAL + "[forcing]\ntype = file\npath = f.npz\nfy = 1\n")
+    with pytest.raises(ConfigError, match=r"\[output\] dump_every/csv: csv must name a file"):
+        load_config(MINIMAL + "[output]\ncsv =\n")
 
 
 def test_obstacle_section_parsing():
