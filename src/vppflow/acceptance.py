@@ -446,7 +446,4 @@ def run_criterion(name: str) -> CriterionResult:
 
 
 def run_all(names=None):
-    results = []
-    for name in names or sorted(CRITERIA):
-        results.append(run_criterion(name))
-    return results
+    return [run_criterion(name) for name in names or sorted(CRITERIA)]

@@ -8,6 +8,7 @@ width.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -94,15 +95,9 @@ def nikolskii_translation(series: FieldSeries, h: float) -> float:
                 pts.add(cand)
     pts = sorted(pts)
 
-    norm_cache: dict[tuple[int, int], float] = {}
-
+    @functools.cache
     def diff_norm(a: int, b: int) -> float:
-        if a == b:
-            return 0.0
-        key = (a, b)
-        if key not in norm_cache:
-            norm_cache[key] = l2_norm(series.snapshots[a] - series.snapshots[b])
-        return norm_cache[key]
+        return 0.0 if a == b else l2_norm(series.snapshots[a] - series.snapshots[b])
 
     total = 0.0
     for left, right in zip(pts[:-1], pts[1:]):

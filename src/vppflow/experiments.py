@@ -161,7 +161,7 @@ class ExperimentResult:
 
 def run_single(cfg: RunConfig, out_dir: str, tag: str = "",
                quiet: bool = True) -> ExperimentResult:
-    v0, p0 = make_initial(cfg)
+    initial = list(make_initial(cfg))   # popped into run's call: only its state keeps them
     forcing = make_forcing(cfg)
     wall_slip = make_wall_slip(cfg)
 
@@ -189,8 +189,12 @@ def run_single(cfg: RunConfig, out_dir: str, tag: str = "",
 
     finished = []       # the records of the steps done, kept if a solve fails
     try:
+        existed = os.path.exists(csv_path)
+        open(csv_path, "a", encoding="utf-8").close()   # an unwritable CSV fails before a step
+        if not existed:
+            os.remove(csv_path)
         try:
-            result = run(v0, p0, forcing, cfg.obstacle, cfg.params,
+            result = run(initial.pop(0), initial.pop(), forcing, cfg.obstacle, cfg.params,
                          record_sink=finished.append,
                          snapshot_sink=snapshot_fanout if sinks else None,
                          wall_slip_fn=wall_slip)

@@ -123,15 +123,12 @@ class Csr:
         for arr in (self.indptr, self.indices, self.data):
             arr.setflags(write=False)
 
-    def entry_rows(self) -> np.ndarray:
-        """The row of each stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
     def toarray(self) -> np.ndarray:
         """The dense matrix; np.add.at sums repeated entries in storage order,
         as a dense copy of a canonical CSR matrix does."""
         dense = np.zeros(self.shape)
-        np.add.at(dense, (self.entry_rows(), self.indices), self.data)
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        np.add.at(dense, (rows, self.indices), self.data)
         return dense
 
     def diagonal(self) -> np.ndarray:
@@ -282,24 +279,33 @@ def _nine_slot_csr(grid: Grid, data: np.ndarray) -> Csr:
     return Csr(indptr, indices, data, (n, n), diagonal_slots=diagonal_slots)
 
 
-def _write_strain(grid: Grid, data: np.ndarray):
-    """Write the entries of strain_energy_matrix into a 9-slot data array."""
-    # with a = (1/hx)^2, b = (1/hy)^2 and c = (1/hy)(1/hx): 2 exx^2 gives a u
-    # row 4a on the diagonal and -2a to W and E, 2 eyy^2 a v row 4b and -2b
-    # to S and N; gamma^2 gives a u row 2b on the diagonal (3b next to a
-    # wall), -b to S and N and +-c to the v's, and a v row the same with a.
-    # Each entry rounds as in the product 2 Bxx^T Bxx + 2 Byy^T Byy +
-    # Bgamma^T W Bgamma of the difference matrices with entries +-1/h
-    a, b, c = _strain_coefficients(grid)
-    su, sv = _slots(grid, data)
-    su[...] = [-2.0 * a, -b, 0.0, -b, -2.0 * a, -c, c, c, -c]
-    sv[...] = [-c, c, c, -c, -a, -2.0 * b, 0.0, -2.0 * b, -a]
+def _strain_diagonal(grid: Grid, mu: float = 1.0):
+    """mu diag(S) of strain_energy_matrix S in closed form, as read-only
+    (nx-1, ny) u-row and (nx, ny-1) v-row planes: 2 exx^2 gives a u row 4a
+    and gamma^2 2b, 3b next to a wall; a v row the same with a and b
+    swapped. Each entry rounds as in S, then as data *= mu scales it."""
+    a, b, _ = _strain_coefficients(grid)
     gu = np.full(grid.ny, 2.0 * b)
     gu[[0, -1]] = 3.0 * b
     gv = np.full((grid.nx, 1), 2.0 * a)
     gv[[0, -1]] = 3.0 * a
-    su[..., 2] = 4.0 * a + gu
-    sv[..., 6] = 4.0 * b + gv
+    return (np.broadcast_to((4.0 * a + gu) * mu, (grid.nx - 1, grid.ny)),
+            np.broadcast_to((4.0 * b + gv) * mu, (grid.nx, grid.ny - 1)))
+
+
+def _write_strain(grid: Grid, data: np.ndarray):
+    """Write the entries of strain_energy_matrix into a 9-slot data array."""
+    # with a = (1/hx)^2, b = (1/hy)^2 and c = (1/hy)(1/hx): 2 exx^2 gives a u
+    # row -2a to W and E, 2 eyy^2 a v row -2b to S and N; gamma^2 gives a u
+    # row -b to S and N and +-c to the v's, and a v row the same with a; the
+    # self slots are _strain_diagonal. Each entry rounds as in the product
+    # 2 Bxx^T Bxx + 2 Byy^T Byy + Bgamma^T W Bgamma of the difference
+    # matrices with entries +-1/h
+    a, b, c = _strain_coefficients(grid)
+    su, sv = _slots(grid, data)
+    su[...] = [-2.0 * a, -b, 0.0, -b, -2.0 * a, -c, c, c, -c]
+    sv[...] = [-c, c, c, -c, -a, -2.0 * b, 0.0, -2.0 * b, -a]
+    su[..., 2], sv[..., 6] = _strain_diagonal(grid)
     # the padding slots of the rows next to a wall
     su[0, :, 0] = su[-1, :, 4] = 0.0
     su[:, 0, [1, 5, 7]] = 0.0
@@ -403,20 +409,16 @@ def boundary_rhs(grid: Grid, v_prev: VelocityField, mu: float,
     ru = rhs[:layout.nu].reshape(grid.nx - 1, grid.ny)
     rv = rhs[layout.nu:].reshape(grid.nx, grid.ny - 1)
 
-    # advecting v averaged to the first interior u row / last interior u row
-    v_node1 = 0.5 * (vp[:-1, 1] + vp[1:, 1])
-    v_node_top = 0.5 * (vp[:-1, -2] + vp[1:, -2])
-    vface_b = 0.5 * v_node1
-    vface_t = 0.5 * v_node_top
+    # advecting v averaged to the first / last interior u row, then halved
+    vface_b = 0.5 * (0.5 * (vp[:-1, 1] + vp[1:, 1]))
+    vface_t = 0.5 * (0.5 * (vp[:-1, -2] + vp[1:, -2]))
     ru[:, 0] += (2.0 * mu / hy**2) * slip.u_bottom[1:-1] \
         + 0.5 * vface_b * slip.u_bottom[1:-1] / hy
     ru[:, -1] += (2.0 * mu / hy**2) * slip.u_top[1:-1] \
         - 0.5 * vface_t * slip.u_top[1:-1] / hy
 
-    u_node1 = 0.5 * (up[1, :-1] + up[1, 1:])
-    u_node_right = 0.5 * (up[-2, :-1] + up[-2, 1:])
-    uface_l = 0.5 * u_node1
-    uface_r = 0.5 * u_node_right
+    uface_l = 0.5 * (0.5 * (up[1, :-1] + up[1, 1:]))
+    uface_r = 0.5 * (0.5 * (up[-2, :-1] + up[-2, 1:]))
     rv[0, :] += (2.0 * mu / hx**2) * slip.v_left[1:-1] \
         + 0.5 * uface_l * slip.v_left[1:-1] / hx
     rv[-1, :] += (2.0 * mu / hx**2) * slip.v_right[1:-1] \
@@ -429,28 +431,27 @@ class PredictionBuffers:
 
     data is the 9-slot data of the prediction operator, the one 9n array
     of a run: after the first assembly it holds mu S, with 1/dt + chi/eta
-    added on the self slots for the face mask chi it was last built for,
-    and mu S + C of the latest assembly in the W, S, N and E slot planes.
-    operator is the Csr on grid's cached 9-slot pattern whose data is a
-    read-only view of it. mu_diag is mu diag(S), kept from the first
-    assembly for the rebuilds of the self slots, minv the Jacobi inverse of
-    the operator's diagonal, and work the four BiCGStab work vectors.
-    assemble_prediction writes data, mu_diag and minv; solve reads minv
-    and uses work. One set serves one grid and one SchemeParams.
+    added on the self slots for the face mask chi they were last built
+    for, and mu S + C of the latest assembly in the W, S, N and E slot
+    planes. operator is the Csr on grid's cached 9-slot pattern whose data
+    is a read-only view of it, minv the Jacobi inverse of its diagonal and
+    work the four BiCGStab work vectors. Neither chi nor mu diag(S) is
+    kept: the self slots are rebuilt from the caller's chi and from
+    _strain_diagonal. One set serves one grid and one SchemeParams.
     """
 
     def __init__(self, grid: Grid):
         n = face_layout(grid).n
         self.data = np.empty(9 * n)
         self.operator = _nine_slot_csr(grid, self.data[:])
-        self.mu_diag = None
         self.minv = np.empty(n)
         self.work = np.empty((4, n))
-        self.chi = None
+        self.assembled = False   # whether data holds an assembly
 
 
 def assemble_prediction(grid, params, v_prev: VelocityField, chi=None,
-                        buffers: PredictionBuffers | None = None) -> Csr:
+                        buffers: PredictionBuffers | None = None,
+                        keep_diagonal: bool = False) -> Csr:
     """Momentum operator for the implicit velocity prediction.
 
     (1/dt) I + C(v_prev) - div(2 mu D(.)) + (1/eta) chi I on the interior
@@ -458,31 +459,29 @@ def assemble_prediction(grid, params, v_prev: VelocityField, chi=None,
     obstacle (FaceLayout.pack of ObstacleFrame.chi), None without one.
     The data is that of buffers (fresh ones if None). The first assembly
     into them writes the entries of S and scales them by mu in place. The
-    self slots mu S + 1/dt + chi/eta and their Jacobi inverse are written
-    then and whenever chi is another array than at the last assembly, and
-    the convection planes at every call (_write_convection), so each entry
-    rounds as C + mu S + diagonal. The operator is buffers.operator: it
-    shares the read-only pattern of strain_energy_matrix(grid), and its
-    data is a read-only view of buffers.data, so it holds the latest
-    assembly into them.
+    self slots mu diag(S) + 1/dt + chi/eta and their Jacobi inverse are
+    written then and at every later call unless keep_diagonal, which
+    leaves those of the last assembly and does not read chi. The
+    convection planes are written at every call (_write_convection), so
+    each entry rounds as C + mu S + diagonal. The operator is
+    buffers.operator: it shares the read-only pattern of
+    strain_energy_matrix(grid), and its data is a read-only view of
+    buffers.data, so it holds the latest assembly into them.
     """
     if buffers is None:
         buffers = PredictionBuffers(grid)
     data = buffers.data
-    first = buffers.mu_diag is None
+    first = not buffers.assembled
     if first:
         _write_strain(grid, data)
         data *= params.mu
-        buffers.mu_diag = buffers.operator.diagonal()
-    if first or chi is not buffers.chi:
-        d = buffers.mu_diag + (1.0 / params.dt if chi is None
-                               else 1.0 / params.dt + chi / params.eta)
-        nu = face_layout(grid).nu
+        buffers.assembled = True
+    if first or not keep_diagonal:
+        d = np.concatenate([plane.ravel() for plane in _strain_diagonal(grid, params.mu)])
+        d += 1.0 / params.dt if chi is None else 1.0 / params.dt + chi / params.eta
         u_self, v_self = buffers.operator.diagonal_slots
-        data[u_self] = d[:nu]
-        data[v_self] = d[nu:]
+        data[u_self], data[v_self] = np.split(d, [face_layout(grid).nu])
         buffers.minv[:] = _jacobi(d)
-        buffers.chi = chi
     _write_convection(grid, v_prev, params.mu, data)
     return buffers.operator
 
@@ -621,7 +620,9 @@ def _bicgstab(a, b, rtol, max_iter, x0, minv, work):
     _require_finite_residual(norm_b, 0)
     tol = rtol * norm_b
     x = np.zeros(b.shape[0]) if x0 is None else np.array(x0, dtype=np.float64)
-    r = np.array(b, dtype=np.float64) if x0 is None else np.subtract(b, _matvec(a, x))
+    r = np.array(b, dtype=np.float64) if x0 is None else _matvec(a, x)
+    if x0 is not None:
+        np.subtract(b, r, out=r)                         # b - A x0 in A x0's vector
     if _norm(r) <= tol:
         return x, 0
     r_hat = r.copy()

@@ -128,12 +128,13 @@ class Obstacle:
                 self.velocity[1] + self.omega * (x - cx))
 
     def sample_solid_velocity(self, t: float, grid: Grid) -> VelocityField:
-        """Rigid-body velocity on all faces: us at u faces, vs at v faces."""
+        """Rigid-body velocity on all faces: us at u faces, vs at v faces, as
+        read-only np.broadcast_to views of one row of us and one column of vs."""
         _, yu = grid.u_coords(sparse=True)
         xv, _ = grid.v_coords(sparse=True)
         us, vs = self.rigid_velocity(t, xv, yu)
-        return VelocityField(grid, np.broadcast_to(us, grid.shape_u).copy(),
-                             np.broadcast_to(vs, grid.shape_v).copy())
+        return VelocityField(grid, np.broadcast_to(us, grid.shape_u),
+                             np.broadcast_to(vs, grid.shape_v))
 
     def boundary_band(self, t: float, grid: Grid) -> np.ndarray:
         """Cells whose center lies within one cell diagonal of the circle.

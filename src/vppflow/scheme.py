@@ -16,8 +16,8 @@ The penalty weight is always slaved to the time step, eps = lambda * dt.
 
 What does not change from step to step is built once per run, in the
 StepWorkspace that run passes to every step: the obstacle frame of a disk
-that does not translate, its packed face mask, the prediction operator's
-data with its Jacobi inverse diagonal, and the solver's work vectors.
+that does not translate, the prediction operator's data with its Jacobi
+inverse diagonal, and the solver's work vectors.
 step called without a workspace builds a one-step one, so a single step,
 a run and the reference comparisons share one code path.
 """
@@ -94,7 +94,8 @@ class FlowState:
 
     @classmethod
     def initial(cls, v0: VelocityField, p0: PressureField) -> "FlowState":
-        return cls(n=0, t=0.0, v=v0.copy(), v_tilde=v0.copy(),
+        """The state at t = 0; v and v_tilde share v0: fields are value types."""
+        return cls(n=0, t=0.0, v=v0, v_tilde=v0,
                    v_hat=VelocityField.zeros(v0.grid), p=p0.project_mean_zero())
 
 
@@ -122,12 +123,12 @@ class StepWorkspace:
 
     A disk whose velocity is (0, 0) has center_at(t) == center bitwise, so
     its ObstacleFrame is the same at every step: it is sampled at the first
-    step only. A translating disk is sampled at every step. The packed face
-    mask chi is kept for the latest frame, and prediction holds the
-    operator data, Jacobi inverse and solver vectors
-    (linalg.PredictionBuffers), whose diagonal is rebuilt only when chi is
-    another array. One workspace serves one run: one grid, one
-    SchemeParams and one obstacle (None without one).
+    step only. A translating disk is sampled at every step. prediction
+    holds the operator data, Jacobi inverse and solver vectors
+    (linalg.PredictionBuffers), whose self slots are rebuilt only for a
+    frame other than the last one's, from its chi packed for that alone.
+    One workspace serves one run: one grid, one SchemeParams and one
+    obstacle (None without one).
     """
 
     def __init__(self, grid: Grid, params: SchemeParams, obstacle=None):
@@ -136,7 +137,7 @@ class StepWorkspace:
         self.obstacle = obstacle
         self.prediction = linalg.PredictionBuffers(grid)
         self._frame = None
-        self._packed = (None, None)   # a frame and its packed chi
+        self._diagonal_frame = None   # the frame of the last assembly
 
     def frame_at(self, t: float) -> ObstacleFrame | None:
         """The obstacle at t; None without one."""
@@ -144,13 +145,13 @@ class StepWorkspace:
             self._frame = ObstacleFrame.sample(self.obstacle, t, self.grid)
         return self._frame
 
-    def packed_chi(self, frame: ObstacleFrame | None):
-        """The face mask of frame, packed; None without an obstacle."""
-        if frame is None:
-            return None
-        if frame is not self._packed[0]:
-            self._packed = (frame, linalg.face_layout(self.grid).pack(frame.chi))
-        return self._packed[1]
+    def assemble(self, frame: ObstacleFrame | None, v_prev: VelocityField) -> linalg.Csr:
+        """The prediction operator for frame and v_prev, in prediction."""
+        keep = self.prediction.assembled and frame is self._diagonal_frame
+        chi = None if keep or frame is None else linalg.face_layout(self.grid).pack(frame.chi)
+        self._diagonal_frame = frame
+        return linalg.assemble_prediction(self.grid, self.params, v_prev, chi,
+                                          self.prediction, keep_diagonal=keep)
 
 
 def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | None,
@@ -158,8 +159,8 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     """Solve the implicit momentum prediction; returns (v_tilde, iterations).
 
     frame is the obstacle sampled at t^{n+1} (ObstacleFrame.sample), None
-    without one; its face indicator and solid velocity are packed into the
-    penalization diagonal and right-hand side. The solve starts from the
+    without one; its face indicator enters the penalization diagonal
+    and chi v_s / eta the right-hand side. The solve starts from the
     extrapolation in time of the tentative velocities v~^n = state.v_tilde
     and v~^{n-1}, v~^{n-2} = state.earlier: 3(v~^n - v~^{n-1}) + v~^{n-2}
     from step 4 on, 2 v~^n - v~^{n-1} at step 3, v~^1 at step 2 and v0 at
@@ -176,14 +177,14 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     layout = linalg.face_layout(grid)
     if workspace is None:
         workspace = StepWorkspace(grid, params)
-    chi = workspace.packed_chi(frame)
-    op = linalg.assemble_prediction(grid, params, state.v, chi, workspace.prediction)
+    op = workspace.assemble(frame, state.v)
 
     rhs = layout.pack(forcing)
     rhs += (1.0 / params.dt) * layout.pack(state.v)
     rhs -= linalg.apply_gradient(grid, state.p.p.ravel())
-    if chi is not None:
-        rhs += chi * layout.pack(frame.vs) / params.eta
+    if frame is not None:
+        chi, vs = frame.chi, frame.vs
+        rhs += layout.pack(VelocityField(grid, chi.u * vs.u, chi.v * vs.v)) / params.eta
     if wall_slip is not None:
         rhs += linalg.boundary_rhs(grid, state.v, params.mu, wall_slip)
     x0 = layout.pack(state.v_tilde)
@@ -278,6 +279,7 @@ def run(v0: VelocityField, p0: PressureField, forcing_fn, obstacle,
             raise ValueError(f"obstacle touches the boundary (clearance {gap:.3g})")
 
     state = FlowState.initial(v0, p0)
+    del v0, p0          # held from here on by the initial state alone
     initial_div = l2_norm(operators.divergence(state.v))
 
     workspace = StepWorkspace(grid, params, obstacle)

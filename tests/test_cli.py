@@ -362,6 +362,23 @@ def test_io_failure_leaves_partial_output_marker(tmp_path):
     assert os.path.exists(os.path.join(out, "PARTIAL_OUTPUT"))
 
 
+@pytest.mark.parametrize("csv", [".", "nodir/x.csv"], ids=["directory", "missing-dir"])
+def test_unwritable_csv_exits_three_before_any_step(tmp_path, capsys, monkeypatch, csv):
+    # the CSV path is checked once the output directory is known, before
+    # the first step: no step runs, no row or VTK dump is written, and the
+    # message names the path
+    from vppflow import scheme
+    steps = []
+    step = scheme.step
+    monkeypatch.setattr(scheme, "step", lambda *a, **kw: steps.append(1) or step(*a, **kw))
+    cfg = write(tmp_path, "run.ini", ZERO_RUN + f"\n[output]\ncsv = {csv}\ndump_every = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert steps == []
+    assert sorted(os.listdir(out)) == ["PARTIAL_OUTPUT"]
+    assert os.path.join(str(out), csv) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, named", [
     (ZERO_RUN + "[obstacle]\nshape = disk\nradius = 0.2\ncenter_x = 0.5\n"
      "center_y = 0.5\nchi_mode = fractoin\n", "[obstacle] radius/chi_mode"),

@@ -159,6 +159,45 @@ def test_prediction_assembly_on_the_strain_pattern(nx, ny, lx, ly, log10_mu, log
     assert np.array_equal(again.indices, s.indices)
 
 
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(2, 40), ny=st.integers(2, 40),
+       lx=st.floats(0.3, 3.0), ly=st.floats(0.3, 3.0), log10_mu=st.floats(-5.0, 1.0))
+@example(nx=2, ny=2, lx=1.0, ly=0.7, log10_mu=0.0)
+@example(nx=9, ny=4, lx=2.5, ly=0.4, log10_mu=-2.0)
+def test_closed_form_viscous_diagonal_is_that_of_mu_s(nx, ny, lx, ly, log10_mu):
+    # the self slots are rebuilt from _strain_diagonal, not from a kept copy
+    # of mu diag(S): it must be the diagonal of S scaled as data *= mu
+    # scales it, bit for bit
+    g = Grid(nx, ny, lx, ly)
+    mu = 10.0 ** log10_mu
+    scaled = linalg.strain_energy_matrix(g).data.copy()
+    scaled *= mu
+    read = linalg._nine_slot_csr(g, scaled).diagonal()
+    closed = np.concatenate([plane.ravel() for plane in linalg._strain_diagonal(g, mu)])
+    assert closed.tobytes() == read.tobytes()
+    assert all(not plane.flags.writeable for plane in linalg._strain_diagonal(g, mu))
+
+
+def test_kept_diagonal_is_that_of_the_last_chi(rng):
+    # keep_diagonal leaves the self slots and Jacobi inverse of the last
+    # assembly and reads no chi: the operator is bitwise a fresh assembly
+    # with that chi, and the buffers hold no copy of chi or of mu diag(S)
+    g = Grid(11, 7, 1.3, 0.8)
+    layout = face_layout(g)
+    params = params_for()
+    chi = rng.uniform(0.0, 1.0, layout.n)
+    adv, adv_next = (layout.unpack(rng.standard_normal(layout.n)) for _ in range(2))
+    buffers = linalg.PredictionBuffers(g)
+    linalg.assemble_prediction(g, params, adv, chi, buffers)
+    kept = linalg.assemble_prediction(g, params, adv_next, None, buffers, keep_diagonal=True)
+    fresh_buffers = linalg.PredictionBuffers(g)
+    fresh = linalg.assemble_prediction(g, params, adv_next, chi, fresh_buffers)
+    assert kept.data.tobytes() == fresh.data.tobytes()
+    assert buffers.minv.tobytes() == fresh_buffers.minv.tobytes()
+    held = [value for value in vars(buffers).values() if isinstance(value, np.ndarray)]
+    assert sorted(arr.size for arr in held) == [layout.n, 4 * layout.n, 9 * layout.n]
+
+
 def folded(m):
     """Canonical copy of a 9-slot matrix: duplicates summed, zeros dropped."""
     f = m.copy()

@@ -434,6 +434,65 @@ def test_steps_hold_no_divergence_or_gradient_matrix():
     assert 2 * n * 8 not in [trace.size for trace in snapshot.traces]
 
 
+def test_rotor_run_peaks_below_31_doubles_per_unknown():
+    # a run holds each per-run array once: no mu diag(S) or packed chi
+    # beside the operator data, v_s broadcast rather than copied, and v0
+    # shared by the initial state instead of copied twice. Measured under
+    # tracemalloc: 29.5 doubles per unknown, and 34.1 with those copies.
+    # The warm-up run fills the per-grid caches, which are not per run
+    g = Grid(64, 64)
+    params = SchemeParams(dt=1.0 / 64, t_final=8.0 / 64)
+    obstacle = Obstacle(radius=0.15, center=(0.5, 0.5), omega=1.0)
+
+    def rotor_run():
+        return scheme.run(VelocityField.zeros(g), PressureField.zeros(g), zero_forcing,
+                          obstacle, params)
+    rotor_run()
+    tracemalloc.start()
+    try:
+        result = rotor_run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 8
+    assert peak <= 31 * 8 * face_layout(g).n, peak / (8 * face_layout(g).n)
+
+
+def test_runs_share_the_initial_fields_without_writing_them(monkeypatch, tmp_path):
+    # FlowState.initial shares v0 rather than copying it, and a frame's v_s
+    # is a broadcast view: both rest on no step writing into a field
+    for v0, p0, forcing_fn, obstacle, params, slip_fn in workspace_cases():
+        before = [arr.copy() for arr in (v0.u, v0.v, p0.p)]
+        state = FlowState.initial(v0, p0)
+        assert state.v is v0 and state.v_tilde is v0
+        states = []
+        scheme.run(v0, p0, forcing_fn, obstacle, params, snapshot_sink=states.append,
+                   wall_slip_fn=slip_fn)
+        assert states[0].v is v0
+        for old, arr in zip(before, (v0.u, v0.v, p0.p), strict=True):
+            assert old.tobytes() == arr.tobytes()
+        if obstacle is not None:
+            frame = ObstacleFrame.sample(obstacle, params.dt, v0.grid)
+            for arr in (frame.vs.u, frame.vs.v):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1.0
+
+    from vppflow import config, experiments
+    cfg = config.load_config("[grid]\nnx = 16\nny = 12\n[scheme]\ndt = 0.02\nT = 0.1\n"
+                             "[obstacle]\nshape = disk\nradius = 0.15\ncenter_x = 0.4\n"
+                             "center_y = 0.5\nvel_x = 0.5\nomega = 1.0\n")
+    rng = np.random.default_rng(5)
+    v0 = random_solenoidal(cfg.grid, rng)
+    p0 = PressureField(cfg.grid, rng.standard_normal(cfg.grid.shape_p))
+    before = [arr.copy() for arr in (v0.u, v0.v, p0.p)]
+    monkeypatch.setattr(experiments, "make_initial", lambda _: (v0, p0))
+    res = experiments.run_single(cfg, str(tmp_path))
+    assert len(res.run_result.records) == 5
+    for old, arr in zip(before, (v0.u, v0.v, p0.p), strict=True):
+        assert old.tobytes() == arr.tobytes()
+
+
 def test_step_rejects_a_workspace_of_another_run():
     g, obstacle, params, state = rotor_case()
     ws = scheme.StepWorkspace(g, params, obstacle)
