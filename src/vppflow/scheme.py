@@ -146,7 +146,7 @@ class StepWorkspace:
         return self._frame
 
     def assemble(self, frame: ObstacleFrame | None, v_prev: VelocityField) -> linalg.Csr:
-        """The prediction operator for frame and v_prev, in prediction."""
+        """The operator for v_prev in prediction; self slots rebuilt only for a new frame."""
         keep = self.prediction.assembled and frame is self._diagonal_frame
         chi = None if keep or frame is None else linalg.face_layout(self.grid).pack(frame.chi)
         self._diagonal_frame = frame

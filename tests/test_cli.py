@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import vppflow
+from vppflow import scheme
 from vppflow.cli import main
 from vppflow.diagnostics import CSV_COLUMNS
 
@@ -367,7 +368,6 @@ def test_unwritable_csv_exits_three_before_any_step(tmp_path, capsys, monkeypatc
     # the CSV path is checked once the output directory is known, before
     # the first step: no step runs, no row or VTK dump is written, and the
     # message names the path
-    from vppflow import scheme
     steps = []
     step = scheme.step
     monkeypatch.setattr(scheme, "step", lambda *a, **kw: steps.append(1) or step(*a, **kw))

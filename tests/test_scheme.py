@@ -13,7 +13,7 @@ from scipy.sparse.linalg import factorized
 
 from oracles import (assemble_correction, dirichlet_laplacian, divergence_matrix,
                      gradient_matrix, to_scipy)
-from vppflow import diagnostics, linalg, operators, scheme
+from vppflow import config, diagnostics, experiments, linalg, operators, scheme
 from vppflow.diagnostics import fit_exponent
 from vppflow.grid import Grid, PressureField, VelocityField
 from vppflow.linalg import face_layout
@@ -478,7 +478,6 @@ def test_runs_share_the_initial_fields_without_writing_them(monkeypatch, tmp_pat
                 with pytest.raises(ValueError):
                     arr[0, 0] = 1.0
 
-    from vppflow import config, experiments
     cfg = config.load_config("[grid]\nnx = 16\nny = 12\n[scheme]\ndt = 0.02\nT = 0.1\n"
                              "[obstacle]\nshape = disk\nradius = 0.15\ncenter_x = 0.4\n"
                              "center_y = 0.5\nvel_x = 0.5\nomega = 1.0\n")
