@@ -6,7 +6,8 @@ Verbs:
     verify       run the acceptance suite, one pass/fail line per criterion
     print-config parse, validate and echo the configuration
 
-Exit codes: 0 success, 1 validation error, 2 solver failure, 3 I/O error.
+Exit codes: 0 success (and --help), 1 validation or usage error, 2 solver
+failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -34,12 +35,14 @@ def _build_parser():
     v = sub.add_parser("verify", help="run the acceptance criteria")
     v.add_argument("--criteria", nargs="*", default=None,
                    help="subset of criteria to run, e.g. A1 A8 (default: all)")
-    v.add_argument("--quiet", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_VALIDATION if exc.code else EXIT_OK
 
     if args.verb == "verify":
         from .acceptance import CRITERIA, run_all

@@ -146,9 +146,6 @@ class VelocityField:
         xv, yv = grid.v_coords()
         return cls(grid, fu(xu, yu), fv(xv, yv))
 
-    def copy(self) -> "VelocityField":
-        return VelocityField(self.grid, self.u.copy(), self.v.copy())
-
     def __add__(self, other: "VelocityField") -> "VelocityField":
         return VelocityField(self.grid, self.u + other.u, self.v + other.v)
 

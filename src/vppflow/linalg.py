@@ -32,11 +32,13 @@ Operator structure:
   a matrix-vector product sums them in the order the canonical matrix
   would, and the padding adds only exact zeros: the products, the
   diagonal and the solver iterates are bitwise those of the canonical
-  matrix. The prediction's data lives only in the PredictionBuffers of a
-  run: its first assembly writes S's entries there and scales them by mu
-  in place, the self slots take mu S + 1/dt + chi/eta whenever chi
-  changes, and each step rewrites only the W, S, N and E slot planes as
-  mu S + C.
+  matrix. The prediction operator and all that its solves reuse belong
+  to one PredictionBuffers per run, which assemble_prediction fills and
+  solve takes: the first assembly writes S's entries there and scales
+  them by mu in place, the self slots and their Jacobi inverse take
+  mu S + 1/dt + chi/eta only when chi is another field than the one they
+  were built for, and each step rewrites only the W, S, N and E slot
+  planes as mu S + C.
 * solve_correction solves the constant-coefficient correction exactly by
   a DCT-II between the two stencils D and G.
 * _matvec is the one caller of csr_matvec, a compiled CSR kernel that
@@ -48,10 +50,11 @@ Operator structure:
   tolerance is relative to the right-hand side, not to the initial
   residual, so a good guess stops sooner at the same absolute tolerance.
   The prediction starts from the extrapolation in time of the last
-  tentative velocities (scheme.predict). The work vectors come from the
-  run's PredictionBuffers and are updated in place, in the operation
-  order of the textbook recurrences, so the iterates are those of the
-  allocating form bit for bit.
+  tentative velocities (scheme.predict). The operator, its Jacobi
+  inverse and the work vectors come from the run's PredictionBuffers; the
+  work vectors are updated in place, in the operation order of the
+  textbook recurrences, so the iterates are those of the allocating form
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -101,17 +104,12 @@ class Csr:
     read-only, so operators can share index arrays and cached ones cannot
     be edited in place. Column indices are trusted to lie in [0, shape[1]);
     the rest of the structure is checked.
-
-    diagonal_slots, when set, are slices of data that hold each row's
-    entry on its own column, in row order, for a layout whose other entries
-    on that column are exact zeros (the 9-slot layout).
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
-    diagonal_slots: tuple[slice, ...] | None = None
 
     def __post_init__(self):
         if (self.indptr.shape != (self.shape[0] + 1,) or self.indptr[0] != 0
@@ -130,14 +128,6 @@ class Csr:
         rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
         np.add.at(dense, (rows, self.indices), self.data)
         return dense
-
-    def diagonal(self) -> np.ndarray:
-        """The diagonal, read from diagonal_slots: as a canonical CSR
-        diagonal is summed, since the padding zeros leave a self slot
-        unchanged unless it is -0.0, which no 9-slot operator holds."""
-        if self.diagonal_slots is None:
-            raise ValueError("only a Csr with diagonal_slots has a diagonal")
-        return np.concatenate([self.data[s] for s in self.diagonal_slots])
 
 
 class NonConvergence(Exception):
@@ -239,9 +229,12 @@ def _strain_coefficients(grid: Grid):
 
 @lru_cache(maxsize=32)
 def _nine_slot_pattern(grid: Grid):
-    """indptr, indices and diagonal_slots of the 9-slot layout of the
-    module docstring, read-only: the pattern that strain_energy_matrix and
-    every prediction operator on grid share."""
+    """indptr, indices and self slots of the 9-slot layout of the module
+    docstring, read-only: the pattern that strain_energy_matrix and every
+    prediction operator on grid share. The self slots are two slices of
+    data that hold each row's entry on its own column, in row order; the
+    padding zeros leave it the diagonal entry of the canonical matrix
+    unless it is -0.0, which no 9-slot operator holds."""
     layout = face_layout(grid)
     nx, ny, nu = grid.nx, grid.ny, layout.nu
     indices = np.empty(9 * layout.n, dtype=np.int32)
@@ -274,9 +267,9 @@ def _nine_slot_pattern(grid: Grid):
 
 def _nine_slot_csr(grid: Grid, data: np.ndarray) -> Csr:
     """The Csr with data on grid's 9-slot pattern."""
-    indptr, indices, diagonal_slots = _nine_slot_pattern(grid)
+    indptr, indices, _ = _nine_slot_pattern(grid)
     n = indptr.shape[0] - 1
-    return Csr(indptr, indices, data, (n, n), diagonal_slots=diagonal_slots)
+    return Csr(indptr, indices, data, (n, n))
 
 
 def _strain_diagonal(grid: Grid, mu: float = 1.0):
@@ -426,18 +419,22 @@ def boundary_rhs(grid: Grid, v_prev: VelocityField, mu: float,
     return rhs
 
 
-class PredictionBuffers:
-    """The arrays that the prediction solves of one run reuse at every step.
+_UNBUILT = object()   # the chi of buffers whose self slots were never built
 
-    data is the 9-slot data of the prediction operator, the one 9n array
-    of a run: after the first assembly it holds mu S, with 1/dt + chi/eta
-    added on the self slots for the face mask chi they were last built
-    for, and mu S + C of the latest assembly in the W, S, N and E slot
-    planes. operator is the Csr on grid's cached 9-slot pattern whose data
-    is a read-only view of it, minv the Jacobi inverse of its diagonal and
-    work the four BiCGStab work vectors. Neither chi nor mu diag(S) is
-    kept: the self slots are rebuilt from the caller's chi and from
-    _strain_diagonal. One set serves one grid and one SchemeParams.
+
+class PredictionBuffers:
+    """The prediction operator of one run and what its solves reuse.
+
+    data is the 9-slot data of the operator, the one 9n array of a run:
+    after the first assembly it holds mu S, with 1/dt + chi/eta added on
+    the self slots for the face mask chi, the field that they were last
+    built for, and mu S + C of the latest assembly in the W, S, N and E
+    slot planes. operator is the Csr on grid's cached 9-slot pattern whose
+    data is a read-only view of it, minv the Jacobi inverse of its
+    diagonal and work the four BiCGStab work vectors. chi is the field
+    itself, never a packed copy, and _UNBUILT in fresh buffers; mu diag(S)
+    is not kept but rebuilt from _strain_diagonal. One set serves one grid
+    and one SchemeParams.
     """
 
     def __init__(self, grid: Grid):
@@ -446,24 +443,25 @@ class PredictionBuffers:
         self.operator = _nine_slot_csr(grid, self.data[:])
         self.minv = np.empty(n)
         self.work = np.empty((4, n))
-        self.assembled = False   # whether data holds an assembly
+        self.chi = _UNBUILT
 
 
-def assemble_prediction(grid, params, v_prev: VelocityField, chi=None,
-                        buffers: PredictionBuffers | None = None,
-                        keep_diagonal: bool = False) -> Csr:
+def assemble_prediction(grid, params, v_prev: VelocityField, chi: VelocityField | None = None,
+                        buffers: PredictionBuffers | None = None) -> Csr:
     """Momentum operator for the implicit velocity prediction.
 
     (1/dt) I + C(v_prev) - div(2 mu D(.)) + (1/eta) chi I on the interior
-    faces, Dirichlet rows eliminated; chi is the packed face mask of the
-    obstacle (FaceLayout.pack of ObstacleFrame.chi), None without one.
-    The data is that of buffers (fresh ones if None). The first assembly
-    into them writes the entries of S and scales them by mu in place. The
-    self slots mu diag(S) + 1/dt + chi/eta and their Jacobi inverse are
-    written then and at every later call unless keep_diagonal, which
-    leaves those of the last assembly and does not read chi. The
-    convection planes are written at every call (_write_convection), so
-    each entry rounds as C + mu S + diagonal. The operator is
+    faces, Dirichlet rows eliminated; chi is the obstacle's face mask
+    (ObstacleFrame.chi), None without one. The data is that of buffers
+    (fresh ones if None). The first assembly into them writes the entries
+    of S and scales them by mu in place. The self slots
+    mu diag(S) + 1/dt + chi/eta and their Jacobi inverse are rewritten,
+    from chi packed for that alone, only when chi is not the object that
+    buffers.chi says they were built for: a field is a value type, never
+    edited after it is made, so the same object has the same values. A
+    different object with equal values rebuilds them to the same bits.
+    The convection planes are written at every call (_write_convection),
+    so each entry rounds as C + mu S + diagonal. The operator is
     buffers.operator: it shares the read-only pattern of
     strain_energy_matrix(grid), and its data is a read-only view of
     buffers.data, so it holds the latest assembly into them.
@@ -471,17 +469,18 @@ def assemble_prediction(grid, params, v_prev: VelocityField, chi=None,
     if buffers is None:
         buffers = PredictionBuffers(grid)
     data = buffers.data
-    first = not buffers.assembled
-    if first:
+    if buffers.chi is _UNBUILT:
         _write_strain(grid, data)
         data *= params.mu
-        buffers.assembled = True
-    if first or not keep_diagonal:
+    if chi is not buffers.chi:
+        layout = face_layout(grid)
         d = np.concatenate([plane.ravel() for plane in _strain_diagonal(grid, params.mu)])
-        d += 1.0 / params.dt if chi is None else 1.0 / params.dt + chi / params.eta
-        u_self, v_self = buffers.operator.diagonal_slots
-        data[u_self], data[v_self] = np.split(d, [face_layout(grid).nu])
+        d += (1.0 / params.dt if chi is None
+              else 1.0 / params.dt + layout.pack(chi) / params.eta)
+        u_self, v_self = _nine_slot_pattern(grid)[2]
+        data[u_self], data[v_self] = np.split(d, [layout.nu])
         buffers.minv[:] = _jacobi(d)
+        buffers.chi = chi
     _write_convection(grid, v_prev, params.mu, data)
     return buffers.operator
 
@@ -571,18 +570,17 @@ def _matvec(a: Csr, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def solve(a: Csr, rhs: np.ndarray, rtol: float, max_iter: int, x0=None, *,
-          buffers: PredictionBuffers):
-    """Solve a x = rhs by BiCGStab from x0 (zero if None); returns (x, iterations).
+def solve(buffers: PredictionBuffers, rhs: np.ndarray, rtol: float, max_iter: int,
+          x0=None):
+    """Solve a x = rhs by BiCGStab from x0 (zero if None) for the operator a
+    last assembled into buffers; returns (x, iterations).
 
-    a must be buffers.operator, as assemble_prediction returns it; the
-    solve takes their Jacobi inverse and work vectors. Stops once
+    The solve takes their Jacobi inverse and work vectors. Stops once
     ||rhs - a x|| <= rtol ||rhs||, whatever x0 is, and raises
     NonConvergence if the residual stays above that after max_iter
     iterations. rhs and x0 are not modified, and x is a fresh array.
     """
-    if a is not buffers.operator:
-        raise ValueError("the buffers hold another operator than a")
+    a = buffers.operator
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match operator {a.shape}")
     return _bicgstab(a, rhs, rtol, max_iter, x0, buffers.minv, buffers.work)

@@ -64,8 +64,7 @@ def coupled_step(v_prev: VelocityField, forcing: VelocityField, obstacle, params
     nc = grid.ncells
 
     frame = ObstacleFrame.sample(obstacle, params.dt, grid)
-    chi = None if frame is None else layout.pack(frame.chi)
-    a = linalg.assemble_prediction(grid, params, v_prev, chi)
+    a = linalg.assemble_prediction(grid, params, v_prev, frame and frame.chi)
 
     size = n + nc + 1
     mat = np.zeros((size, size))
@@ -79,8 +78,8 @@ def coupled_step(v_prev: VelocityField, forcing: VelocityField, obstacle, params
     rhs_field = forcing + (1.0 / params.dt) * v_prev
     rhs = np.zeros(size)
     rhs[:n] = layout.pack(rhs_field)
-    if chi is not None:
-        rhs[:n] += chi * layout.pack(frame.vs) / params.eta
+    if frame is not None:
+        rhs[:n] += layout.pack(frame.chi) * layout.pack(frame.vs) / params.eta
 
     sol = solve_dense(mat, rhs)
     v_new = layout.unpack(sol[:n])

@@ -16,8 +16,9 @@ The penalty weight is always slaved to the time step, eps = lambda * dt.
 
 What does not change from step to step is built once per run, in the
 StepWorkspace that run passes to every step: the obstacle frame of a disk
-that does not translate, the prediction operator's data with its Jacobi
-inverse diagonal, and the solver's work vectors.
+that does not translate, and the prediction's linalg.PredictionBuffers
+(the operator's data with its Jacobi inverse diagonal and the solver's
+work vectors).
 step called without a workspace builds a one-step one, so a single step,
 a run and the reference comparisons share one code path.
 """
@@ -123,12 +124,11 @@ class StepWorkspace:
 
     A disk whose velocity is (0, 0) has center_at(t) == center bitwise, so
     its ObstacleFrame is the same at every step: it is sampled at the first
-    step only. A translating disk is sampled at every step. prediction
-    holds the operator data, Jacobi inverse and solver vectors
-    (linalg.PredictionBuffers), whose self slots are rebuilt only for a
-    frame other than the last one's, from its chi packed for that alone.
-    One workspace serves one run: one grid, one SchemeParams and one
-    obstacle (None without one).
+    step only. A translating disk is sampled at every step. prediction is
+    the run's linalg.PredictionBuffers; as the same frame passes the same
+    chi, the self slots of a still disk's operator are built once, those
+    of a translating disk's at every step. One workspace serves one run:
+    one grid, one SchemeParams and one obstacle (None without one).
     """
 
     def __init__(self, grid: Grid, params: SchemeParams, obstacle=None):
@@ -137,21 +137,12 @@ class StepWorkspace:
         self.obstacle = obstacle
         self.prediction = linalg.PredictionBuffers(grid)
         self._frame = None
-        self._diagonal_frame = None   # the frame of the last assembly
 
     def frame_at(self, t: float) -> ObstacleFrame | None:
         """The obstacle at t; None without one."""
         if self._frame is None or self.obstacle.velocity != (0.0, 0.0):
             self._frame = ObstacleFrame.sample(self.obstacle, t, self.grid)
         return self._frame
-
-    def assemble(self, frame: ObstacleFrame | None, v_prev: VelocityField) -> linalg.Csr:
-        """The operator for v_prev in prediction; self slots rebuilt only for a new frame."""
-        keep = self.prediction.assembled and frame is self._diagonal_frame
-        chi = None if keep or frame is None else linalg.face_layout(self.grid).pack(frame.chi)
-        self._diagonal_frame = frame
-        return linalg.assemble_prediction(self.grid, self.params, v_prev, chi,
-                                          self.prediction, keep_diagonal=keep)
 
 
 def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | None,
@@ -177,7 +168,8 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     layout = linalg.face_layout(grid)
     if workspace is None:
         workspace = StepWorkspace(grid, params)
-    op = workspace.assemble(frame, state.v)
+    linalg.assemble_prediction(grid, params, state.v, frame and frame.chi,
+                               workspace.prediction)
 
     rhs = layout.pack(forcing)
     rhs += (1.0 / params.dt) * layout.pack(state.v)
@@ -195,8 +187,8 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     elif state.earlier:
         x0 *= 2.0
         x0 -= state.earlier[0]
-    x, iters = linalg.solve(op, rhs, params.prediction_rtol, params.max_iter, x0=x0,
-                            buffers=workspace.prediction)
+    x, iters = linalg.solve(workspace.prediction, rhs, params.prediction_rtol,
+                            params.max_iter, x0=x0)
     return layout.unpack(x), iters
 
 

@@ -167,8 +167,7 @@ def strain_energy_reference(grid) -> Csr:
     sv[..., 6] = 4.0 * b + gv
     data[~present] = 0.0
     return Csr(9 * np.arange(layout.n + 1, dtype=np.int32), cols.reshape(-1).astype(np.int32),
-               data.reshape(-1), (layout.n, layout.n),
-               diagonal_slots=(slice(2, 9 * nu, 9), slice(9 * nu + 6, None, 9)))
+               data.reshape(-1), (layout.n, layout.n))
 
 
 def convection_matrix(grid, vel_prev: VelocityField) -> Csr:

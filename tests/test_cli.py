@@ -248,6 +248,18 @@ def test_verify_rejects_unknown_criteria_before_running_any(capsys):
     assert "A1 A2 A3 A4 A5 A6 A7 A8" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["run"], ["bogus"], ["verify", "--quiet"]])
+def test_usage_errors_exit_one(argv, capsys):
+    # exit 2 is a solver failure; argparse's own usage exit is mapped to 1
+    assert main(argv) == 1
+    assert "usage: vppflow" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: vppflow" in capsys.readouterr().out
+
+
 def test_verify_verb_loads_no_run_configuration_code():
     # main imports config and experiments only for the verbs that read a file
     modules = ("configparser", "vppflow.config", "vppflow.experiments")

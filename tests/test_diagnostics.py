@@ -199,7 +199,7 @@ def test_slip_error_ignores_fields_away_from_band(rng):
                         rng.standard_normal(g.shape_v))
     base = diagnostics.slip_error(vel, frame)
     # perturb only far outside the band (near the domain corner)
-    far = vel.copy()
+    far = VelocityField(g, vel.u.copy(), vel.v.copy())
     far.u[:5, :5] += 100.0
     assert diagnostics.slip_error(far, frame) == pytest.approx(base)
 

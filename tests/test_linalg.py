@@ -142,7 +142,7 @@ def test_prediction_assembly_on_the_strain_pattern(nx, ny, lx, ly, log10_mu, log
     assert np.array_equal(c.toarray(), _slow_convection_dense(g, adv))
 
     s = linalg.strain_energy_matrix(g)
-    a = linalg.assemble_prediction(g, params, adv, chi)
+    a = linalg.assemble_prediction(g, params, adv, layout.unpack(chi))
     assert np.array_equal(a.indptr, s.indptr)
     assert np.array_equal(a.indices, s.indices)
     summed = c + params.mu * to_scipy(s) + sp.diags(1.0 / params.dt + chi / params.eta)
@@ -154,7 +154,7 @@ def test_prediction_assembly_on_the_strain_pattern(nx, ny, lx, ly, log10_mu, log
         a.indices[0] = 1
     with pytest.raises(ValueError):
         a.indptr[-1] = 0
-    again = linalg.assemble_prediction(g, params, adv, chi)
+    again = linalg.assemble_prediction(g, params, adv, layout.unpack(chi))
     assert np.array_equal(to_scipy(again).toarray(), to_scipy(a).toarray())
     assert np.array_equal(again.indices, s.indices)
 
@@ -172,30 +172,67 @@ def test_closed_form_viscous_diagonal_is_that_of_mu_s(nx, ny, lx, ly, log10_mu):
     mu = 10.0 ** log10_mu
     scaled = linalg.strain_energy_matrix(g).data.copy()
     scaled *= mu
-    read = linalg._nine_slot_csr(g, scaled).diagonal()
+    read = np.concatenate([scaled[s] for s in linalg._nine_slot_pattern(g)[2]])
     closed = np.concatenate([plane.ravel() for plane in linalg._strain_diagonal(g, mu)])
     assert closed.tobytes() == read.tobytes()
     assert all(not plane.flags.writeable for plane in linalg._strain_diagonal(g, mu))
 
 
-def test_kept_diagonal_is_that_of_the_last_chi(rng):
-    # keep_diagonal leaves the self slots and Jacobi inverse of the last
-    # assembly and reads no chi: the operator is bitwise a fresh assembly
-    # with that chi, and the buffers hold no copy of chi or of mu diag(S)
+def self_slots(grid, data):
+    """The self-slot entries of 9-slot data, in row order."""
+    return np.concatenate([data[s] for s in linalg._nine_slot_pattern(grid)[2]])
+
+
+def test_self_slots_are_rebuilt_only_for_another_chi(rng, monkeypatch):
+    # assemble_prediction rewrites the self slots and Jacobi inverse only
+    # when chi is not the object they were last built for; the buffers keep
+    # that field itself and no packed copy of it or of mu diag(S)
     g = Grid(11, 7, 1.3, 0.8)
     layout = face_layout(g)
     params = params_for()
-    chi = rng.uniform(0.0, 1.0, layout.n)
+    chi = layout.unpack(rng.uniform(0.0, 1.0, layout.n))
     adv, adv_next = (layout.unpack(rng.standard_normal(layout.n)) for _ in range(2))
+    builds = []
+    jacobi = linalg._jacobi
+
+    def counting(diagonal):
+        builds.append(1)
+        return jacobi(diagonal)
+    monkeypatch.setattr(linalg, "_jacobi", counting)
+
     buffers = linalg.PredictionBuffers(g)
     linalg.assemble_prediction(g, params, adv, chi, buffers)
-    kept = linalg.assemble_prediction(g, params, adv_next, None, buffers, keep_diagonal=True)
+    assert buffers.chi is chi and len(builds) == 1
+    # the same object: minv and the self slots are left as they are
+    buffers.minv[:] = np.nan
+    for s in linalg._nine_slot_pattern(g)[2]:
+        buffers.data[s] = np.nan
+    linalg.assemble_prediction(g, params, adv_next, chi, buffers)
+    assert len(builds) == 1
+    assert np.isnan(buffers.minv).all() and np.isnan(self_slots(g, buffers.data)).all()
+
+    # another object with equal values: rebuilt, to the bits of fresh buffers
+    equal = VelocityField(g, chi.u.copy(), chi.v.copy())
+    a = linalg.assemble_prediction(g, params, adv_next, equal, buffers)
+    assert len(builds) == 2 and buffers.chi is equal
     fresh_buffers = linalg.PredictionBuffers(g)
     fresh = linalg.assemble_prediction(g, params, adv_next, chi, fresh_buffers)
-    assert kept.data.tobytes() == fresh.data.tobytes()
+    assert a.data.tobytes() == fresh.data.tobytes()
     assert buffers.minv.tobytes() == fresh_buffers.minv.tobytes()
+    assert self_slots(g, a.data).tobytes() == to_scipy(a).diagonal().tobytes()
     held = [value for value in vars(buffers).values() if isinstance(value, np.ndarray)]
     assert sorted(arr.size for arr in held) == [layout.n, 4 * layout.n, 9 * layout.n]
+
+    # None -> field -> None rebuilds once at each change; fresh buffers
+    # build for None too
+    builds.clear()
+    buffers = linalg.PredictionBuffers(g)
+    for mask, total in ((None, 1), (None, 1), (chi, 2), (chi, 2), (None, 3), (None, 3)):
+        a = linalg.assemble_prediction(g, params, adv, mask, buffers)
+        assert len(builds) == total
+        assert buffers.chi is mask
+    no_obstacle = linalg.assemble_prediction(g, params, adv)
+    assert a.data.tobytes() == no_obstacle.data.tobytes()
 
 
 def folded(m):
@@ -220,7 +257,7 @@ def test_nine_slot_layout(nx, ny, lx, ly, seed):
     n = layout.n
     rng = np.random.default_rng(seed)
     adv = layout.unpack(rng.standard_normal(n))
-    chi = rng.uniform(0.0, 1.0, n)
+    chi = layout.unpack(rng.uniform(0.0, 1.0, n))
     s = linalg.strain_energy_matrix(g)
     c = convection_matrix(g, adv)
     a = linalg.assemble_prediction(g, params_for(), adv, chi)
@@ -266,7 +303,8 @@ def test_in_place_strain_build_is_the_index_grid_build(nx, ny, lx, ly):
     for field in ("indptr", "indices", "data"):
         got, want = getattr(s, field), getattr(ref, field)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
-    assert s.diagonal_slots == ref.diagonal_slots
+    rows = np.concatenate([ref.indices[s] for s in linalg._nine_slot_pattern(g)[2]])
+    assert np.array_equal(rows, np.arange(ref.shape[0]))
 
 
 def test_operator_builds_peak_close_to_what_they_keep():
@@ -297,8 +335,7 @@ def test_prediction_matches_matrix_free_residual_oracle(rng):
     adv = layout.unpack(rng.standard_normal(layout.n))
     obstacle = Obstacle(radius=0.25, center=(0.5, 0.5))
     chi_u, chi_v = obstacle.sample_chi_faces(0.04, g)
-    op = linalg.assemble_prediction(g, params, adv,
-                                    layout.pack(VelocityField(g, chi_u, chi_v)))
+    op = linalg.assemble_prediction(g, params, adv, VelocityField(g, chi_u, chi_v))
 
     c_dense = _slow_convection_dense(g, adv)
 
@@ -472,7 +509,7 @@ def test_solve_stops_at_a_non_finite_residual(rng, case):
     else:
         b[5] = np.nan if case == "rhs-nan" else np.inf
     with pytest.raises(NonConvergence, match="not finite") as excinfo:
-        linalg.solve(a, b, 1e-10, 20000, x0, buffers=buffers)
+        linalg.solve(buffers, b, 1e-10, 20000, x0)
     assert not np.isfinite(excinfo.value.residual)
     assert excinfo.value.iterations <= 1
     with pytest.raises(NonConvergence) as oracle_info:
@@ -492,7 +529,7 @@ def _solver_case(nx, ny, lx, ly, log10_dt, log10_eta, log10_rtol, binary, warm, 
     if binary:
         chi = np.round(chi)
     buffers = linalg.PredictionBuffers(g)
-    a = linalg.assemble_prediction(g, params, adv, chi, buffers)
+    a = linalg.assemble_prediction(g, params, adv, layout.unpack(chi), buffers)
     b = rng.standard_normal(layout.n)
     x0 = rng.standard_normal(layout.n) if warm else None
     return a, b, 10.0 ** log10_rtol, 500, x0, buffers
@@ -506,11 +543,11 @@ def _assert_solve_matches_oracle(a, b, rtol, max_iter, x0, buffers):
         x_ref, iters_ref = bicgstab(to_scipy(a), b, rtol, max_iter, x0, events)
     except NonConvergence as exc:
         with pytest.raises(NonConvergence) as excinfo:
-            linalg.solve(a, b, rtol, max_iter, x0, buffers=buffers)
+            linalg.solve(buffers, b, rtol, max_iter, x0)
         assert excinfo.value.residual == exc.residual
         assert excinfo.value.iterations == exc.iterations
         return events
-    x, iters = linalg.solve(a, b, rtol, max_iter, x0, buffers=buffers)
+    x, iters = linalg.solve(buffers, b, rtol, max_iter, x0)
     assert iters == iters_ref
     assert np.array_equal(x, x_ref)
     return events
@@ -555,7 +592,7 @@ def test_solve_leaves_its_inputs_alone(rng):
     for start in (None, x0, x_exact):
         rhs = b.copy()
         guess = None if start is None else start.copy()
-        x, iters = linalg.solve(a, rhs, rtol, max_iter, x0=guess, buffers=buffers)
+        x, iters = linalg.solve(buffers, rhs, rtol, max_iter, x0=guess)
         assert np.array_equal(rhs, b)
         assert not np.shares_memory(x, rhs)
         if start is not None:
@@ -564,21 +601,9 @@ def test_solve_leaves_its_inputs_alone(rng):
     assert iters == 0        # the exact start returns at once, as a copy
 
 
-def test_solve_rejects_a_non_csr_operator():
-    # solve takes only the Csr its buffers hold, never another form of it
-    a, b, rtol, max_iter, _, buffers = _solver_case(4, 4, 1.0, 1.0, -2, -6, -10, False,
-                                                    False, 3)
-    m = to_scipy(a)
-    for bad in (m.tocsc(), m.tocoo(), m.toarray(), m.astype(np.float32), m,
-                from_scipy(m.astype(np.float32)), from_scipy(m)):
-        with pytest.raises(ValueError, match="another operator"):
-            linalg.solve(bad, b, rtol, max_iter, buffers=buffers)
-    linalg.solve(a, b, rtol, max_iter, buffers=buffers)
-
-
 def test_solve_with_buffers_matches_the_solve_without(rng):
     # the run's buffers carry the Jacobi inverse and work vectors of the
-    # operator assembled into them, and of no other
+    # operator assembled into them
     g = Grid(7, 5, 1.1, 0.8)
     layout = face_layout(g)
     params = params_for()
@@ -586,13 +611,10 @@ def test_solve_with_buffers_matches_the_solve_without(rng):
     buffers = linalg.PredictionBuffers(g)
     a = linalg.assemble_prediction(g, params, adv, None, buffers)
     b = rng.standard_normal(layout.n)
-    x, iters = linalg.solve(a, b, 1e-10, 10000, buffers=buffers)
+    x, iters = linalg.solve(buffers, b, 1e-10, 10000)
     x_ref, iters_ref = jacobi_bicgstab(linalg.assemble_prediction(g, params, adv), b, 1e-10,
                                        10000)
     assert iters == iters_ref and np.array_equal(x, x_ref)
-    with pytest.raises(ValueError, match="another operator"):
-        linalg.solve(linalg.assemble_prediction(g, params, adv), b, 1e-10, 10000,
-                     buffers=buffers)
 
 
 def _matvec_operators(grid, rng):
@@ -601,8 +623,8 @@ def _matvec_operators(grid, rng):
     adv = layout.unpack(rng.standard_normal(layout.n))
     return {
         "S": linalg.strain_energy_matrix(grid),
-        "prediction": linalg.assemble_prediction(grid, params, adv,
-                                                 rng.uniform(0.0, 1.0, layout.n)),
+        "prediction": linalg.assemble_prediction(
+            grid, params, adv, layout.unpack(rng.uniform(0.0, 1.0, layout.n))),
         "D": divergence_matrix(grid),
         "G": gradient_matrix(grid),
         "correction": from_scipy(assemble_correction(grid, params)),
@@ -621,11 +643,8 @@ def test_matvec_is_bitwise_the_scipy_product(nx, ny, lx, ly, seed):
         x = rng.standard_normal(a.shape[1])
         expect = to_scipy(a) @ x
         assert np.array_equal(linalg._matvec(a, x), expect), name
-        if a.diagonal_slots is None:
-            with pytest.raises(ValueError):
-                a.diagonal()
-        else:
-            assert a.diagonal().tobytes() == to_scipy(a).diagonal().tobytes(), name
+        if name in ("S", "prediction"):
+            assert self_slots(g, a.data).tobytes() == to_scipy(a).diagonal().tobytes(), name
         assert a.toarray().tobytes() == to_scipy(a).toarray().tobytes(), name
 
         # a reused output is cleared first, not added to

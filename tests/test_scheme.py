@@ -115,9 +115,10 @@ def prediction_system(state, obstacle, params):
     g = state.v.grid
     layout = face_layout(g)
     t_next = state.t + params.dt
-    chi = layout.pack(VelocityField(g, *obstacle.sample_chi_faces(t_next, g)))
+    chi_field = VelocityField(g, *obstacle.sample_chi_faces(t_next, g))
     buffers = linalg.PredictionBuffers(g)
-    op = linalg.assemble_prediction(g, params, state.v, chi, buffers)
+    op = linalg.assemble_prediction(g, params, state.v, chi_field, buffers)
+    chi = layout.pack(chi_field)
     vs = layout.pack(obstacle.sample_solid_velocity(t_next, g))
     rhs = (layout.pack(state.v) / params.dt + chi * vs / params.eta
            - layout.pack(operators.gradient(state.p)))
@@ -128,9 +129,8 @@ def test_first_prediction_from_rest_is_the_cold_solve():
     g, obstacle, params, state = rotor_case()
     frame = ObstacleFrame.sample(obstacle, params.dt, g)
     v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), frame, params)
-    op, buffers, rhs = prediction_system(state, obstacle, params)
-    x_cold, iters_cold = linalg.solve(op, rhs, params.prediction_rtol, params.max_iter,
-                                      buffers=buffers)
+    _, buffers, rhs = prediction_system(state, obstacle, params)
+    x_cold, iters_cold = linalg.solve(buffers, rhs, params.prediction_rtol, params.max_iter)
     assert iters == iters_cold > 0
     assert np.array_equal(face_layout(g).pack(v_tilde), x_cold)
 
@@ -140,9 +140,9 @@ def recorded_starts(monkeypatch):
     starts = []
     solve = linalg.solve
 
-    def recording(a, rhs, rtol, max_iter, x0=None, *, buffers):
+    def recording(buffers, rhs, rtol, max_iter, x0=None):
         starts.append(x0.copy())
-        return solve(a, rhs, rtol, max_iter, x0, buffers=buffers)
+        return solve(buffers, rhs, rtol, max_iter, x0)
     monkeypatch.setattr(linalg, "solve", recording)
     return starts
 
@@ -169,8 +169,7 @@ def test_warm_started_prediction_meets_the_rhs_relative_tolerance(monkeypatch):
     assert r <= rtol * np.linalg.norm(rhs)
     assert r > rtol * r0
 
-    _, iters_cold = linalg.solve(op, rhs, params.prediction_rtol, params.max_iter,
-                                 buffers=buffers)
+    _, iters_cold = linalg.solve(buffers, rhs, params.prediction_rtol, params.max_iter)
     assert 0 < iters < iters_cold
 
 
@@ -390,6 +389,25 @@ def test_a_run_assembles_every_prediction_into_one_buffer(monkeypatch):
     assert len(ops) == 3
     assert np.shares_memory(ops[1].data, ops[2].data)
     assert np.shares_memory(ops[0].data, ops[1].data)
+
+
+@pytest.mark.parametrize("velocity, builds", [((0.0, 0.0), 1), ((0.5, 0.0), 3)])
+def test_a_run_rebuilds_the_self_slots_once_per_new_frame(monkeypatch, velocity, builds):
+    # a still disk's frame, and so its chi, is the same object at every
+    # step: its self slots and Jacobi inverse are built once; a translating
+    # disk's are rebuilt at every step
+    calls = []
+    jacobi = linalg._jacobi
+
+    def counting(diagonal):
+        calls.append(1)
+        return jacobi(diagonal)
+    monkeypatch.setattr(linalg, "_jacobi", counting)
+    g = Grid(16, 16)
+    obstacle = Obstacle(radius=0.15, center=(0.4, 0.5), velocity=velocity, omega=1.0)
+    params = SchemeParams(dt=1.0 / 64, t_final=3.0 / 64, mu=0.1)
+    scheme.run(VelocityField.zeros(g), PressureField.zeros(g), zero_forcing, obstacle, params)
+    assert len(calls) == builds
 
 
 def test_steps_hold_one_nine_slot_data_array():
