@@ -30,8 +30,9 @@ def _build_parser():
     for verb in ("run", "sweep", "print-config"):
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="path to the INI run configuration")
-        p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+        if verb != "print-config":
+            p.add_argument("--out", default=".", help="output directory (default: .)")
+            p.add_argument("--quiet", action="store_true", help="suppress progress output")
     v = sub.add_parser("verify", help="run the acceptance criteria")
     v.add_argument("--criteria", nargs="*", default=None,
                    help="subset of criteria to run, e.g. A1 A8 (default: all)")
@@ -67,7 +68,7 @@ def main(argv=None) -> int:
     # and the run drivers costs resident memory and, without cached bytecode,
     # time
     from .config import ConfigError, load_config_file
-    from .experiments import OutputError, run_single, run_sweep
+    from .experiments import run_single, run_sweep
     from .scheme import SolverFailure
 
     try:
@@ -79,7 +80,7 @@ def main(argv=None) -> int:
         print(f"cannot read configuration: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    if not args.quiet or args.verb == "print-config":
+    if args.verb == "print-config" or not args.quiet:
         print(cfg.echo())
     if args.verb == "print-config":
         return EXIT_OK
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (OutputError, OSError) as exc:
+    except OSError as exc:      # OutputError is one
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

@@ -8,7 +8,6 @@ width.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -49,61 +48,35 @@ def pressure_grad_norm(p: PressureField) -> float:
 
 
 # ----------------------------------------------------------------------
-# Piecewise-constant-in-time series and the translation estimator
+# Translation estimator of a piecewise-constant-in-time series
 # ----------------------------------------------------------------------
 
-@dataclass
-class FieldSeries:
-    """Snapshots u^k at t^k = k dt, read as u(t) = u^k on [t^k, t^{k+1})."""
+def nikolskii_translation(snapshots, dt: float, h: float) -> float:
+    """Exact L1 time integral int_0^{T-h} ||u(t+h) - u(t)|| dt, T = n dt.
 
-    dt: float
-    snapshots: list
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if len(self.snapshots) < 1:
-            raise ValueError("series needs at least one snapshot")
-
-    @property
-    def t_final(self) -> float:
-        return self.dt * len(self.snapshots)
-
-    def value_index(self, t: float) -> int:
-        k = int(math.floor(t / self.dt + 1e-14))
-        return min(max(k, 0), len(self.snapshots) - 1)
-
-
-def nikolskii_translation(series: FieldSeries, h: float) -> float:
-    """Exact L1 time integral int_0^{T-h} ||u(t+h) - u(t)|| dt.
-
-    It is computed analytically from the overlap lengths of the
-    piecewise-constant intervals, which covers the offsets below and above
-    dt alike.
+    The n snapshots u^k are read as u(t) = u^k on [k dt, (k+1) dt). With
+    (m, r) = divmod(h, dt), so 0 <= r < dt, the shift t -> t + h moves
+    t in [k dt, (k+1) dt) to u^{k+m} for a length dt - r and to u^{k+m+1}
+    for a length r, so the integral is
+        (dt - r) sum_k ||u^{k+m} - u^k|| + r sum_k ||u^{k+m+1} - u^k||
+    over the k with both indices below n. The first sum is zero for m = 0.
     """
-    t_end = series.t_final - h
-    if h <= 0 or t_end <= 0:
-        raise ValueError(f"offset h must lie in (0, T); got h={h}, T={series.t_final}")
+    n = len(snapshots)
+    if not dt > 0:
+        raise ValueError(f"dt must be positive; got dt={dt}")
+    if n < 1:
+        raise ValueError("the series needs at least one snapshot")
+    if not 0 < h < n * dt:
+        raise ValueError(f"offset h must lie in (0, T); got h={h}, T={n * dt}")
+    m, r = divmod(h, dt)
+    m = int(m)
 
-    # breakpoints of t -> (u(t+h), u(t)) on [0, T-h]
-    dt = series.dt
-    n = len(series.snapshots)
-    pts = {0.0, t_end}
-    for k in range(n + 1):
-        for cand in (k * dt, k * dt - h):
-            if 0.0 < cand < t_end:
-                pts.add(cand)
-    pts = sorted(pts)
+    def jump_sum(lag):
+        return sum(l2_norm(snapshots[k + lag] - snapshots[k]) for k in range(n - lag))
 
-    @functools.cache
-    def diff_norm(a: int, b: int) -> float:
-        return 0.0 if a == b else l2_norm(series.snapshots[a] - series.snapshots[b])
-
-    total = 0.0
-    for left, right in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (left + right)
-        val = diff_norm(series.value_index(mid + h), series.value_index(mid))
-        total += (right - left) * val
+    total = (dt - r) * jump_sum(m) if m else 0.0
+    if r:
+        total += r * jump_sum(m + 1)
     return total
 
 

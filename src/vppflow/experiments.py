@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,25 +38,33 @@ def _load_fields(path, grid: Grid, names):
     """The arrays of the npz file at path that are among names, by name.
 
     Each is checked to have its grid shape (u faces, v faces or p cells)
-    and only finite entries; u and v must be present. A failed check
-    raises ValueError naming the file and the array.
+    and only finite entries; u and v must be present. A file that cannot be
+    opened raises OSError; a file that is no npz archive, a member numpy
+    cannot load and a failed check raise ValueError naming the file.
     """
     shapes = {"u": grid.shape_u, "v": grid.shape_v, "p": grid.shape_p}
-    out = {}
-    with np.load(path) as data:
-        for name in names:
-            if name not in data:
-                if name == "p":   # an initial pressure is optional
-                    continue
-                raise ValueError(f"{path}: no array {name!r}")
-            arr = np.asarray(data[name], dtype=float)
-            if arr.shape != shapes[name]:
-                raise ValueError(f"{path}: array {name!r} has shape {arr.shape}, "
-                                 f"expected {shapes[name]}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{path}: array {name!r} has non-finite entries")
-            out[name] = arr
-    return out
+    try:
+        with np.load(path) as data:
+            found = {name: np.asarray(data[name], dtype=float)
+                     for name in names if name in data}
+    # a .npy file loads as an array, which refuses the with statement
+    # (TypeError); a cut or corrupt zip raises BadZipFile or zlib.error, an
+    # empty file EOFError; a member numpy refuses to load or to read as
+    # floats raises ValueError or TypeError. OSError passes: exit code 3.
+    except (zipfile.BadZipFile, zlib.error, EOFError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: cannot read as an npz archive: {exc}") from exc
+    for name in names:
+        if name not in found:
+            if name == "p":   # an initial pressure is optional
+                continue
+            raise ValueError(f"{path}: no array {name!r}")
+        arr = found[name]
+        if arr.shape != shapes[name]:
+            raise ValueError(f"{path}: array {name!r} has shape {arr.shape}, "
+                             f"expected {shapes[name]}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: array {name!r} has non-finite entries")
+    return found
 
 
 def make_initial(cfg: RunConfig):
@@ -167,8 +177,8 @@ def run_single(cfg: RunConfig, out_dir: str, tag: str = "",
 
     dump_every = cfg.output.dump_every
     os.makedirs(out_dir, exist_ok=True)
-    csv_name = cfg.output.csv if not tag else f"{tag}_{cfg.output.csv}"
-    csv_path = os.path.join(out_dir, csv_name)
+    csv_dir, csv_base = os.path.split(cfg.output.csv)
+    csv_path = os.path.join(out_dir, csv_dir, f"{tag}_{csv_base}" if tag else csv_base)
 
     def dump_sink(state):
         if dump_every > 0 and state.n % dump_every == 0:

@@ -216,12 +216,15 @@ def step(state: FlowState, forcing_fn, obstacle, params: SchemeParams,
     The obstacle is sampled at most once, at t^{n+1} (StepWorkspace.frame_at);
     the StepInfo carries that frame and div v^{n+1} on to the step's
     diagnostics. workspace must have been built for this grid, params and
-    obstacle; a one-step one is built if None.
+    obstacle; a one-step one is built if None. The step is refused by count
+    once state.n reaches params.n_steps: the summed state.t may drift past
+    T by more than any fixed tolerance over a long run.
     """
+    if state.n >= params.n_steps:
+        raise ValueError(f"step {state.n + 1} past the final step: "
+                         f"n_steps={params.n_steps}")
     grid = state.v.grid
     t_next = state.t + params.dt
-    if t_next > params.t_final + 1e-12:
-        raise ValueError(f"step past final time: t={t_next} > T={params.t_final}")
     if workspace is None:
         workspace = StepWorkspace(grid, params, obstacle)
     elif (workspace.grid, workspace.params, workspace.obstacle) != (grid, params, obstacle):

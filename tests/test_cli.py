@@ -187,6 +187,16 @@ def test_sweep_members_match_standalone_runs(tmp_path):
     assert member == standalone
 
 
+def test_sweep_tags_the_base_name_of_a_csv_path(tmp_path):
+    cfg = write(tmp_path, "sweep.ini", ZERO_RUN + "[output]\ncsv = sub/d.csv\n"
+                "[sweep]\nparameter = dt\nvalues = 0.01 0.02\n")
+    out = tmp_path / "o"
+    (out / "sub").mkdir(parents=True)
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert sorted(os.listdir(out / "sub")) == ["dt0_d.csv", "dt1_d.csv"]
+    assert sorted(os.listdir(out)) == ["sub", "sweep_summary.csv"]
+
+
 def test_print_config_echoes_and_exits_zero(tmp_path, capsys):
     cfg = write(tmp_path, "run.ini", ZERO_RUN)
     assert main(["print-config", "--config", cfg]) == 0
@@ -248,7 +258,8 @@ def test_verify_rejects_unknown_criteria_before_running_any(capsys):
     assert "A1 A2 A3 A4 A5 A6 A7 A8" in captured.err
 
 
-@pytest.mark.parametrize("argv", [["run"], ["bogus"], ["verify", "--quiet"]])
+@pytest.mark.parametrize("argv", [["run"], ["bogus"], ["verify", "--quiet"],
+                                  ["print-config", "--config", "x.ini", "--quiet"]])
 def test_usage_errors_exit_one(argv, capsys):
     # exit 2 is a solver failure; argparse's own usage exit is mapped to 1
     assert main(argv) == 1
@@ -448,3 +459,31 @@ def test_bad_field_file_exits_one_naming_file_and_array(tmp_path, capsys,
     err = capsys.readouterr().err
     assert str(npz) in err
     assert f"array {name!r}" in err
+
+
+def _cut_npz(path):
+    np.savez(path, u=np.zeros(3))
+    path.write_bytes(path.read_bytes()[:40])
+
+
+@pytest.mark.parametrize("name, make", [
+    ("fields.npy", lambda path: np.save(path, np.zeros(3))),
+    ("fields.npz", _cut_npz),
+    ("fields.npz", lambda path: path.write_text("u = 0\n")),
+    ("fields.npz", lambda path: np.savez(path, u=np.array([None], dtype=object))),
+], ids=["npy", "cut-zip", "text", "object-member"])
+def test_unreadable_field_file_exits_one_naming_file(tmp_path, capsys, name, make):
+    path = tmp_path / name
+    make(path)
+    cfg = write(tmp_path, "run.ini", ZERO_RUN + f"[initial]\ntype = file\npath = {path}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"validation error: {path}: " in err
+    assert "Traceback" not in err
+
+
+def test_missing_field_file_exits_three(tmp_path, capsys):
+    path = tmp_path / "absent.npz"
+    cfg = write(tmp_path, "run.ini", ZERO_RUN + f"[forcing]\ntype = file\npath = {path}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    assert str(path) in capsys.readouterr().err

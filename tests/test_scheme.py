@@ -693,6 +693,24 @@ def test_run_executes_floor_of_t_over_dt_steps():
     assert res.final_state.n == 3
 
 
+def test_step_is_refused_by_count_not_by_the_summed_clock():
+    # 9999 summed steps of 0.01 make a t whose next step lands past
+    # T = 100 by more than 1e-12: the last step must still be taken
+    g = Grid(2, 2)
+    params = SchemeParams(dt=0.01, t_final=100.0)
+    t = 0.0
+    for _ in range(params.n_steps - 1):
+        t += params.dt
+    assert t + params.dt > params.t_final + 1e-12
+    state = dataclasses.replace(
+        FlowState.initial(VelocityField.zeros(g), PressureField.zeros(g)),
+        n=params.n_steps - 1, t=t)
+    last, _ = scheme.step(state, zero_forcing, None, params)
+    assert (last.n, last.t) == (params.n_steps, t + params.dt)
+    with pytest.raises(ValueError, match=r"step 10001 past the final step: n_steps=10000"):
+        scheme.step(last, zero_forcing, None, params)
+
+
 def test_run_energy_decay_without_forcing():
     g = Grid(24, 24)
     mu = 0.05
