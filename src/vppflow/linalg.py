@@ -12,8 +12,8 @@ Operator structure:
 * the divergence D (packed faces to cells) and the gradient G = -D^T are
   stencils applied with no matrix (apply_divergence, apply_gradient), so
   G = -D^T holds exactly and makes grad and div adjoint.
-* the viscous block is mu times strain_energy_matrix S, the Hessian of
-  the discrete strain energy 2(exx^2 + eyy^2) + gamma^2, so
+* the viscous block is mu times S, the matrix _write_strain writes: the
+  Hessian of the discrete strain energy 2(exx^2 + eyy^2) + gamma^2, so
   -div(2 mu D(.)) is symmetric positive semi-definite by construction and
   reproduces the matrix-free strain-divergence stencil row by row.
 * the convection antisymmetrizes the staggered divergence-form flux
@@ -222,7 +222,7 @@ def _slots(grid: Grid, data: np.ndarray):
 
 def _strain_coefficients(grid: Grid):
     """a = (1/hx)^2, b = (1/hy)^2 and c = (1/hy)(1/hx), rounded as the
-    entries of strain_energy_matrix are."""
+    entries _write_strain writes are."""
     ax, ay = 1.0 / grid.hx, 1.0 / grid.hy
     return ax * ax, ay * ay, ay * ax
 
@@ -230,8 +230,8 @@ def _strain_coefficients(grid: Grid):
 @lru_cache(maxsize=32)
 def _nine_slot_pattern(grid: Grid):
     """indptr, indices and self slots of the 9-slot layout of the module
-    docstring, read-only: the pattern that strain_energy_matrix and every
-    prediction operator on grid share. The self slots are two slices of
+    docstring, read-only: the pattern that _write_strain fills and every
+    prediction operator on grid shares. The self slots are two slices of
     data that hold each row's entry on its own column, in row order; the
     padding zeros leave it the diagonal entry of the canonical matrix
     unless it is -0.0, which no 9-slot operator holds."""
@@ -273,7 +273,7 @@ def _nine_slot_csr(grid: Grid, data: np.ndarray) -> Csr:
 
 
 def _strain_diagonal(grid: Grid, mu: float = 1.0):
-    """mu diag(S) of strain_energy_matrix S in closed form, as read-only
+    """mu diag(S) of the S of _write_strain in closed form, as read-only
     (nx-1, ny) u-row and (nx, ny-1) v-row planes: 2 exx^2 gives a u row 4a
     and gamma^2 2b, 3b next to a wall; a v row the same with a and b
     swapped. Each entry rounds as in S, then as data *= mu scales it."""
@@ -287,7 +287,8 @@ def _strain_diagonal(grid: Grid, mu: float = 1.0):
 
 
 def _write_strain(grid: Grid, data: np.ndarray):
-    """Write the entries of strain_energy_matrix into a 9-slot data array."""
+    """Write the entries of S, the strain-energy Hessian of the module
+    docstring, into a 9-slot data array."""
     # with a = (1/hx)^2, b = (1/hy)^2 and c = (1/hy)(1/hx): 2 exx^2 gives a u
     # row -2a to W and E, 2 eyy^2 a v row -2b to S and N; gamma^2 gives a u
     # row -b to S and N and +-c to the v's, and a v row the same with a; the
@@ -308,23 +309,6 @@ def _write_strain(grid: Grid, data: np.ndarray):
     sv[:, 0, 5] = sv[:, -1, 7] = 0.0
 
 
-def strain_energy_matrix(grid: Grid) -> Csr:
-    """Positive semi-definite matrix S with x^T S x = 2|exx|^2 + 2|eyy|^2 + |gamma|^2.
-
-    The viscous operator -div(2 mu D(.)) on the packed unknowns is mu * S.
-    exx = du/dx and eyy = dv/dy live on cells, gamma = du/dy + dv/dx on
-    nodes; wall nodes reflect a ghost value (doubling the wall coefficient)
-    and count half in the trapezoidal node quadrature, corners a quarter,
-    which reproduces the matrix-free stencil of div(2 mu D(v)). Every row
-    is written out in closed form on the 9-slot layout of the module
-    docstring. Only that pattern is cached per grid, and the prediction
-    operators share it; each call writes fresh data.
-    """
-    data = np.empty(9 * face_layout(grid).n)
-    _write_strain(grid, data)
-    return _nine_slot_csr(grid, data)
-
-
 def _write_convection(grid: Grid, vel_prev: VelocityField, mu: float, data: np.ndarray):
     """Write mu S + C(vel_prev) into the W, S, N and E slot planes of a
     9-slot data array, in place; the other slots are not touched.
@@ -334,8 +318,8 @@ def _write_convection(grid: Grid, vel_prev: VelocityField, mu: float, data: np.n
     flux through a shared cell or node enters its two faces with opposite
     signs) and the diagonal cancels, so C is that off-diagonal part: +-k
     per face pair. Every slot of these planes that holds a neighbour takes
-    exactly one such term, and its mu S entry is the interior constant of
-    strain_energy_matrix (-2a or -b in a u row, -a or -2b in a v row, times
+    exactly one such term, and its mu S entry is the interior constant
+    _write_strain writes (-2a or -b in a u row, -a or -2b in a v row, times
     mu), so mu s + k rounds as the entrywise sum mu S + C. Slots padded at a
     wall keep the zero they hold.
     """
@@ -462,8 +446,8 @@ def assemble_prediction(grid, params, v_prev: VelocityField, chi: VelocityField 
     different object with equal values rebuilds them to the same bits.
     The convection planes are written at every call (_write_convection),
     so each entry rounds as C + mu S + diagonal. The operator is
-    buffers.operator: it shares the read-only pattern of
-    strain_energy_matrix(grid), and its data is a read-only view of
+    buffers.operator: it has the read-only 9-slot pattern of grid that
+    _write_strain fills, and its data is a read-only view of
     buffers.data, so it holds the latest assembly into them.
     """
     if buffers is None:

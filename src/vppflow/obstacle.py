@@ -3,9 +3,10 @@
 The obstacle is a disk on a prescribed trajectory (uniform translation
 plus rigid rotation about its own center); Obstacle.rigid_velocity is the
 one rigid-body formula. The indicator can be sampled binary (1 where the
-cell center is inside) or as the exact covered area fraction of each
-cell; both modes are also offered at velocity faces for the penalization
-term, where the fraction mode averages the two adjacent cell fractions.
+cell center is inside) or as the covered area fraction of each cell,
+4x4-subsampled in the cells the circle may cross; both modes are also
+offered at velocity faces for the penalization term, where the fraction
+mode averages the two adjacent cell fractions.
 An ObstacleFrame holds every obstacle sample of one step (face indicator,
 solid velocity, boundary band and the rigid velocity on it), taken once,
 for the prediction and all of that step's diagnostics.

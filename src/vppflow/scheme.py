@@ -72,7 +72,10 @@ class SchemeParams:
 
     @property
     def n_steps(self) -> int:
-        return int(math.floor(self.t_final / self.dt + 1e-12))
+        # T/dt for a decimal T = k dt can fall an ulp or two short of k, more
+        # than an absolute fuzz covers once k is large: a fuzz of 4 ulps does
+        q = self.t_final / self.dt
+        return math.floor(q + 4 * math.ulp(q))
 
 
 @dataclass
@@ -260,7 +263,7 @@ class RunResult:
 def run(v0: VelocityField, p0: PressureField, forcing_fn, obstacle,
         params: SchemeParams, record_sink=None, snapshot_sink=None,
         wall_slip_fn=None) -> RunResult:
-    """Execute floor(T/dt) steps from (v0, p0).
+    """Execute params.n_steps steps from (v0, p0).
 
     Per-step DiagnosticsRecord rows are collected and also streamed to
     record_sink(record) if given; snapshot_sink(state) receives every state

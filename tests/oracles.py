@@ -27,6 +27,22 @@ def from_scipy(m) -> Csr:
     return Csr(m.indptr.copy(), m.indices.copy(), m.data.copy(), m.shape)
 
 
+def strain_energy_matrix(grid) -> Csr:
+    """Positive semi-definite matrix S with x^T S x = 2|exx|^2 + 2|eyy|^2 + |gamma|^2.
+
+    The viscous operator -div(2 mu D(.)) on the packed unknowns is mu * S.
+    exx = du/dx and eyy = dv/dy live on cells, gamma = du/dy + dv/dx on
+    nodes; wall nodes reflect a ghost value (doubling the wall coefficient)
+    and count half in the trapezoidal node quadrature, corners a quarter,
+    which reproduces the matrix-free stencil of div(2 mu D(v)). The rows
+    are those linalg._write_strain writes into every prediction operator,
+    on the 9-slot pattern they share; each call writes fresh data.
+    """
+    data = np.empty(9 * linalg.face_layout(grid).n)
+    linalg._write_strain(grid, data)
+    return linalg._nine_slot_csr(grid, data)
+
+
 def u_index(layout, i, j):
     """Packed index of interior u face (i = 1..nx-1)."""
     return (i - 1) * layout.grid.ny + j
@@ -135,7 +151,7 @@ def _index_grids(layout):
 
 
 def strain_energy_reference(grid) -> Csr:
-    """linalg.strain_energy_matrix built from padded index grids: each row's
+    """strain_energy_matrix built from padded index grids: each row's
     nine columns stacked from shifted int64 index arrays, a missing
     neighbour (-1) replaced by the row's own column, and the data zeroed
     there; the reference for the in-place build."""
@@ -172,10 +188,10 @@ def strain_energy_reference(grid) -> Csr:
 
 def convection_matrix(grid, vel_prev: VelocityField) -> Csr:
     """The skew-symmetric linearized convection C of the prediction
-    operator, alone, on the pattern of linalg.strain_energy_matrix: +-k
+    operator, alone, on the pattern of strain_energy_matrix: +-k
     added into a zero array, one strided slot plane at a time. The
     prediction operator writes mu S + C into those planes instead."""
-    s = linalg.strain_energy_matrix(grid)
+    s = strain_energy_matrix(grid)
     data = np.zeros(s.data.shape)
     nu = (grid.nx - 1) * grid.ny
     cu = data[:9 * nu].reshape(grid.nx - 1, grid.ny, 9)
@@ -274,7 +290,7 @@ def _shear_at_nodes(vel: VelocityField) -> np.ndarray:
 
 def strain_divergence(vel: VelocityField, mu: float) -> VelocityField:
     """Matrix-free div(2 mu D(v)) for a field with homogeneous Dirichlet
-    walls, the stencil that -mu linalg.strain_energy_matrix reproduces.
+    walls, the stencil that -mu strain_energy_matrix reproduces.
 
     Normal strains live at cell centers, the shear du/dy + dv/dx at nodes.
     The result is zero on boundary faces (those rows are eliminated).

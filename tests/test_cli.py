@@ -84,7 +84,8 @@ def test_csv_does_not_depend_on_blas_thread_count(tmp_path):
     # OpenBLAS splits a dot product across its threads only above 10 000
     # elements, so the grid must have more packed faces than that (80^2
     # gives 12 640); each run is a fresh process because OpenBLAS reads
-    # the variable when it loads
+    # the variable when it loads. The "1" run is the count importing
+    # vppflow sets by default, the "2" run an explicit override of it
     cfg = write(tmp_path, "rotor.ini", """
 [grid]
 nx = 80

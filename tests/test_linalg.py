@@ -15,8 +15,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import vppflow
 from oracles import (assemble_correction, bicgstab, convection_matrix, dirichlet_laplacian,
                      divergence_coo, divergence_matrix, from_scipy, gradient_matrix,
-                     jacobi_bicgstab, strain_divergence, strain_energy_reference, to_scipy,
-                     u_index, v_index)
+                     jacobi_bicgstab, strain_divergence, strain_energy_matrix,
+                     strain_energy_reference, to_scipy, u_index, v_index)
 from vppflow import linalg, operators, reference
 from vppflow.grid import Grid, PressureField, VelocityField
 from vppflow.linalg import NonConvergence, face_layout
@@ -141,7 +141,7 @@ def test_prediction_assembly_on_the_strain_pattern(nx, ny, lx, ly, log10_mu, log
     c = to_scipy(convection_matrix(g, adv))
     assert np.array_equal(c.toarray(), _slow_convection_dense(g, adv))
 
-    s = linalg.strain_energy_matrix(g)
+    s = strain_energy_matrix(g)
     a = linalg.assemble_prediction(g, params, adv, layout.unpack(chi))
     assert np.array_equal(a.indptr, s.indptr)
     assert np.array_equal(a.indices, s.indices)
@@ -170,7 +170,7 @@ def test_closed_form_viscous_diagonal_is_that_of_mu_s(nx, ny, lx, ly, log10_mu):
     # scales it, bit for bit
     g = Grid(nx, ny, lx, ly)
     mu = 10.0 ** log10_mu
-    scaled = linalg.strain_energy_matrix(g).data.copy()
+    scaled = strain_energy_matrix(g).data.copy()
     scaled *= mu
     read = np.concatenate([scaled[s] for s in linalg._nine_slot_pattern(g)[2]])
     closed = np.concatenate([plane.ravel() for plane in linalg._strain_diagonal(g, mu)])
@@ -258,7 +258,7 @@ def test_nine_slot_layout(nx, ny, lx, ly, seed):
     rng = np.random.default_rng(seed)
     adv = layout.unpack(rng.standard_normal(n))
     chi = layout.unpack(rng.uniform(0.0, 1.0, n))
-    s = linalg.strain_energy_matrix(g)
+    s = strain_energy_matrix(g)
     c = convection_matrix(g, adv)
     a = linalg.assemble_prediction(g, params_for(), adv, chi)
 
@@ -298,7 +298,7 @@ def test_in_place_strain_build_is_the_index_grid_build(nx, ny, lx, ly):
     # stacked, padded int64 index grids they replace
     assume(lx != ly)
     g = Grid(nx, ny, lx, ly)
-    s, ref = linalg.strain_energy_matrix(g), strain_energy_reference(g)
+    s, ref = strain_energy_matrix(g), strain_energy_reference(g)
     assert s.shape == ref.shape
     for field in ("indptr", "indices", "data"):
         got, want = getattr(s, field), getattr(ref, field)
@@ -316,7 +316,7 @@ def test_operator_builds_peak_close_to_what_they_keep():
     kept, excess = [], {}
     tracemalloc.start()
     try:
-        for build in (linalg.strain_energy_matrix, linalg.PredictionBuffers):
+        for build in (strain_energy_matrix, linalg.PredictionBuffers):
             tracemalloc.reset_peak()
             kept.append(build(g))
             current, peak = tracemalloc.get_traced_memory()
@@ -622,7 +622,7 @@ def _matvec_operators(grid, rng):
     params = params_for()
     adv = layout.unpack(rng.standard_normal(layout.n))
     return {
-        "S": linalg.strain_energy_matrix(grid),
+        "S": strain_energy_matrix(grid),
         "prediction": linalg.assemble_prediction(
             grid, params, adv, layout.unpack(rng.uniform(0.0, 1.0, layout.n))),
         "D": divergence_matrix(grid),
@@ -663,7 +663,7 @@ def test_matvec_is_bitwise_the_scipy_product(nx, ny, lx, ly, seed):
 
 
 def test_matvec_rejects_outputs_it_would_not_write():
-    a = linalg.strain_energy_matrix(Grid(4, 3))
+    a = strain_energy_matrix(Grid(4, 3))
     n = a.shape[0]
     x = np.ones(n)
     for out in (np.zeros(n, dtype=np.float32), np.zeros(n + 1), np.zeros(2 * n)[::2],
@@ -728,6 +728,38 @@ def test_package_import_loads_no_scipy_module():
     assert out.stdout.strip() == "[]"
 
 
+THREAD_SCRIPT = """
+import os, sys
+from vppflow import config, experiments
+cfg = config.load_config("[grid]\\nnx = 16\\nny = 16\\n[scheme]\\ndt = 0.0078125\\n"
+                         "T = 0.015625\\n[obstacle]\\nshape = disk\\nradius = 0.15\\n"
+                         "center_x = 0.5\\ncenter_y = 0.5\\nomega = 1.0\\n")
+assert len(experiments.run_single(cfg, sys.argv[1]).run_result.records) == 2
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("threads, expected", [(None, "1 1"), ("2", "2 2")],
+                         ids=["unset", "explicit"])
+def test_package_import_defaults_blas_to_one_thread(tmp_path, threads, expected):
+    # no solve calls BLAS, so importing vppflow before numpy keeps OpenBLAS
+    # from starting its helper thread; a value the caller set wins. The
+    # pytest process has imported vppflow, so its own environment already
+    # holds the default: the child's is rebuilt without the thread variables
+    if threads is not None and (os.cpu_count() or 1) < 2:
+        pytest.skip("needs two CPUs for a second OpenBLAS thread")
+    src = os.path.dirname(os.path.dirname(vppflow.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    out = subprocess.run([sys.executable, "-c", THREAD_SCRIPT, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == expected
+
+
 def test_a4_loads_no_numpy_ma():
     # fit_exponent checks its abscissae without np.unique, which imports
     # numpy.ma (about a megabyte) on first use
@@ -755,7 +787,7 @@ def test_viscous_matrix_matches_stencil_and_is_symmetric(rng):
     for dims in [(5, 3, 1.3, 0.7), (6, 6, 1.0, 1.0)]:
         g = Grid(*dims)
         layout = face_layout(g)
-        s = to_scipy(linalg.strain_energy_matrix(g))
+        s = to_scipy(strain_energy_matrix(g))
         assert abs(s - s.T).max() == 0.0
         mu = 0.42
         vel = layout.unpack(rng.standard_normal(layout.n))
@@ -863,7 +895,7 @@ def test_strain_matrix_is_dirichlet_laplacian_plus_grad_div(nx, ny, lx, ly, dyad
         lx, ly = nx * 2.0 ** log2_hx, ny * 2.0 ** log2_hy
     assume(lx != ly)
     g = Grid(nx, ny, lx, ly)
-    s = to_scipy(linalg.strain_energy_matrix(g))
+    s = to_scipy(strain_energy_matrix(g))
     d = to_scipy(divergence_matrix(g))
     ref = (sp.block_diag([dirichlet_laplacian(g, "u"),
                           dirichlet_laplacian(g, "v")]) + d.T @ d).tocsr()

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse.linalg import factorized
 
 from oracles import (assemble_correction, dirichlet_laplacian, divergence_matrix,
-                     gradient_matrix, to_scipy)
+                     gradient_matrix, strain_energy_matrix, to_scipy)
 from vppflow import config, diagnostics, experiments, linalg, operators, scheme
 from vppflow.diagnostics import fit_exponent
 from vppflow.grid import Grid, PressureField, VelocityField
@@ -53,6 +53,16 @@ def test_step_count_uses_floor():
     assert p.n_steps == 3
     p = SchemeParams(dt=1.0 / 40, t_final=0.5)
     assert p.n_steps == 20
+
+
+def test_step_count_of_a_long_run_is_not_one_short():
+    # T/dt is 21938.999999999996 and 16422.999999999996 here: a decimal
+    # T = k dt rounds to k steps, however many they are
+    assert SchemeParams(dt=0.01, t_final=219.39).n_steps == 21939
+    assert SchemeParams(dt=0.001, t_final=16.423).n_steps == 16423
+    # a T that truly falls between two steps still floors
+    assert SchemeParams(dt=0.01, t_final=219.395).n_steps == 21939
+    assert SchemeParams(dt=0.001, t_final=16.4235).n_steps == 16423
 
 
 # ------------------------------------------------------------------ predict
@@ -647,7 +657,7 @@ def test_single_step_energy_identity(nx, ny, lx, ly, seed):
     new, _ = scheme.step(state, zero_forcing, None, params)
 
     layout = face_layout(g)
-    s = to_scipy(linalg.strain_energy_matrix(g))
+    s = to_scipy(strain_energy_matrix(g))
     vt = layout.pack(new.v_tilde)
     dissipation = params.mu * (vt @ (s @ vt)) * g.cell_area
     eps, dt = params.epsilon, params.dt
