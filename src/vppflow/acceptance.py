@@ -369,7 +369,9 @@ def a8_operator_algebra() -> CriterionResult:
     def corr(x):
         return lam * x + dtd(x)
 
-    a_rest = linalg.assemble_prediction(grid, params, VelocityField.zeros(grid))
+    a_rest = linalg.assemble_prediction(linalg.PredictionBuffers(grid, params),
+                                        VelocityField.zeros(grid))
+    advecting = linalg.PredictionBuffers(grid, params)
 
     for _ in range(100):
         p = PressureField(grid, rng.standard_normal(grid.shape_p)).project_mean_zero()
@@ -385,7 +387,7 @@ def a8_operator_algebra() -> CriterionResult:
         checks["curl_grad"] = max(checks["curl_grad"], cg_val / gp_scale)
 
         adv = layout.unpack(rng.standard_normal(layout.n))
-        a_adv = linalg.assemble_prediction(grid, params, adv)
+        a_adv = linalg.assemble_prediction(advecting, adv)   # rewrites every slot of C
         w = rng.standard_normal(layout.n)
         aw, rw = linalg._matvec(a_adv, w), linalg._matvec(a_rest, w)
         quad = abs(w @ aw - w @ rw)

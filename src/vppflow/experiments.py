@@ -20,7 +20,8 @@ from . import diagnostics, operators
 from .config import RunConfig
 from .diagnostics import fit_exponent
 from .grid import Grid, PressureField, VelocityField
-from .manufactured import SpaceTimeError, taylor_green_pressure, taylor_green_velocity
+from .manufactured import (SpaceTimeError, taylor_green_pressure, taylor_green_velocity,
+                           taylor_green_wall_slip)
 from .scheme import RunResult, SolverFailure, run
 
 _FMT = "%.17g"
@@ -111,7 +112,6 @@ def make_wall_slip(cfg: RunConfig):
     """
     if cfg.forcing.kind != "taylor-green":
         return None
-    from .manufactured import taylor_green_wall_slip
     return lambda t: taylor_green_wall_slip(t, cfg.grid, cfg.params.mu)
 
 

@@ -16,6 +16,7 @@ their inputs, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +32,16 @@ def require_finite(values: dict):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def require_int(values: dict):
+    """Raise a ValueError naming the first value that is not an integer;
+    numpy integers pass, as operator.index takes them."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform rectangular MAC grid with nx-by-ny cells."""
@@ -41,6 +52,7 @@ class Grid:
     ly: float = 1.0
 
     def __post_init__(self):
+        require_int({"nx": self.nx, "ny": self.ny})
         require_finite({"lx": self.lx, "ly": self.ly})
         if self.nx < 2 or self.ny < 2:
             raise ValueError(f"grid needs nx, ny >= 2, got {self.nx}x{self.ny}")

@@ -32,13 +32,13 @@ Operator structure:
   a matrix-vector product sums them in the order the canonical matrix
   would, and the padding adds only exact zeros: the products, the
   diagonal and the solver iterates are bitwise those of the canonical
-  matrix. The prediction operator and all that its solves reuse belong
-  to one PredictionBuffers per run, which assemble_prediction fills and
-  solve takes: the first assembly writes S's entries there and scales
-  them by mu in place, the self slots and their Jacobi inverse take
-  mu S + 1/dt + chi/eta only when chi is another field than the one they
-  were built for, and each step rewrites only the W, S, N and E slot
-  planes as mu S + C.
+  matrix. The prediction operator, all that its solves reuse and the
+  run's grid and SchemeParams belong to one PredictionBuffers per run,
+  which assemble_prediction fills and solve takes: S's entries are
+  written there and scaled by mu in place when it is built, the self
+  slots and their Jacobi inverse take mu S + 1/dt + chi/eta only when
+  chi is another field than the one they were built for, and each step
+  rewrites only the W, S, N and E slot planes as mu S + C.
 * solve_correction solves the constant-coefficient correction exactly by
   a DCT-II between the two stencils D and G.
 * _matvec is the one caller of csr_matvec, a compiled CSR kernel that
@@ -46,15 +46,15 @@ Operator structure:
   package that ships it: the canonical CSR product, bitwise, written into
   a checked output vector. Every product of the solvers goes through it.
 * solve runs Jacobi-preconditioned BiCGStab (van der Vorst, 1992) from an
-  optional initial guess x0 and stops at ||b - A x|| <= rtol ||b||: the
-  tolerance is relative to the right-hand side, not to the initial
-  residual, so a good guess stops sooner at the same absolute tolerance.
-  The prediction starts from the extrapolation in time of the last
-  tentative velocities (scheme.predict). The operator, its Jacobi
-  inverse and the work vectors come from the run's PredictionBuffers; the
-  work vectors are updated in place, in the operation order of the
-  textbook recurrences, so the iterates are those of the allocating form
-  bit for bit.
+  optional initial guess x0 and stops at ||b - A x|| <= rtol ||b||, rtol
+  the prediction_rtol of the buffers' params: the tolerance is relative
+  to the right-hand side, not to the initial residual, so a good guess
+  stops sooner at the same absolute tolerance. The prediction starts
+  from the extrapolation in time of the last tentative velocities
+  (scheme.predict). The operator, its Jacobi inverse and the work
+  vectors come from the run's PredictionBuffers; the work vectors are
+  updated in place, in the operation order of the textbook recurrences,
+  so the iterates are those of the allocating form bit for bit.
 """
 
 from __future__ import annotations
@@ -407,38 +407,40 @@ _UNBUILT = object()   # the chi of buffers whose self slots were never built
 
 
 class PredictionBuffers:
-    """The prediction operator of one run and what its solves reuse.
+    """The prediction operator of one run, what its solves reuse, and the
+    one copy of the grid and SchemeParams that its assembly and solves read.
 
-    data is the 9-slot data of the operator, the one 9n array of a run:
-    after the first assembly it holds mu S, with 1/dt + chi/eta added on
-    the self slots for the face mask chi, the field that they were last
-    built for, and mu S + C of the latest assembly in the W, S, N and E
-    slot planes. operator is the Csr on grid's cached 9-slot pattern whose
-    data is a read-only view of it, minv the Jacobi inverse of its
-    diagonal and work the four BiCGStab work vectors. chi is the field
-    itself, never a packed copy, and _UNBUILT in fresh buffers; mu diag(S)
-    is not kept but rebuilt from _strain_diagonal. One set serves one grid
-    and one SchemeParams.
+    data is the 9-slot data of the operator, the one 9n array of a run: it
+    holds mu S from the start, with 1/dt + chi/eta added on the self slots
+    for the face mask chi, the field that they were last built for, and
+    mu S + C of the latest assembly in the W, S, N and E slot planes.
+    operator is the Csr on grid's cached 9-slot pattern whose data is a
+    read-only view of it, minv the Jacobi inverse of its diagonal and work
+    the four BiCGStab work vectors. chi is the field itself, never a packed
+    copy, and _UNBUILT until the self slots are first built; mu diag(S) is
+    not kept but rebuilt from _strain_diagonal.
     """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, params):
         n = face_layout(grid).n
+        self.grid, self.params = grid, params
         self.data = np.empty(9 * n)
+        _write_strain(grid, self.data)
+        self.data *= params.mu
         self.operator = _nine_slot_csr(grid, self.data[:])
         self.minv = np.empty(n)
         self.work = np.empty((4, n))
         self.chi = _UNBUILT
 
 
-def assemble_prediction(grid, params, v_prev: VelocityField, chi: VelocityField | None = None,
-                        buffers: PredictionBuffers | None = None) -> Csr:
-    """Momentum operator for the implicit velocity prediction.
+def assemble_prediction(buffers: PredictionBuffers, v_prev: VelocityField,
+                        chi: VelocityField | None = None) -> Csr:
+    """Momentum operator for the implicit velocity prediction, assembled
+    into buffers for their grid and params.
 
     (1/dt) I + C(v_prev) - div(2 mu D(.)) + (1/eta) chi I on the interior
     faces, Dirichlet rows eliminated; chi is the obstacle's face mask
-    (ObstacleFrame.chi), None without one. The data is that of buffers
-    (fresh ones if None). The first assembly into them writes the entries
-    of S and scales them by mu in place. The self slots
+    (ObstacleFrame.chi), None without one. The self slots
     mu diag(S) + 1/dt + chi/eta and their Jacobi inverse are rewritten,
     from chi packed for that alone, only when chi is not the object that
     buffers.chi says they were built for: a field is a value type, never
@@ -450,12 +452,9 @@ def assemble_prediction(grid, params, v_prev: VelocityField, chi: VelocityField 
     _write_strain fills, and its data is a read-only view of
     buffers.data, so it holds the latest assembly into them.
     """
-    if buffers is None:
-        buffers = PredictionBuffers(grid)
-    data = buffers.data
-    if buffers.chi is _UNBUILT:
-        _write_strain(grid, data)
-        data *= params.mu
+    grid, params, data = buffers.grid, buffers.params, buffers.data
+    if v_prev.grid != grid:
+        raise ValueError(f"advecting velocity on {v_prev.grid}, buffers built for {grid}")
     if chi is not buffers.chi:
         layout = face_layout(grid)
         d = np.concatenate([plane.ravel() for plane in _strain_diagonal(grid, params.mu)])
@@ -554,20 +553,20 @@ def _matvec(a: Csr, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def solve(buffers: PredictionBuffers, rhs: np.ndarray, rtol: float, max_iter: int,
-          x0=None):
+def solve(buffers: PredictionBuffers, rhs: np.ndarray, x0=None):
     """Solve a x = rhs by BiCGStab from x0 (zero if None) for the operator a
     last assembled into buffers; returns (x, iterations).
 
-    The solve takes their Jacobi inverse and work vectors. Stops once
-    ||rhs - a x|| <= rtol ||rhs||, whatever x0 is, and raises
+    The solve takes their Jacobi inverse and work vectors, and the
+    prediction_rtol and max_iter of their params. Stops once
+    ||rhs - a x|| <= prediction_rtol ||rhs||, whatever x0 is, and raises
     NonConvergence if the residual stays above that after max_iter
     iterations. rhs and x0 are not modified, and x is a fresh array.
     """
-    a = buffers.operator
+    a, p = buffers.operator, buffers.params
     if rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {rhs.shape[0]} does not match operator {a.shape}")
-    return _bicgstab(a, rhs, rtol, max_iter, x0, buffers.minv, buffers.work)
+    return _bicgstab(a, rhs, p.prediction_rtol, p.max_iter, x0, buffers.minv, buffers.work)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

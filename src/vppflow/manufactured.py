@@ -22,6 +22,7 @@ import numpy as np
 
 from . import operators
 from .grid import Grid, PressureField, VelocityField
+from .linalg import WallSlip
 
 
 def require_unit_square(grid: Grid):
@@ -55,7 +56,6 @@ def taylor_green_pressure(t: float, grid: Grid, mu: float) -> PressureField:
 
 def taylor_green_wall_slip(t: float, grid: Grid, mu: float):
     """Tangential wall trace of the vortex (its normal trace vanishes)."""
-    from .linalg import WallSlip
     require_unit_square(grid)
     decay = np.exp(-2.0 * np.pi**2 * mu * t)
     return WallSlip.from_functions(

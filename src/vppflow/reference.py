@@ -64,7 +64,8 @@ def coupled_step(v_prev: VelocityField, forcing: VelocityField, obstacle, params
     nc = grid.ncells
 
     frame = ObstacleFrame.sample(obstacle, params.dt, grid)
-    a = linalg.assemble_prediction(grid, params, v_prev, frame and frame.chi)
+    a = linalg.assemble_prediction(linalg.PredictionBuffers(grid, params), v_prev,
+                                   frame and frame.chi)
 
     size = n + nc + 1
     mat = np.zeros((size, size))

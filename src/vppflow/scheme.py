@@ -16,9 +16,9 @@ The penalty weight is always slaved to the time step, eps = lambda * dt.
 
 What does not change from step to step is built once per run, in the
 StepWorkspace that run passes to every step: the obstacle frame of a disk
-that does not translate, and the prediction's linalg.PredictionBuffers
-(the operator's data with its Jacobi inverse diagonal and the solver's
-work vectors).
+that does not translate, and the prediction's linalg.PredictionBuffers,
+the one owner of the run's grid and SchemeParams (the operator's data
+with its Jacobi inverse diagonal and the solver's work vectors).
 step called without a workspace builds a one-step one, so a single step,
 a run and the reference comparisons share one code path.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from . import linalg, operators
 from .diagnostics import l2_norm, make_record
-from .grid import Grid, PressureField, VelocityField, require_finite
+from .grid import Grid, PressureField, VelocityField, require_finite, require_int
 from .linalg import NonConvergence
 from .obstacle import ObstacleFrame
 
@@ -50,6 +50,7 @@ class SchemeParams:
     def __post_init__(self):
         require_finite({"dt": self.dt, "T": self.t_final, "lambda": self.lam,
                         "eta": self.eta, "mu": self.mu})
+        require_int({"max_iter": self.max_iter})
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.lam <= 0:
@@ -128,29 +129,29 @@ class StepWorkspace:
     A disk whose velocity is (0, 0) has center_at(t) == center bitwise, so
     its ObstacleFrame is the same at every step: it is sampled at the first
     step only. A translating disk is sampled at every step. prediction is
-    the run's linalg.PredictionBuffers; as the same frame passes the same
-    chi, the self slots of a still disk's operator are built once, those
-    of a translating disk's at every step. One workspace serves one run:
-    one grid, one SchemeParams and one obstacle (None without one).
+    the run's linalg.PredictionBuffers, which hold the grid and params the
+    workspace is built for; as the same frame passes the same chi, the
+    self slots of a still disk's operator are built once, those of a
+    translating disk's at every step. One workspace serves one run: one
+    grid, one SchemeParams and one obstacle (None without one).
     """
 
     def __init__(self, grid: Grid, params: SchemeParams, obstacle=None):
-        self.grid = grid
-        self.params = params
         self.obstacle = obstacle
-        self.prediction = linalg.PredictionBuffers(grid)
+        self.prediction = linalg.PredictionBuffers(grid, params)
         self._frame = None
 
     def frame_at(self, t: float) -> ObstacleFrame | None:
         """The obstacle at t; None without one."""
         if self._frame is None or self.obstacle.velocity != (0.0, 0.0):
-            self._frame = ObstacleFrame.sample(self.obstacle, t, self.grid)
+            self._frame = ObstacleFrame.sample(self.obstacle, t, self.prediction.grid)
         return self._frame
 
 
 def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | None,
-            params: SchemeParams, wall_slip=None, workspace: StepWorkspace | None = None):
-    """Solve the implicit momentum prediction; returns (v_tilde, iterations).
+            workspace: StepWorkspace, wall_slip=None):
+    """Solve the implicit momentum prediction with the grid and params of
+    workspace; returns (v_tilde, iterations).
 
     frame is the obstacle sampled at t^{n+1} (ObstacleFrame.sample), None
     without one; its face indicator enters the penalization diagonal
@@ -164,15 +165,12 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     the body. The stopping test stays relative to the right-hand side.
     wall_slip optionally prescribes tangential wall velocities (a
     linalg.WallSlip); the default is the homogeneous no-slip wall. The
-    operator is assembled into the workspace's buffers, a one-step
-    workspace's if None.
+    operator is assembled into the workspace's buffers and solved there.
     """
-    grid = state.v.grid
+    buffers = workspace.prediction
+    grid, params = buffers.grid, buffers.params
     layout = linalg.face_layout(grid)
-    if workspace is None:
-        workspace = StepWorkspace(grid, params)
-    linalg.assemble_prediction(grid, params, state.v, frame and frame.chi,
-                               workspace.prediction)
+    linalg.assemble_prediction(buffers, state.v, frame and frame.chi)
 
     rhs = layout.pack(forcing)
     rhs += (1.0 / params.dt) * layout.pack(state.v)
@@ -190,8 +188,7 @@ def predict(state: FlowState, forcing: VelocityField, frame: ObstacleFrame | Non
     elif state.earlier:
         x0 *= 2.0
         x0 -= state.earlier[0]
-    x, iters = linalg.solve(workspace.prediction, rhs, params.prediction_rtol,
-                            params.max_iter, x0=x0)
+    x, iters = linalg.solve(buffers, rhs, x0=x0)
     return layout.unpack(x), iters
 
 
@@ -230,15 +227,15 @@ def step(state: FlowState, forcing_fn, obstacle, params: SchemeParams,
     t_next = state.t + params.dt
     if workspace is None:
         workspace = StepWorkspace(grid, params, obstacle)
-    elif (workspace.grid, workspace.params, workspace.obstacle) != (grid, params, obstacle):
+    elif ((workspace.prediction.grid, workspace.prediction.params, workspace.obstacle)
+          != (grid, params, obstacle)):
         raise ValueError("workspace was built for another grid, params or obstacle")
     f_next = forcing_fn(t_next, grid)
     slip = wall_slip_fn(t_next) if wall_slip_fn is not None else None
     frame = workspace.frame_at(t_next)
 
     try:
-        v_tilde, pred_iters = predict(state, f_next, frame, params, wall_slip=slip,
-                                      workspace=workspace)
+        v_tilde, pred_iters = predict(state, f_next, frame, workspace, wall_slip=slip)
     except NonConvergence as exc:
         raise SolverFailure(state.n + 1, exc) from exc
     v_hat = correct(v_tilde, params)

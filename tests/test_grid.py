@@ -12,6 +12,12 @@ def test_grid_validation():
         Grid(8, 1)
     with pytest.raises(ValueError):
         Grid(8, 8, lx=-1.0)
+    # sizes must be integers, numpy ones included: a float size used to be
+    # accepted and fail at the first allocation with a TypeError
+    for nx, ny, name in ((16.5, 16, "nx"), (16, 8.0, "ny"), ("16", 16, "nx")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            Grid(nx, ny)
+    assert Grid(np.int64(16), np.int32(8)).shape_u == (17, 8)
 
 
 def test_grid_spacings_and_shapes():

@@ -28,6 +28,11 @@ def params_for(dt=0.05, mu=1e-2, lam=1.0, eta=1e-6):
     return SchemeParams(dt=dt, t_final=10 * dt, lam=lam, eta=eta, mu=mu)
 
 
+def assembled(grid, params, adv, chi=None):
+    """The prediction operator assembled into fresh buffers."""
+    return linalg.assemble_prediction(linalg.PredictionBuffers(grid, params), adv, chi)
+
+
 def random_packed(grid, rng):
     return rng.standard_normal(face_layout(grid).n)
 
@@ -50,7 +55,7 @@ def test_prediction_reduces_to_scaled_identity():
     # no advection, no obstacle, vanishing viscosity: operator = I/dt
     g = Grid(5, 5)
     params = params_for(dt=0.02, mu=1e-30)
-    op = to_scipy(linalg.assemble_prediction(g, params, VelocityField.zeros(g)))
+    op = to_scipy(assembled(g, params, VelocityField.zeros(g)))
     eye = sp.identity(op.shape[0]) / params.dt
     assert abs(op - eye).max() <= 1e-12 / params.dt
 
@@ -142,7 +147,7 @@ def test_prediction_assembly_on_the_strain_pattern(nx, ny, lx, ly, log10_mu, log
     assert np.array_equal(c.toarray(), _slow_convection_dense(g, adv))
 
     s = strain_energy_matrix(g)
-    a = linalg.assemble_prediction(g, params, adv, layout.unpack(chi))
+    a = assembled(g, params, adv, layout.unpack(chi))
     assert np.array_equal(a.indptr, s.indptr)
     assert np.array_equal(a.indices, s.indices)
     summed = c + params.mu * to_scipy(s) + sp.diags(1.0 / params.dt + chi / params.eta)
@@ -154,7 +159,7 @@ def test_prediction_assembly_on_the_strain_pattern(nx, ny, lx, ly, log10_mu, log
         a.indices[0] = 1
     with pytest.raises(ValueError):
         a.indptr[-1] = 0
-    again = linalg.assemble_prediction(g, params, adv, layout.unpack(chi))
+    again = assembled(g, params, adv, layout.unpack(chi))
     assert np.array_equal(to_scipy(again).toarray(), to_scipy(a).toarray())
     assert np.array_equal(again.indices, s.indices)
 
@@ -200,23 +205,23 @@ def test_self_slots_are_rebuilt_only_for_another_chi(rng, monkeypatch):
         return jacobi(diagonal)
     monkeypatch.setattr(linalg, "_jacobi", counting)
 
-    buffers = linalg.PredictionBuffers(g)
-    linalg.assemble_prediction(g, params, adv, chi, buffers)
+    buffers = linalg.PredictionBuffers(g, params)
+    linalg.assemble_prediction(buffers, adv, chi)
     assert buffers.chi is chi and len(builds) == 1
     # the same object: minv and the self slots are left as they are
     buffers.minv[:] = np.nan
     for s in linalg._nine_slot_pattern(g)[2]:
         buffers.data[s] = np.nan
-    linalg.assemble_prediction(g, params, adv_next, chi, buffers)
+    linalg.assemble_prediction(buffers, adv_next, chi)
     assert len(builds) == 1
     assert np.isnan(buffers.minv).all() and np.isnan(self_slots(g, buffers.data)).all()
 
     # another object with equal values: rebuilt, to the bits of fresh buffers
     equal = VelocityField(g, chi.u.copy(), chi.v.copy())
-    a = linalg.assemble_prediction(g, params, adv_next, equal, buffers)
+    a = linalg.assemble_prediction(buffers, adv_next, equal)
     assert len(builds) == 2 and buffers.chi is equal
-    fresh_buffers = linalg.PredictionBuffers(g)
-    fresh = linalg.assemble_prediction(g, params, adv_next, chi, fresh_buffers)
+    fresh_buffers = linalg.PredictionBuffers(g, params)
+    fresh = linalg.assemble_prediction(fresh_buffers, adv_next, chi)
     assert a.data.tobytes() == fresh.data.tobytes()
     assert buffers.minv.tobytes() == fresh_buffers.minv.tobytes()
     assert self_slots(g, a.data).tobytes() == to_scipy(a).diagonal().tobytes()
@@ -226,12 +231,12 @@ def test_self_slots_are_rebuilt_only_for_another_chi(rng, monkeypatch):
     # None -> field -> None rebuilds once at each change; fresh buffers
     # build for None too
     builds.clear()
-    buffers = linalg.PredictionBuffers(g)
+    buffers = linalg.PredictionBuffers(g, params)
     for mask, total in ((None, 1), (None, 1), (chi, 2), (chi, 2), (None, 3), (None, 3)):
-        a = linalg.assemble_prediction(g, params, adv, mask, buffers)
+        a = linalg.assemble_prediction(buffers, adv, mask)
         assert len(builds) == total
         assert buffers.chi is mask
-    no_obstacle = linalg.assemble_prediction(g, params, adv)
+    no_obstacle = assembled(g, params, adv)
     assert a.data.tobytes() == no_obstacle.data.tobytes()
 
 
@@ -260,7 +265,7 @@ def test_nine_slot_layout(nx, ny, lx, ly, seed):
     chi = layout.unpack(rng.uniform(0.0, 1.0, n))
     s = strain_energy_matrix(g)
     c = convection_matrix(g, adv)
-    a = linalg.assemble_prediction(g, params_for(), adv, chi)
+    a = assembled(g, params_for(), adv, chi)
 
     assert np.array_equal(s.indptr, 9 * np.arange(n + 1))
     cols = s.indices.reshape(n, 9)
@@ -314,9 +319,13 @@ def test_operator_builds_peak_close_to_what_they_keep():
     g = Grid(96, 96)
     n = face_layout(g).n
     kept, excess = [], {}
+    params = params_for()
+
+    def prediction_buffers(grid):
+        return linalg.PredictionBuffers(grid, params)
     tracemalloc.start()
     try:
-        for build in (strain_energy_matrix, linalg.PredictionBuffers):
+        for build in (strain_energy_matrix, prediction_buffers):
             tracemalloc.reset_peak()
             kept.append(build(g))
             current, peak = tracemalloc.get_traced_memory()
@@ -335,7 +344,7 @@ def test_prediction_matches_matrix_free_residual_oracle(rng):
     adv = layout.unpack(rng.standard_normal(layout.n))
     obstacle = Obstacle(radius=0.25, center=(0.5, 0.5))
     chi_u, chi_v = obstacle.sample_chi_faces(0.04, g)
-    op = linalg.assemble_prediction(g, params, adv, VelocityField(g, chi_u, chi_v))
+    op = assembled(g, params, adv, VelocityField(g, chi_u, chi_v))
 
     c_dense = _slow_convection_dense(g, adv)
 
@@ -356,7 +365,7 @@ def test_prediction_coercivity(rng):
     layout = face_layout(g)
     params = params_for(dt=0.02, mu=0.05)
     adv = layout.unpack(rng.standard_normal(layout.n))
-    op = to_scipy(linalg.assemble_prediction(g, params, adv))
+    op = to_scipy(assembled(g, params, adv))
     for _ in range(20):
         x = rng.standard_normal(layout.n)
         assert x @ (op @ x) >= (1.0 / params.dt) * (x @ x) * (1 - 1e-12)
@@ -367,7 +376,14 @@ def test_prediction_rejects_nonfinite_advecting_field():
     bad = VelocityField.zeros(g)
     bad.u[2, 2] = np.nan
     with pytest.raises(ValueError):
-        linalg.assemble_prediction(g, params_for(), bad)
+        assembled(g, params_for(), bad)
+
+
+def test_prediction_rejects_an_advecting_field_of_another_grid():
+    # the same array shapes on another domain would assemble without error
+    buffers = linalg.PredictionBuffers(Grid(4, 4), params_for())
+    with pytest.raises(ValueError, match="buffers built for"):
+        linalg.assemble_prediction(buffers, VelocityField.zeros(Grid(4, 4, lx=2.0)))
 
 
 # --------------------------------------------------------------- correction
@@ -499,8 +515,8 @@ def test_solve_stops_at_a_non_finite_residual(rng, case):
     # nan compares false with the tolerance, so without the finiteness test
     # a nan rhs ran all max_iter iterations before reporting it
     g = Grid(8, 8)
-    buffers = linalg.PredictionBuffers(g)
-    a = linalg.assemble_prediction(g, params_for(), VelocityField.zeros(g), buffers=buffers)
+    buffers = linalg.PredictionBuffers(g, dataclasses.replace(params_for(), prediction_rtol=1e-10))
+    a = linalg.assemble_prediction(buffers, VelocityField.zeros(g))
     b = random_packed(g, rng)
     x0 = None
     if case == "x0-nan":
@@ -509,7 +525,7 @@ def test_solve_stops_at_a_non_finite_residual(rng, case):
     else:
         b[5] = np.nan if case == "rhs-nan" else np.inf
     with pytest.raises(NonConvergence, match="not finite") as excinfo:
-        linalg.solve(buffers, b, 1e-10, 20000, x0)
+        linalg.solve(buffers, b, x0)
     assert not np.isfinite(excinfo.value.residual)
     assert excinfo.value.iterations <= 1
     with pytest.raises(NonConvergence) as oracle_info:
@@ -523,31 +539,33 @@ def _solver_case(nx, ny, lx, ly, log10_dt, log10_eta, log10_rtol, binary, warm, 
     g = Grid(nx, ny, lx, ly)
     layout = face_layout(g)
     rng = np.random.default_rng(seed)
-    params = SchemeParams(dt=10.0 ** log10_dt, t_final=1.0, eta=10.0 ** log10_eta)
+    params = SchemeParams(dt=10.0 ** log10_dt, t_final=1.0, eta=10.0 ** log10_eta,
+                          prediction_rtol=10.0 ** log10_rtol, max_iter=500)
     adv = layout.unpack(rng.standard_normal(layout.n))
     chi = rng.uniform(0.0, 1.0, layout.n)
     if binary:
         chi = np.round(chi)
-    buffers = linalg.PredictionBuffers(g)
-    a = linalg.assemble_prediction(g, params, adv, layout.unpack(chi), buffers)
+    buffers = linalg.PredictionBuffers(g, params)
+    a = linalg.assemble_prediction(buffers, adv, layout.unpack(chi))
     b = rng.standard_normal(layout.n)
     x0 = rng.standard_normal(layout.n) if warm else None
-    return a, b, 10.0 ** log10_rtol, 500, x0, buffers
+    return a, b, params.prediction_rtol, params.max_iter, x0, buffers
 
 
 def _assert_solve_matches_oracle(a, b, rtol, max_iter, x0, buffers):
-    """linalg.solve gives bitwise the x, the iteration count or the failure
-    of the allocating reference; returns the reference's branch events."""
+    """linalg.solve, at the rtol and max_iter of the buffers' params, gives
+    bitwise the x, the iteration count or the failure of the allocating
+    reference; returns the reference's branch events."""
     events = []
     try:
         x_ref, iters_ref = bicgstab(to_scipy(a), b, rtol, max_iter, x0, events)
     except NonConvergence as exc:
         with pytest.raises(NonConvergence) as excinfo:
-            linalg.solve(buffers, b, rtol, max_iter, x0)
+            linalg.solve(buffers, b, x0)
         assert excinfo.value.residual == exc.residual
         assert excinfo.value.iterations == exc.iterations
         return events
-    x, iters = linalg.solve(buffers, b, rtol, max_iter, x0)
+    x, iters = linalg.solve(buffers, b, x0)
     assert iters == iters_ref
     assert np.array_equal(x, x_ref)
     return events
@@ -587,12 +605,12 @@ def test_solve_is_bitwise_the_allocating_bicgstab(nx, ny, lx, ly, log10_dt, log1
 def test_solve_leaves_its_inputs_alone(rng):
     # scheme.predict reuses the packed arrays of FlowState.earlier, so the
     # solver may neither write into rhs and x0 nor hand them back
-    a, b, rtol, max_iter, x0, buffers = _solver_case(6, 5, 1.0, 0.8, -2, -6, -8, False, True, 7)
+    a, b, _, _, x0, buffers = _solver_case(6, 5, 1.0, 0.8, -2, -6, -8, False, True, 7)
     x_exact = np.linalg.solve(to_scipy(a).toarray(), b)
     for start in (None, x0, x_exact):
         rhs = b.copy()
         guess = None if start is None else start.copy()
-        x, iters = linalg.solve(buffers, rhs, rtol, max_iter, x0=guess)
+        x, iters = linalg.solve(buffers, rhs, x0=guess)
         assert np.array_equal(rhs, b)
         assert not np.shares_memory(x, rhs)
         if start is not None:
@@ -601,19 +619,50 @@ def test_solve_leaves_its_inputs_alone(rng):
     assert iters == 0        # the exact start returns at once, as a copy
 
 
+def _prediction_case(rng, **params):
+    """Buffers on an 8x8 grid holding an advecting prediction operator,
+    with a right-hand side that takes 10 to 30 iterations."""
+    g = Grid(8, 8)
+    layout = face_layout(g)
+    buffers = linalg.PredictionBuffers(g, dataclasses.replace(params_for(mu=0.5), **params))
+    a = linalg.assemble_prediction(buffers, layout.unpack(rng.standard_normal(layout.n)))
+    return a, buffers, rng.standard_normal(layout.n)
+
+
+def test_solve_stops_at_the_max_iter_of_the_buffers_params(rng):
+    _, buffers, b = _prediction_case(rng, prediction_rtol=1e-10)
+    assert linalg.solve(buffers, b)[1] > 1
+    _, buffers, b = _prediction_case(rng, prediction_rtol=1e-10, max_iter=1)
+    with pytest.raises(NonConvergence) as excinfo:
+        linalg.solve(buffers, b)
+    assert excinfo.value.iterations == 1
+
+
+def test_solve_stops_at_the_rtol_of_the_buffers_params(rng):
+    # bitwise the BiCGStab at that rtol, and a looser rtol stops sooner
+    counts = []
+    for rtol in (1e-4, 1e-12):
+        a, buffers, b = _prediction_case(rng, prediction_rtol=rtol)
+        x, iters = linalg.solve(buffers, b)
+        x_ref, iters_ref = linalg._bicgstab(a, b, rtol, buffers.params.max_iter, None,
+                                            buffers.minv, np.empty((4, b.shape[0])))
+        assert iters == iters_ref and x.tobytes() == x_ref.tobytes()
+        counts.append(iters)
+    assert 0 < counts[0] < counts[1]
+
+
 def test_solve_with_buffers_matches_the_solve_without(rng):
     # the run's buffers carry the Jacobi inverse and work vectors of the
     # operator assembled into them
     g = Grid(7, 5, 1.1, 0.8)
     layout = face_layout(g)
-    params = params_for()
+    params = dataclasses.replace(params_for(), prediction_rtol=1e-10, max_iter=10000)
     adv = layout.unpack(rng.standard_normal(layout.n))
-    buffers = linalg.PredictionBuffers(g)
-    a = linalg.assemble_prediction(g, params, adv, None, buffers)
+    buffers = linalg.PredictionBuffers(g, params)
+    linalg.assemble_prediction(buffers, adv)
     b = rng.standard_normal(layout.n)
-    x, iters = linalg.solve(buffers, b, 1e-10, 10000)
-    x_ref, iters_ref = jacobi_bicgstab(linalg.assemble_prediction(g, params, adv), b, 1e-10,
-                                       10000)
+    x, iters = linalg.solve(buffers, b)
+    x_ref, iters_ref = jacobi_bicgstab(assembled(g, params, adv), b, 1e-10, 10000)
     assert iters == iters_ref and np.array_equal(x, x_ref)
 
 
@@ -623,8 +672,8 @@ def _matvec_operators(grid, rng):
     adv = layout.unpack(rng.standard_normal(layout.n))
     return {
         "S": strain_energy_matrix(grid),
-        "prediction": linalg.assemble_prediction(
-            grid, params, adv, layout.unpack(rng.uniform(0.0, 1.0, layout.n))),
+        "prediction": assembled(grid, params, adv,
+                                layout.unpack(rng.uniform(0.0, 1.0, layout.n))),
         "D": divergence_matrix(grid),
         "G": gradient_matrix(grid),
         "correction": from_scipy(assemble_correction(grid, params)),

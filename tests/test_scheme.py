@@ -44,6 +44,10 @@ def test_params_validation():
         SchemeParams(dt=0.1, t_final=1.0, lam=-1.0)
     with pytest.raises(ValueError):
         SchemeParams(dt=0.1, t_final=1.0, mu=0.0)
+    # a float max_iter used to fail at step 1 with a TypeError from range
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        SchemeParams(dt=0.1, t_final=1.0, max_iter=2.0)
+    assert SchemeParams(dt=0.1, t_final=1.0, max_iter=np.int64(3)).max_iter == 3
     p = SchemeParams(dt=0.05, t_final=1.0, lam=0.3)
     assert p.epsilon == 0.3 * 0.05
 
@@ -85,11 +89,32 @@ def test_predict_matches_dense_solve_for_stokes_forcing(rng):
     params = tight_params(dt=0.05, mu=1.0)
     forcing = VelocityField(g, np.ones(g.shape_u), np.zeros(g.shape_v))
     state = FlowState.initial(VelocityField.zeros(g), PressureField.zeros(g))
-    v_tilde, _ = scheme.predict(state, forcing, None, params)
+    v_tilde, _ = scheme.predict(state, forcing, None, scheme.StepWorkspace(g, params))
     layout = face_layout(g)
-    op = to_scipy(linalg.assemble_prediction(g, params, state.v))
+    op = to_scipy(linalg.assemble_prediction(linalg.PredictionBuffers(g, params), state.v))
     ref = np.linalg.solve(op.toarray(), layout.pack(forcing))
     assert np.abs(layout.pack(v_tilde) - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_predict_solves_for_the_params_of_its_workspace(rng):
+    # predict reads dt, mu, eta and the solver settings from the workspace
+    # alone: for each of two params its v_tilde is that of a step run for them
+    g = Grid(8, 8)
+    state = FlowState.initial(random_solenoidal(g, rng),
+                              PressureField(g, rng.standard_normal(g.shape_p)))
+
+    def forcing_fn(t, grid):
+        return VelocityField(grid, np.full(grid.shape_u, 1.0 + t), np.zeros(grid.shape_v))
+    tildes = []
+    for params in (SchemeParams(dt=0.01, t_final=0.1, mu=1e-2),
+                   SchemeParams(dt=0.02, t_final=0.1, mu=0.5)):
+        stepped, _ = scheme.step(state, forcing_fn, None, params)
+        v_tilde, _ = scheme.predict(state, forcing_fn(params.dt, g), None,
+                                    scheme.StepWorkspace(g, params))
+        assert v_tilde.u.tobytes() == stepped.v_tilde.u.tobytes()
+        assert v_tilde.v.tobytes() == stepped.v_tilde.v.tobytes()
+        tildes.append(v_tilde)
+    assert np.abs(tildes[0].u - tildes[1].u).max() > 1e-3
 
 
 def test_predict_enforces_rigid_body_in_stiff_limit():
@@ -101,7 +126,7 @@ def test_predict_enforces_rigid_body_in_stiff_limit():
     forcing = VelocityField(g, np.ones(g.shape_u), np.zeros(g.shape_v))
     state = FlowState.initial(VelocityField.zeros(g), PressureField.zeros(g))
     frame = ObstacleFrame.sample(obstacle, params.dt, g)
-    v_tilde, _ = scheme.predict(state, forcing, frame, params)
+    v_tilde, _ = scheme.predict(state, forcing, frame, scheme.StepWorkspace(g, params))
     chi_u, chi_v = obstacle.sample_chi_faces(params.dt, g)
     inside = math.sqrt(np.sum((chi_u * v_tilde.u) ** 2)
                        + np.sum((chi_v * v_tilde.v) ** 2))
@@ -126,8 +151,8 @@ def prediction_system(state, obstacle, params):
     layout = face_layout(g)
     t_next = state.t + params.dt
     chi_field = VelocityField(g, *obstacle.sample_chi_faces(t_next, g))
-    buffers = linalg.PredictionBuffers(g)
-    op = linalg.assemble_prediction(g, params, state.v, chi_field, buffers)
+    buffers = linalg.PredictionBuffers(g, params)
+    op = linalg.assemble_prediction(buffers, state.v, chi_field)
     chi = layout.pack(chi_field)
     vs = layout.pack(obstacle.sample_solid_velocity(t_next, g))
     rhs = (layout.pack(state.v) / params.dt + chi * vs / params.eta
@@ -138,9 +163,10 @@ def prediction_system(state, obstacle, params):
 def test_first_prediction_from_rest_is_the_cold_solve():
     g, obstacle, params, state = rotor_case()
     frame = ObstacleFrame.sample(obstacle, params.dt, g)
-    v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), frame, params)
+    v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), frame,
+                                    scheme.StepWorkspace(g, params))
     _, buffers, rhs = prediction_system(state, obstacle, params)
-    x_cold, iters_cold = linalg.solve(buffers, rhs, params.prediction_rtol, params.max_iter)
+    x_cold, iters_cold = linalg.solve(buffers, rhs)
     assert iters == iters_cold > 0
     assert np.array_equal(face_layout(g).pack(v_tilde), x_cold)
 
@@ -150,9 +176,9 @@ def recorded_starts(monkeypatch):
     starts = []
     solve = linalg.solve
 
-    def recording(buffers, rhs, rtol, max_iter, x0=None):
+    def recording(buffers, rhs, x0=None):
         starts.append(x0.copy())
-        return solve(buffers, rhs, rtol, max_iter, x0)
+        return solve(buffers, rhs, x0)
     monkeypatch.setattr(linalg, "solve", recording)
     return starts
 
@@ -167,7 +193,8 @@ def test_warm_started_prediction_meets_the_rhs_relative_tolerance(monkeypatch):
     layout = face_layout(g)
     frame = ObstacleFrame.sample(obstacle, state.t + params.dt, g)
     starts = recorded_starts(monkeypatch)
-    v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), frame, params)
+    v_tilde, iters = scheme.predict(state, VelocityField.zeros(g), frame,
+                                    scheme.StepWorkspace(g, params))
     monkeypatch.undo()
 
     op, buffers, rhs = prediction_system(state, obstacle, params)
@@ -179,7 +206,7 @@ def test_warm_started_prediction_meets_the_rhs_relative_tolerance(monkeypatch):
     assert r <= rtol * np.linalg.norm(rhs)
     assert r > rtol * r0
 
-    _, iters_cold = linalg.solve(buffers, rhs, params.prediction_rtol, params.max_iter)
+    _, iters_cold = linalg.solve(buffers, rhs)
     assert 0 < iters < iters_cold
 
 
